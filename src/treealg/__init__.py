@@ -10,7 +10,6 @@ from .congruence import (
     TreePartition,
     bounded_closure,
     principal_related,
-    related,
 )
 from .errors import (
     AlphabetTooSmall,
@@ -26,18 +25,15 @@ from .errors import (
     TreeAlgebraError,
     UniverseTooLarge,
     UnknownLetter,
+    UnreadableFile,
 )
 from .morphisms import (
     Grafting,
-    Projection,
-    SHAPE_PROJECTION,
     WordSubstitution,
     commute_check,
     graft,
     is_idempotent,
     kernel_related,
-    letter_projection,
-    project,
     recolor,
     substitute,
 )
@@ -51,7 +47,6 @@ from .polynomials import (
     constant_function,
     cp_evidence,
     cp_to_polynomial,
-    eval_poly,
     function_from_spec,
     identity_function,
     iter_polynomials,
@@ -71,8 +66,9 @@ from .trees import (
     catalan,
     encode,
     enumerate_universe,
+    erase_letters,
+    erase_shapes,
     foliage,
-    is_leaf,
     is_skeleton,
     iter_universe,
     leaf_count,

@@ -14,15 +14,7 @@ import sys
 
 from .congruence import bounded_closure
 from .errors import MalformedTable, NotCP, TreeAlgebraError, UnknownLetter
-from .morphisms import (
-    Grafting,
-    SHAPE_PROJECTION,
-    WordSubstitution,
-    graft,
-    letter_projection,
-    project,
-    substitute,
-)
+from .morphisms import Grafting, WordSubstitution, graft, substitute
 from .polynomials import cp_evidence, cp_to_polynomial, function_from_spec, synthesize
 from .trees import (
     Alphabet,
@@ -31,9 +23,13 @@ from .trees import (
     UNICODE_SHAPES,
     encode,
     enumerate_universe,
+    erase_letters,
+    erase_shapes,
     foliage,
     leaf_count,
     parse_tree,
+    read_lines,
+    read_pairs,
     rebuild,
     skeleton,
 )
@@ -141,27 +137,9 @@ def _parse_substitution(text: str, alphabet: Alphabet) -> WordSubstitution:
     return WordSubstitution(source, rest)
 
 
-def _read_lines(path: str):
-    with open(path, encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield number, line
-
-
-def _read_pairs(path: str, alphabet: Alphabet):
-    pairs = []
-    for number, line in _read_lines(path):
-        fields = line.split()
-        if len(fields) != 2:
-            raise MalformedTable(f"{path}:{number}: expected 'TREE TREE'")
-        pairs.append((parse_tree(fields[0], alphabet), parse_tree(fields[1], alphabet)))
-    return pairs
-
-
 def _read_table(path: str, alphabet: Alphabet, parse_value):
     table = {}
-    for number, line in _read_lines(path):
+    for number, line in read_lines(path):
         fields = line.split()
         if len(fields) != 2 or len(fields[0]) != 1:
             raise MalformedTable(f"{path}:{number}: expected 'LETTER VALUE'")
@@ -225,10 +203,8 @@ def _cmd_project(ns, alphabet, out) -> int:
     for ch in ns.word:
         if ch not in alphabet and ch not in SHAPE_CHARS:
             raise UnknownLetter(ch, "input word")
-    projection = SHAPE_PROJECTION if ns.sigma else letter_projection(alphabet)
-    word = project(projection, ns.word)
-    if ns.sigma:
-        word = _render(word, ns)
+    # Input holds only letters and shape characters, so erasing one kind keeps the other.
+    word = _render(erase_letters(ns.word), ns) if ns.sigma else erase_shapes(ns.word)
     _emit(ns, out, word, {"word": word})
     return 0
 
@@ -245,7 +221,7 @@ def _cmd_enumerate(ns, alphabet, out) -> int:
 
 
 def _cmd_closure(ns, alphabet, out) -> int:
-    pairs = _read_pairs(ns.pairs, alphabet)
+    pairs = read_pairs(ns.pairs, alphabet)
     partition = bounded_closure(pairs, ns.bound, alphabet, ns.cap)
     payload = {
         "universe_size": partition.universe_size,

@@ -41,19 +41,19 @@ class TreePartition:
     member, so two runs over the same input agree byte for byte.
     """
 
-    def __init__(self, universe: Tuple[Tree, ...], roots: Tuple[int, ...], max_leaves: int):
-        self._universe = universe
+    def __init__(self, index: Dict[Tree, int], roots: Tuple[int, ...], max_leaves: int):
+        # ``index`` maps each universe tree to its position; keys are in enumeration order.
+        self._index = index
         self._roots = roots
-        self._index: Dict[Tree, int] = {t: i for i, t in enumerate(universe)}
         self.max_leaves = max_leaves
 
     @property
     def universe(self) -> Tuple[Tree, ...]:
-        return self._universe
+        return tuple(self._index)
 
     @property
     def universe_size(self) -> int:
-        return len(self._universe)
+        return len(self._index)
 
     def _idx(self, t: Tree) -> int:
         try:
@@ -66,18 +66,14 @@ class TreePartition:
 
     def class_of(self, t: Tree) -> List[Tree]:
         root = self._roots[self._idx(t)]
-        return [u for i, u in enumerate(self._universe) if self._roots[i] == root]
+        return [u for i, u in enumerate(self._index) if self._roots[i] == root]
 
     def classes(self) -> List[List[Tree]]:
         """All classes in enumeration order, members in enumeration order."""
         buckets: Dict[int, List[Tree]] = {}
-        for i, t in enumerate(self._universe):
+        for i, t in enumerate(self._index):
             buckets.setdefault(self._roots[i], []).append(t)
         return [buckets[root] for root in sorted(buckets)]
-
-
-def related(partition: TreePartition, t: Tree, t2: Tree) -> bool:
-    return partition.related(t, t2)
 
 
 def bounded_closure(
@@ -93,7 +89,7 @@ def bounded_closure(
     merge, the trees using the absorbed class are re-registered, and
     trees whose child-class pairs collide are merged in turn.
     """
-    universe = tuple(enumerate_universe(max_leaves, alphabet, cap))
+    universe = enumerate_universe(max_leaves, alphabet, cap)
     n = len(universe)
     index: Dict[Tree, int] = {}
     children: List[Optional[Tuple[int, int]]] = [None] * n
@@ -149,7 +145,7 @@ def bounded_closure(
             merge(i, other)
 
     roots = tuple(find(i) for i in range(n))
-    return TreePartition(universe, roots, max_leaves)
+    return TreePartition(index, roots, max_leaves)
 
 
 def principal_related(

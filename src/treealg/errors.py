@@ -6,42 +6,38 @@ CLI serializes it through :meth:`TreeAlgebraError.payload`.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class TreeAlgebraError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    ``witness`` is the JSON-ready data that reproduces the failure, if any.
+    """
+
+    def __init__(self, detail: str, witness: Optional[dict] = None):
+        super().__init__(detail)
+        self.witness = witness
 
     def payload(self) -> dict:
         """JSON-ready description of the error, witness data included."""
-        return {"error": type(self).__name__, "detail": str(self)}
+        data = {"error": type(self).__name__, "detail": str(self)}
+        if self.witness is not None:
+            data["witness"] = self.witness
+        return data
 
 
 class MalformedTree(TreeAlgebraError):
     def __init__(self, text: str, position: int, reason: str):
-        super().__init__(f"cannot parse {text!r} at index {position}: {reason}")
-        self.text = text
-        self.position = position
-        self.reason = reason
-
-    def payload(self) -> dict:
-        return {
-            "error": "MalformedTree",
-            "detail": str(self),
-            "witness": {"text": self.text, "position": self.position},
-        }
+        super().__init__(
+            f"cannot parse {text!r} at index {position}: {reason}",
+            {"text": text, "position": position},
+        )
 
 
 class MalformedSkeleton(TreeAlgebraError):
     def __init__(self, word: str, reason: str):
-        super().__init__(f"{word!r} is not a skeleton: {reason}")
-        self.word = word
-        self.reason = reason
-
-    def payload(self) -> dict:
-        return {
-            "error": "MalformedSkeleton",
-            "detail": str(self),
-            "witness": {"skeleton": self.word},
-        }
+        super().__init__(f"{word!r} is not a skeleton: {reason}", {"skeleton": word})
 
 
 class LengthMismatch(TreeAlgebraError):
@@ -50,17 +46,9 @@ class LengthMismatch(TreeAlgebraError):
     def __init__(self, foliage: str, skeleton: str):
         super().__init__(
             f"skeleton length {len(skeleton)} != 3*{len(foliage)} - 3 "
-            f"for foliage {foliage!r}"
+            f"for foliage {foliage!r}",
+            {"foliage": foliage, "skeleton": skeleton},
         )
-        self.foliage = foliage
-        self.skeleton = skeleton
-
-    def payload(self) -> dict:
-        return {
-            "error": "LengthMismatch",
-            "detail": str(self),
-            "witness": {"foliage": self.foliage, "skeleton": self.skeleton},
-        }
 
 
 class UnknownLetter(TreeAlgebraError):
@@ -68,50 +56,35 @@ class UnknownLetter(TreeAlgebraError):
         msg = f"letter {symbol!r} is not in the configured alphabet"
         if context:
             msg += f" ({context})"
-        super().__init__(msg)
-        self.symbol = symbol
-
-    def payload(self) -> dict:
-        return {
-            "error": "UnknownLetter",
-            "detail": str(self),
-            "witness": {"symbol": self.symbol},
-        }
+        super().__init__(msg, {"symbol": symbol})
 
 
 class UniverseTooLarge(TreeAlgebraError):
     def __init__(self, required: int, cap: int):
-        super().__init__(f"universe would hold {required} trees, cap is {cap}")
-        self.required = required
-        self.cap = cap
-
-    def payload(self) -> dict:
-        return {
-            "error": "UniverseTooLarge",
-            "detail": str(self),
-            "witness": {"required": self.required, "cap": self.cap},
-        }
+        super().__init__(
+            f"universe would hold {required} trees, cap is {cap}",
+            {"required": required, "cap": cap},
+        )
 
 
 class PairOutOfUniverse(TreeAlgebraError):
     def __init__(self, encoded_tree: str, max_leaves: int):
         super().__init__(
             f"tree {encoded_tree} does not fit in the universe "
-            f"with at most {max_leaves} leaves"
+            f"with at most {max_leaves} leaves",
+            {"tree": encoded_tree, "bound": max_leaves},
         )
-        self.encoded_tree = encoded_tree
-        self.max_leaves = max_leaves
-
-    def payload(self) -> dict:
-        return {
-            "error": "PairOutOfUniverse",
-            "detail": str(self),
-            "witness": {"tree": self.encoded_tree, "bound": self.max_leaves},
-        }
 
 
 class MalformedTable(TreeAlgebraError):
-    """A generator table does not cover the alphabet exactly once."""
+    """A table or pair file does not have the documented line format or coverage."""
+
+
+class UnreadableFile(TreeAlgebraError):
+    """An input file cannot be opened or read."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"cannot read {path}: {reason}", {"path": path})
 
 
 class EmptyWordImage(TreeAlgebraError):
@@ -119,7 +92,6 @@ class EmptyWordImage(TreeAlgebraError):
 
     def __init__(self, letter: str):
         super().__init__(f"image of {letter!r} is empty")
-        self.letter = letter
 
 
 class HypothesesViolated(TreeAlgebraError):
@@ -130,25 +102,20 @@ class HypothesesViolated(TreeAlgebraError):
     """
 
     def __init__(self, check):
+        super().__init__(check.describe(), check.as_json())
         self.check = check
-        super().__init__(check.describe())
-
-    def payload(self) -> dict:
-        return {
-            "error": "HypothesesViolated",
-            "detail": str(self),
-            "witness": self.check.as_json(),
-        }
 
 
 class NotCP(TreeAlgebraError):
-    """A candidate function was shown not to be congruence preserving."""
+    """A candidate function was shown not to be congruence preserving.
+
+    ``witness`` is the pair of trees (or letters) that disagree.
+    """
 
     def __init__(self, stage: str, witness: tuple, at_input=None):
+        super().__init__(f"not congruence preserving ({stage})", witness)
         self.stage = stage
-        self.witness = witness  # pair of trees (or letters) that disagree
         self.at_input = at_input
-        super().__init__(f"not congruence preserving ({stage})")
 
     def payload(self) -> dict:
         from .trees import encode
@@ -169,19 +136,9 @@ class EvaluationFailure(TreeAlgebraError):
     """A candidate function is partial on a tree it must be evaluated on."""
 
     def __init__(self, encoded_tree: str):
-        super().__init__(f"function has no value for {encoded_tree}")
-        self.encoded_tree = encoded_tree
-
-    def payload(self) -> dict:
-        return {
-            "error": "EvaluationFailure",
-            "detail": str(self),
-            "witness": {"tree": self.encoded_tree},
-        }
+        super().__init__(f"function has no value for {encoded_tree}", {"tree": encoded_tree})
 
 
 class AlphabetTooSmall(TreeAlgebraError):
     def __init__(self, needed: int, got: int):
         super().__init__(f"operation needs at least {needed} letters, alphabet has {got}")
-        self.needed = needed
-        self.got = got

@@ -1,17 +1,16 @@
-"""Structure-preserving maps: graftings, word substitutions, projections.
+"""Structure-preserving maps: graftings and word substitutions.
 
 A grafting replaces every leaf carrying one designated letter by a fixed
 tree; it is the unique map that commutes with the pairing operation and
-acts as specified on leaves.  Word substitutions do the same for words,
-projections erase letters outside a kept set.  The kernel of any of these
-("both sides map to the same image") is a congruence, which is how they
-are used throughout the package.
+acts as specified on leaves.  Word substitutions do the same for words.
+The kernel of any of these ("both sides map to the same image") is a
+congruence, which is how they are used throughout the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Union
+from typing import Callable, Union
 
 from .trees import Alphabet, DEFAULT_ALPHABET, SHAPE_CHARS, Tree, foliage
 
@@ -40,20 +39,6 @@ class WordSubstitution:
             raise ValueError(f"substitution source must be a letter, got {self.source!r}")
 
 
-@dataclass(frozen=True)
-class Projection:
-    """Erase every symbol outside ``kept``; keep the rest unchanged."""
-
-    kept: FrozenSet[str]
-
-
-SHAPE_PROJECTION = Projection(frozenset(SHAPE_CHARS))
-
-
-def letter_projection(alphabet: Alphabet = DEFAULT_ALPHABET) -> Projection:
-    return Projection(frozenset(alphabet.symbols))
-
-
 def graft(g: Grafting, t: Tree) -> Tree:
     if isinstance(t, str):
         return g.replacement if t == g.source else t
@@ -67,11 +52,6 @@ def graft(g: Grafting, t: Tree) -> Tree:
 
 def substitute(sub: WordSubstitution, word: str) -> str:
     return word.replace(sub.source, sub.replacement)
-
-
-def project(p: Projection, word: str) -> str:
-    kept = p.kept
-    return "".join(ch for ch in word if ch in kept)
 
 
 def kernel_related(h: Union[Grafting, Callable[[Tree], object]], t: Tree, t2: Tree) -> bool:

@@ -34,30 +34,26 @@ from .errors import (
     NotCP,
     UnknownLetter,
 )
-from .morphisms import Grafting, graft, is_idempotent, recolor
+from .morphisms import Grafting, graft, recolor
 from .trees import (
     Alphabet,
     DEFAULT_ALPHABET,
     Tree,
     VARIABLE,
-    _shape_builders,
+    _iter_trees,
     encode,
     enumerate_universe,
     foliage,
     iter_universe,
     mirror,
     parse_tree,
+    read_pairs,
     skeleton,
 )
 
 
-def eval_poly(poly: Tree, t: Tree) -> Tree:
-    """Value of the polynomial at ``t``: graft ``t`` into every variable leaf."""
-    return graft(Grafting(VARIABLE, t), poly)
-
-
 def compile_poly(poly: Tree) -> Callable[[Tree], Tree]:
-    """Closure computing ``eval_poly(poly, .)``; worthwhile in evaluation sweeps."""
+    """The function of a polynomial: graft its argument into every variable leaf."""
     if poly == VARIABLE:
         return lambda t: t
     if isinstance(poly, str) or VARIABLE not in foliage(poly):
@@ -69,11 +65,7 @@ def compile_poly(poly: Tree) -> Callable[[Tree], Tree]:
 
 def iter_polynomials(max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Iterator[Tree]:
     """Every tree over the alphabet plus the variable, in canonical order."""
-    symbols = alphabet.symbols + (VARIABLE,)
-    for n in range(1, max_leaves + 1):
-        for build in _shape_builders(n):
-            for labels in itertools.product(symbols, repeat=n):
-                yield build(labels)
+    return _iter_trees(max_leaves, alphabet.symbols + (VARIABLE,))
 
 
 def unused_letter_count(t: Tree, alphabet: Alphabet = DEFAULT_ALPHABET) -> int:
@@ -227,15 +219,7 @@ def function_from_spec(spec: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Cand
     if kind == "poly" and arg:
         return poly_function(parse_tree(arg, alphabet, variable=True))
     if kind == "table" and arg:
-        mapping = {}
-        with open(arg, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                src, dst = line.split()
-                mapping[parse_tree(src, alphabet)] = parse_tree(dst, alphabet)
-        return table_function(mapping, name=spec)
+        return table_function(dict(read_pairs(arg, alphabet)), name=spec)
     raise ValueError(f"unknown function spec {spec!r}")
 
 

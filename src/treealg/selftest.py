@@ -25,7 +25,6 @@ from .polynomials import (
     constant_function,
     cp_evidence,
     cp_to_polynomial,
-    eval_poly,
     identity_function,
     iter_polynomials,
     mirror_function,
@@ -34,12 +33,10 @@ from .polynomials import (
 )
 from .trees import (
     DEFAULT_ALPHABET,
-    _DROP_SHAPE,
-    _NON_SHAPE,
-    _shape_word,
-    _shapes,
     encode,
     enumerate_universe,
+    erase_letters,
+    erase_shapes,
     foliage,
     iter_universe,
     mirror,
@@ -101,8 +98,8 @@ class _Context:
             for t in iter_universe(8, alphabet):
                 total += 1
                 enc = encode(t)
-                leaves = enc.translate(_DROP_SHAPE)
-                shape = _NON_SHAPE.sub("", enc)
+                leaves = erase_shapes(enc)
+                shape = erase_letters(enc)
                 if length_law_witness is None and len(shape) != 3 * len(leaves) - 3:
                     length_law_witness = enc
                 if roundtrip_witness is None and rebuild(leaves, shape, alphabet) != t:
@@ -146,10 +143,10 @@ def criterion_product_laws(ctx: _Context) -> CriterionResult:
         for j, t2 in enumerate(u4):
             pair_count += 1
             enc = encode((t, t2))
-            if _NON_SHAPE.sub("", enc) != f"<{si}*{shapes[j]}>":
+            if erase_letters(enc) != f"<{si}*{shapes[j]}>":
                 witness = f"shape law broke at ({encode(t)}, {encode(t2)})"
                 break
-            if enc.translate(_DROP_SHAPE) != fi + leaves[j]:
+            if erase_shapes(enc) != fi + leaves[j]:
                 witness = f"leaf-word law broke at ({encode(t)}, {encode(t2)})"
                 break
         if witness:
@@ -170,10 +167,10 @@ def criterion_rebuild_roundtrip(ctx: _Context) -> CriterionResult:
     rng = Random(ctx.seed)
     rejected = 0
     for _ in range(100):
-        n = rng.randint(1, 5)
-        m = rng.choice([k for k in range(1, 6) if k != n])
+        shape = skeleton(random_tree(rng, alphabet.symbols, 5))
+        m = len(shape) // 3 + 1
+        n = rng.choice([k for k in range(1, 6) if k != m])
         word = "".join(rng.choice(alphabet.symbols) for _ in range(n))
-        shape = _shape_word(rng.choice(_shapes(m)))
         try:
             rebuild(word, shape, alphabet)
         except LengthMismatch:
@@ -345,7 +342,8 @@ def criterion_synthesis_roundtrip(ctx: _Context) -> CriterionResult:
     count = 0
     witness = None
     for poly in iter_polynomials(5, alphabet):  # 5 leaves == 9 nodes
-        table = {a: eval_poly(poly, a) for a in alphabet}
+        evaluate = compile_poly(poly)
+        table = {a: evaluate(a) for a in alphabet}
         if synthesize(table, alphabet) != poly:
             witness = encode(poly)
             break
@@ -457,9 +455,8 @@ def criterion_generator_agreement(ctx: _Context) -> CriterionResult:
     witness = None
     for _ in range(200):
         first = random_tree(rng, letters, 7)
-        table = {a: eval_poly(first, a) for a in alphabet}
-        second = synthesize(table, alphabet)
         f1 = compile_poly(first)
+        second = synthesize({a: f1(a) for a in alphabet}, alphabet)
         f2 = compile_poly(second)
         for t in u6:
             if f1(t) != f2(t):

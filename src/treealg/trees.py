@@ -10,9 +10,11 @@ alphabets may not contain them.  Two projections of the encoded word
 describe every tree: its *skeleton* (the shape characters only) and its
 *foliage* (the leaf letters, left to right).  A tree is uniquely
 determined by foliage and skeleton together, and :func:`rebuild` inverts
-the pair of projections.
+the pair of projections.  :func:`erase_letters` and :func:`erase_shapes`
+take the same two projections of any text.
 
-All values are immutable; every function here is pure.
+All values are immutable; every function here is pure, apart from the
+file readers at the end.
 """
 
 from __future__ import annotations
@@ -23,14 +25,16 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .errors import (
     LengthMismatch,
     MalformedSkeleton,
+    MalformedTable,
     MalformedTree,
     UniverseTooLarge,
     UnknownLetter,
+    UnreadableFile,
 )
 
 Tree = Union[str, Tuple["Tree", "Tree"]]
@@ -51,9 +55,6 @@ _NON_SHAPE = re.compile(r"[^<*>]+")
 _XI_ORDER = str.maketrans(SHAPE_CHARS, "012")
 
 DEFAULT_UNIVERSE_CAP = 200_000
-
-# Universes up to this many trees are memoized and shared.
-_CACHE_LIMIT = 50_000
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,6 @@ class Alphabet:
 DEFAULT_ALPHABET = Alphabet.from_string("abc")
 
 
-def is_leaf(t: Tree) -> bool:
-    return isinstance(t, str)
-
-
 def star(t: Tree, t2: Tree) -> Tree:
     """Pair two trees as the left and right children of a new root."""
     return (t, t2)
@@ -135,18 +132,28 @@ def encode(t: Tree) -> str:
     return "".join(parts)
 
 
+def erase_letters(text: str) -> str:
+    """Keep only the shape characters of a text."""
+    return _NON_SHAPE.sub("", text)
+
+
+def erase_shapes(text: str) -> str:
+    """Drop the shape characters of a text."""
+    return text.translate(_DROP_SHAPE)
+
+
 def skeleton(t: Tree) -> str:
     """Shape word of a tree: its encoding with all letters erased."""
     if isinstance(t, str):
         return ""
-    return _NON_SHAPE.sub("", encode(t))
+    return erase_letters(encode(t))
 
 
 def foliage(t: Tree) -> str:
     """Leaf word of a tree, left to right."""
     if isinstance(t, str):
         return t
-    return encode(t).translate(_DROP_SHAPE)
+    return erase_shapes(encode(t))
 
 
 def mirror(t: Tree) -> Tree:
@@ -336,18 +343,16 @@ def iter_universe(max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Ite
     Order: leaf count, then skeleton (with ``<`` before ``*`` before ``>``),
     then foliage in alphabet order.  Uncapped; intended for linear sweeps.
     """
+    return _iter_trees(max_leaves, alphabet.symbols)
+
+
+def _iter_trees(max_leaves: int, symbols: Tuple[str, ...]) -> Iterator[Tree]:
     if max_leaves < 1:
         raise ValueError("max_leaves must be >= 1")
-    symbols = alphabet.symbols
     for n in range(1, max_leaves + 1):
         for build in _shape_builders(n):
             for labels in itertools.product(symbols, repeat=n):
                 yield build(labels)
-
-
-@lru_cache(maxsize=32)
-def _universe_cached(symbols: Tuple[str, ...], max_leaves: int) -> tuple:
-    return tuple(iter_universe(max_leaves, Alphabet(symbols)))
 
 
 def enumerate_universe(
@@ -363,8 +368,6 @@ def enumerate_universe(
     count = universe_size(max_leaves, len(alphabet))
     if cap is not None and count > cap:
         raise UniverseTooLarge(count, cap)
-    if count <= _CACHE_LIMIT:
-        return list(_universe_cached(alphabet.symbols, max_leaves))
     return list(iter_universe(max_leaves, alphabet))
 
 
@@ -381,3 +384,26 @@ def random_tree(rng: Random, letters: Tuple[str, ...], max_leaves: int) -> Tree:
         return (fill(sh[0]), fill(sh[1]))
 
     return fill(shape)
+
+
+def read_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """Numbered lines of a text file, stripped; blank and ``#`` lines skipped."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for number, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield number, line
+    except OSError as exc:
+        raise UnreadableFile(path, exc.strerror or str(exc)) from None
+
+
+def read_pairs(path: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> List[Tuple[Tree, Tree]]:
+    """Tree pairs from a file with one ``TREE TREE`` line each."""
+    pairs = []
+    for number, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 2:
+            raise MalformedTable(f"{path}:{number}: expected 'TREE TREE'")
+        pairs.append((parse_tree(fields[0], alphabet), parse_tree(fields[1], alphabet)))
+    return pairs

@@ -224,3 +224,41 @@ class TestCpCommands:
     def test_const_function(self):
         code, out, _ = invoke("to-poly", "--function", "const:<a*b>", "--verify-bound", "3")
         assert code == 0 and out == "<a*b>\n"
+
+
+class TestInputFiles:
+    def test_bad_function_table_line(self, tmp_path):
+        table = tmp_path / "fn.txt"
+        table.write_text("a b\nb c d\n")
+        code, out, err = invoke("check-cp", "--function", f"table:{table}", "--bound", "2")
+        assert code == 1 and out == ""
+        assert err == f"error: MalformedTable: {table}:2: expected 'TREE TREE'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("closure", "--pairs", "{}"),
+            ("synthesize", "--table", "{}"),
+            ("word-synthesize", "--table", "{}"),
+            ("check-cp", "--function", "table:{}"),
+            ("to-poly", "--function", "table:{}"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_file(self, tmp_path, argv):
+        path = str(tmp_path / "nope.txt")
+        detail = f"cannot read {path}: No such file or directory"
+        args = [arg.format(path) for arg in argv]
+        code, out, err = invoke(*args)
+        assert code == 1 and out == "" and err == f"error: UnreadableFile: {detail}\n"
+        code, out, err = invoke(*args, "--json")
+        assert code == 1 and err == ""
+        assert json.loads(out) == {
+            "error": "UnreadableFile",
+            "detail": detail,
+            "witness": {"path": path},
+        }
+
+    def test_directory_is_unreadable(self, tmp_path):
+        code, _, err = invoke("closure", "--pairs", str(tmp_path))
+        assert code == 1 and err.startswith("error: UnreadableFile: cannot read ")

@@ -15,7 +15,6 @@ from treealg import (
     graft,
     parse_tree,
     principal_related,
-    related,
     skeleton,
     star,
 )
@@ -89,20 +88,20 @@ class TestBoundedClosure:
 class TestRelated:
     def test_identity_reflexive(self):
         partition = bounded_closure([], 1)
-        assert related(partition, "a", "a")
+        assert partition.related("a", "a")
 
     def test_collapsed_products(self):
         partition = bounded_closure([("a", "b")], 2)
-        assert related(partition, parse_tree("<a*c>"), parse_tree("<b*c>"))
+        assert partition.related(parse_tree("<a*c>"), parse_tree("<b*c>"))
 
     def test_asymmetric_products_stay_apart(self):
         partition = bounded_closure([("a", "b")], 2)
-        assert not related(partition, parse_tree("<a*c>"), parse_tree("<c*a>"))
+        assert not partition.related(parse_tree("<a*c>"), parse_tree("<c*a>"))
 
     def test_query_outside_universe(self):
         partition = bounded_closure([], 1)
         with pytest.raises(PairOutOfUniverse):
-            related(partition, parse_tree("<a*b>"), "a")
+            partition.related(parse_tree("<a*b>"), "a")
 
     def test_class_of(self):
         partition = bounded_closure([("a", "b")], 2)

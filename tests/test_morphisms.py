@@ -1,4 +1,4 @@
-"""Graftings, substitutions, projections, and their kernel congruences."""
+"""Graftings, substitutions, text projections, and their kernel congruences."""
 
 import itertools
 from random import Random
@@ -8,19 +8,17 @@ from hypothesis import given, strategies as st
 
 from treealg import (
     Grafting,
-    Projection,
-    SHAPE_PROJECTION,
     WordSubstitution,
     commute_check,
     encode,
     enumerate_universe,
+    erase_letters,
+    erase_shapes,
     foliage,
     graft,
     is_idempotent,
     kernel_related,
-    letter_projection,
     parse_tree,
-    project,
     recolor,
     skeleton,
     star,
@@ -30,6 +28,7 @@ from treealg import (
 letters = st.sampled_from("abc")
 trees = st.recursive(letters, lambda ch: st.tuples(ch, ch), max_leaves=15)
 words = st.text(alphabet="abc", max_size=12)
+texts = st.text(alphabet="abc<*>", max_size=12)
 graftings = st.builds(Grafting, letters, trees)
 
 
@@ -83,23 +82,20 @@ class TestSubstitute:
 
 class TestProject:
     def test_letter_projection(self):
-        assert project(letter_projection(), "<<a*c>*b>") == "acb"
+        assert erase_shapes("<<a*c>*b>") == "acb"
 
     def test_shape_projection(self):
-        assert project(SHAPE_PROJECTION, "<<a*c>*b>") == "<<*>*>"
+        assert erase_letters("<<a*c>*b>") == "<<*>*>"
 
-    def test_empty_projection(self):
-        assert project(Projection(frozenset()), "<<a*c>*b>") == ""
-
-    @given(words)
+    @given(texts)
     def test_idempotent(self, w):
-        p = Projection(frozenset("ab"))
-        assert project(p, project(p, w)) == project(p, w)
+        assert erase_letters(erase_letters(w)) == erase_letters(w)
+        assert erase_shapes(erase_shapes(w)) == erase_shapes(w)
 
     @given(trees)
     def test_matches_skeleton_and_foliage(self, t):
-        assert project(letter_projection(), encode(t)) == foliage(t)
-        assert project(SHAPE_PROJECTION, encode(t)) == skeleton(t)
+        assert erase_shapes(encode(t)) == foliage(t)
+        assert erase_letters(encode(t)) == skeleton(t)
 
 
 class TestKernels:

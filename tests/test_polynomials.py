@@ -21,7 +21,6 @@ from treealg import (
     cp_to_polynomial,
     encode,
     enumerate_universe,
-    eval_poly,
     foliage,
     function_from_spec,
     graft,
@@ -48,22 +47,23 @@ plain_trees = st.recursive(plain_letters, lambda ch: st.tuples(ch, ch), max_leav
 class TestEvalPoly:
     def test_variable_is_identity(self):
         t = parse_tree("<a*b>")
-        assert eval_poly("x", t) == t
+        assert compile_poly("x")(t) == t
 
     def test_constant(self):
-        assert eval_poly("c", parse_tree("<a*b>")) == "c"
+        assert compile_poly("c")(parse_tree("<a*b>")) == "c"
 
     def test_one_node(self):
         poly = parse_tree("<x*c>", variable=True)
-        assert encode(eval_poly(poly, parse_tree("<a*b>"))) == "<<a*b>*c>"
+        assert encode(compile_poly(poly)(parse_tree("<a*b>"))) == "<<a*b>*c>"
 
     @given(polys, plain_trees)
     def test_compiled_form_agrees(self, poly, t):
-        assert compile_poly(poly)(t) == eval_poly(poly, t)
+        # the definition: grafting the argument into every variable leaf
+        assert compile_poly(poly)(t) == graft(Grafting("x", t), poly)
 
     @given(polys, plain_trees)
     def test_no_residual_variable(self, poly, t):
-        assert "x" not in foliage(eval_poly(poly, t))
+        assert "x" not in foliage(compile_poly(poly)(t))
 
 
 class TestIterPolynomials:
@@ -114,7 +114,7 @@ class TestSynthesize:
         poly = synthesize(table)
         assert encode(poly) == "<x*c>"
         for a in "abc":
-            assert eval_poly(poly, a) == table[a]
+            assert compile_poly(poly)(a) == table[a]
 
     def test_rejects_bad_table(self):
         with pytest.raises(HypothesesViolated):
@@ -124,7 +124,7 @@ class TestSynthesize:
         # every polynomial with at most 7 nodes is recovered exactly
         count = 0
         for poly in iter_polynomials(4):
-            table = {a: eval_poly(poly, a) for a in "abc"}
+            table = {a: compile_poly(poly)(a) for a in "abc"}
             assert synthesize(table) == poly
             count += 1
         assert count == 4 + 16 + 128 + 1280
@@ -243,7 +243,7 @@ class TestCpToPolynomial:
         u4 = enumerate_universe(4)
         for _ in range(20):
             first = random_tree(rng, ("a", "b", "c", "x"), 5)
-            table = {a: eval_poly(first, a) for a in "abc"}
+            table = {a: compile_poly(first)(a) for a in "abc"}
             second = synthesize(table)
             f1, f2 = compile_poly(first), compile_poly(second)
             assert all(f1(t) == f2(t) for t in u4)
@@ -264,6 +264,12 @@ class TestFunctionFromSpec:
         assert func("a") == "b"
         with pytest.raises(EvaluationFailure):
             func(parse_tree("<a*b>"))
+
+    def test_table_file_bad_line(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("a b c\n")
+        with pytest.raises(MalformedTable, match="table.txt:1: expected 'TREE TREE'"):
+            function_from_spec(f"table:{path}")
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
