@@ -49,7 +49,6 @@ from .polynomials import (
     cp_to_polynomial,
     function_from_spec,
     identity_function,
-    iter_polynomials,
     mirror_function,
     poly_function,
     recolor_function,
@@ -70,6 +69,7 @@ from .trees import (
     erase_shapes,
     foliage,
     is_skeleton,
+    iter_polynomials,
     iter_universe,
     leaf_count,
     mirror,

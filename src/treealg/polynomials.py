@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import (
     AlphabetTooSmall,
@@ -40,7 +40,6 @@ from .trees import (
     DEFAULT_ALPHABET,
     Tree,
     VARIABLE,
-    _iter_trees,
     encode,
     enumerate_universe,
     foliage,
@@ -61,11 +60,6 @@ def compile_poly(poly: Tree) -> Callable[[Tree], Tree]:
     left = compile_poly(poly[0])
     right = compile_poly(poly[1])
     return lambda t: (left(t), right(t))
-
-
-def iter_polynomials(max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Iterator[Tree]:
-    """Every tree over the alphabet plus the variable, in canonical order."""
-    return _iter_trees(max_leaves, alphabet.symbols + (VARIABLE,))
 
 
 def unused_letter_count(t: Tree, alphabet: Alphabet = DEFAULT_ALPHABET) -> int:

@@ -26,7 +26,6 @@ from .polynomials import (
     cp_evidence,
     cp_to_polynomial,
     identity_function,
-    iter_polynomials,
     mirror_function,
     poly_function,
     synthesize,
@@ -38,6 +37,7 @@ from .trees import (
     erase_letters,
     erase_shapes,
     foliage,
+    iter_polynomials,
     iter_universe,
     mirror,
     parse_tree,

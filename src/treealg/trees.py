@@ -163,65 +163,67 @@ def mirror(t: Tree) -> Tree:
     return (mirror(t[1]), mirror(t[0]))
 
 
+class _ScanError(Exception):
+    """First bad position of a scan, as ``(index, reason)``."""
+
+
+def _scan(text: str, letters, leaves: Iterator[str]) -> Tree:
+    """Iterative pushdown scan of ``text``: the one walker of the grammar.
+
+    At each operand position the scan opens a node for every ``<``, then
+    takes a leaf: the next character if it is in ``letters``, otherwise the
+    next item of ``leaves``.  The stack holds ``None`` for a node awaiting
+    its left subtree and the left subtree of a node awaiting its right one.
+    """
+    n = len(text)
+    pos = 0
+    stack = []
+    while True:
+        while pos < n and text[pos] == SHAPE_OPEN:
+            stack.append(None)
+            pos += 1
+        if pos < n and text[pos] in letters:
+            node = text[pos]
+            pos += 1
+        else:
+            node = next(leaves, None)
+            if node is None:
+                raise _ScanError(pos, f"unexpected {text[pos]!r}" if pos < n else "unexpected end of input")
+        while stack and stack[-1] is not None:
+            if pos >= n or text[pos] != SHAPE_CLOSE:
+                raise _ScanError(pos, f"expected {SHAPE_CLOSE!r}")
+            node = (stack.pop(), node)
+            pos += 1
+        if not stack:
+            if pos != n:
+                raise _ScanError(pos, "trailing input")
+            return node
+        if pos >= n or text[pos] != SHAPE_SEP:
+            raise _ScanError(pos, f"expected {SHAPE_SEP!r}")
+        stack[-1] = node
+        pos += 1
+
+
 def parse_tree(text: str, alphabet: Alphabet = DEFAULT_ALPHABET, *, variable: bool = False) -> Tree:
     """Parse the ``<left*right>`` grammar; inverse of :func:`encode`.
 
     With ``variable=True`` the reserved symbol ``x`` is accepted as a leaf
     (polynomial contexts); plain-tree contexts reject it.
     """
-    allowed = set(alphabet.symbols)
-    if variable:
-        allowed.add(VARIABLE)
-    pos = 0
-
-    def node() -> Tree:
-        nonlocal pos
-        if pos >= len(text):
-            raise MalformedTree(text, pos, "unexpected end of input")
-        ch = text[pos]
-        if ch == SHAPE_OPEN:
-            pos += 1
-            left = node()
-            if pos >= len(text) or text[pos] != SHAPE_SEP:
-                raise MalformedTree(text, pos, f"expected {SHAPE_SEP!r}")
-            pos += 1
-            right = node()
-            if pos >= len(text) or text[pos] != SHAPE_CLOSE:
-                raise MalformedTree(text, pos, f"expected {SHAPE_CLOSE!r}")
-            pos += 1
-            return (left, right)
-        if ch in allowed:
-            pos += 1
-            return ch
-        raise MalformedTree(text, pos, f"unexpected {ch!r}")
-
-    tree = node()
-    if pos != len(text):
-        raise MalformedTree(text, pos, "trailing input")
-    return tree
+    letters = alphabet.letter_set | {VARIABLE} if variable else alphabet.letter_set
+    try:
+        return _scan(text, letters, iter(()))
+    except _ScanError as exc:
+        raise MalformedTree(text, *exc.args) from None
 
 
 def is_skeleton(word: str) -> bool:
     """True iff ``word`` is a well-formed shape word."""
-    pos = 0
-
-    def node() -> bool:
-        nonlocal pos
-        if pos < len(word) and word[pos] == SHAPE_OPEN:
-            pos += 1
-            if not node():
-                return False
-            if pos >= len(word) or word[pos] != SHAPE_SEP:
-                return False
-            pos += 1
-            if not node():
-                return False
-            if pos >= len(word) or word[pos] != SHAPE_CLOSE:
-                return False
-            pos += 1
-        return True  # a leaf consumes nothing
-
-    return node() and pos == len(word)
+    try:
+        _scan(word, (), itertools.repeat(""))
+    except _ScanError:
+        return False
+    return True
 
 
 _SHAPE_SET = frozenset(SHAPE_CHARS)
@@ -230,9 +232,9 @@ _SHAPE_SET = frozenset(SHAPE_CHARS)
 def rebuild(u: str, s: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Tree:
     """Reconstruct the unique tree with foliage ``u`` and skeleton ``s``.
 
-    Walks the skeleton left to right: a leaf slot occurs wherever an
-    operand is expected and the next character does not open a subtree,
-    so the split of ``u`` between subtrees is forced by ``s``.
+    Scans the skeleton with ``u`` as the supply of leaves: a leaf slot
+    occurs wherever an operand is expected and the next character does not
+    open a subtree, so the split of ``u`` between subtrees is forced by ``s``.
     """
     if not set(u) <= alphabet.letter_set:
         bad = next(ch for ch in u if ch not in alphabet.letter_set)
@@ -242,38 +244,11 @@ def rebuild(u: str, s: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Tree:
     if not set(s) <= _SHAPE_SET:
         bad = next(ch for ch in s if ch not in _SHAPE_SET)
         raise MalformedSkeleton(s, f"unexpected {bad!r}")
-    n = len(s)
-    pos = 0
-    nxt = 0
-    # None marks an open node awaiting its left subtree; a tree is a
-    # stored left subtree awaiting its right sibling.
-    pending = []
     try:
-        while True:
-            while pos < n and s[pos] == SHAPE_OPEN:
-                pending.append(None)
-                pos += 1
-            node = u[nxt]
-            nxt += 1
-            while pos < n and s[pos] == SHAPE_CLOSE:
-                left = pending.pop()
-                if left is None:
-                    raise MalformedSkeleton(s, f"separator missing before index {pos}")
-                node = (left, node)
-                pos += 1
-            if pos >= n:
-                break
-            if s[pos] != SHAPE_SEP:
-                raise MalformedSkeleton(s, f"expected {SHAPE_SEP!r} at index {pos}")
-            if not pending or pending[-1] is not None:
-                raise MalformedSkeleton(s, f"stray separator at index {pos}")
-            pending[-1] = node
-            pos += 1
-    except IndexError:
-        raise MalformedSkeleton(s, "unbalanced shape word") from None
-    if pending or nxt != len(u):
-        raise MalformedSkeleton(s, "unbalanced shape word")
-    return node
+        return _scan(s, (), iter(u))
+    except _ScanError as exc:
+        pos, reason = exc.args
+        raise MalformedSkeleton(s, f"{reason} at index {pos}") from None
 
 
 def catalan(n: int) -> int:
@@ -287,9 +262,13 @@ def universe_size(max_leaves: int, num_letters: int) -> int:
 
 @lru_cache(maxsize=None)
 def _shapes(n: int) -> tuple:
-    """All tree shapes with ``n`` leaves (leaf = None), in shape-word order."""
+    """All tree shapes with ``n`` leaves, in shape-word order.
+
+    A shape is a tree whose leaves are the empty string, so its
+    :func:`encode` is its shape word.
+    """
     if n == 1:
-        return (None,)
+        return ("",)
     out = []
     for i in range(1, n):
         for left in _shapes(i):
@@ -299,26 +278,9 @@ def _shapes(n: int) -> tuple:
     return tuple(out)
 
 
-def _shape_word(shape) -> str:
-    if shape is None:
-        return ""
-    parts = []
-    stack = [shape]
-    while stack:
-        item = stack.pop()
-        if item is None:
-            continue
-        if isinstance(item, str):
-            parts.append(item)
-        else:
-            left, right = item
-            stack.extend((SHAPE_CLOSE, right, SHAPE_SEP, left, SHAPE_OPEN))
-    return "".join(parts)
-
-
 def _shape_key(shape) -> str:
     # '<' < '*' < '>' ordering, realized by translating to digits.
-    return _shape_word(shape).translate(_XI_ORDER)
+    return encode(shape).translate(_XI_ORDER)
 
 
 @lru_cache(maxsize=None)
@@ -329,7 +291,7 @@ def _shape_builders(n: int) -> tuple:
         counter = itertools.count()
 
         def expr(sh) -> str:
-            if sh is None:
+            if sh == "":
                 return f"L[{next(counter)}]"
             return f"({expr(sh[0])},{expr(sh[1])})"
 
@@ -344,6 +306,11 @@ def iter_universe(max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Ite
     then foliage in alphabet order.  Uncapped; intended for linear sweeps.
     """
     return _iter_trees(max_leaves, alphabet.symbols)
+
+
+def iter_polynomials(max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Iterator[Tree]:
+    """Every tree over the alphabet plus the variable, in canonical order."""
+    return _iter_trees(max_leaves, alphabet.symbols + (VARIABLE,))
 
 
 def _iter_trees(max_leaves: int, symbols: Tuple[str, ...]) -> Iterator[Tree]:
@@ -379,7 +346,7 @@ def random_tree(rng: Random, letters: Tuple[str, ...], max_leaves: int) -> Tree:
     it = iter(labels)
 
     def fill(sh) -> Tree:
-        if sh is None:
+        if sh == "":
             return next(it)
         return (fill(sh[0]), fill(sh[1]))
 
@@ -396,6 +363,8 @@ def read_lines(path: str) -> Iterator[Tuple[int, str]]:
                     yield number, line
     except OSError as exc:
         raise UnreadableFile(path, exc.strerror or str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(path, str(exc)) from None
 
 
 def read_pairs(path: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> List[Tuple[Tree, Tree]]:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from treealg import encode, foliage, skeleton
 from treealg.cli import run
 
 
@@ -78,6 +79,19 @@ class TestBasics:
     def test_custom_alphabet(self):
         code, out, _ = invoke("enumerate", "--bound", "1", "--alphabet", "pq")
         assert code == 0 and out == "p\nq\n"
+
+
+class TestDeepTrees:
+    @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
+    def test_views_of_a_comb(self, left):
+        t = "a"
+        for i in range(100_000 - 1):
+            t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
+        word = encode(t)
+        assert invoke("parse", word) == (0, word + "\n", "")
+        assert invoke("skeleton", word) == (0, skeleton(t) + "\n", "")
+        assert invoke("foliage", word) == (0, foliage(t) + "\n", "")
+        assert invoke("rebuild", "--foliage", foliage(t), "--skeleton", skeleton(t)) == (0, word + "\n", "")
 
 
 class TestErrorsAndExitCodes:
@@ -226,6 +240,19 @@ class TestCpCommands:
         assert code == 0 and out == "<a*b>\n"
 
 
+def assert_unreadable(argv, path, detail):
+    args = [arg.format(path) for arg in argv]
+    code, out, err = invoke(*args)
+    assert code == 1 and out == "" and err == f"error: UnreadableFile: {detail}\n"
+    code, out, err = invoke(*args, "--json")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "error": "UnreadableFile",
+        "detail": detail,
+        "witness": {"path": path},
+    }
+
+
 class TestInputFiles:
     def test_bad_function_table_line(self, tmp_path):
         table = tmp_path / "fn.txt"
@@ -247,17 +274,18 @@ class TestInputFiles:
     )
     def test_missing_file(self, tmp_path, argv):
         path = str(tmp_path / "nope.txt")
-        detail = f"cannot read {path}: No such file or directory"
-        args = [arg.format(path) for arg in argv]
-        code, out, err = invoke(*args)
-        assert code == 1 and out == "" and err == f"error: UnreadableFile: {detail}\n"
-        code, out, err = invoke(*args, "--json")
-        assert code == 1 and err == ""
-        assert json.loads(out) == {
-            "error": "UnreadableFile",
-            "detail": detail,
-            "witness": {"path": path},
-        }
+        assert_unreadable(argv, path, f"cannot read {path}: No such file or directory")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("closure", "--pairs", "{}"), ("check-cp", "--function", "table:{}")],
+        ids=lambda argv: argv[0],
+    )
+    def test_file_not_utf8(self, tmp_path, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"a \xff\n")
+        reason = "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"
+        assert_unreadable(argv, str(path), f"cannot read {path}: {reason}")
 
     def test_directory_is_unreadable(self, tmp_path):
         code, _, err = invoke("closure", "--pairs", str(tmp_path))

@@ -67,6 +67,54 @@ def rebuild_oracle(u, s):
     raise AssertionError("no top-level separator")
 
 
+def parse_oracle(text, alphabet=ABC, variable=False):
+    """The recursive-descent parser that preceded the pushdown scanner."""
+    allowed = set(alphabet.symbols)
+    if variable:
+        allowed.add("x")
+    pos = 0
+
+    def node():
+        nonlocal pos
+        if pos >= len(text):
+            raise MalformedTree(text, pos, "unexpected end of input")
+        ch = text[pos]
+        if ch == "<":
+            pos += 1
+            left = node()
+            if pos >= len(text) or text[pos] != "*":
+                raise MalformedTree(text, pos, "expected '*'")
+            pos += 1
+            right = node()
+            if pos >= len(text) or text[pos] != ">":
+                raise MalformedTree(text, pos, "expected '>'")
+            pos += 1
+            return (left, right)
+        if ch in allowed:
+            pos += 1
+            return ch
+        raise MalformedTree(text, pos, f"unexpected {ch!r}")
+
+    tree = node()
+    if pos != len(text):
+        raise MalformedTree(text, pos, "trailing input")
+    return tree
+
+
+def parse_outcome(parse, text, **kwargs):
+    try:
+        return parse(text, **kwargs)
+    except MalformedTree as exc:
+        return str(exc), exc.payload()
+
+
+def comb(leaves, left):
+    t = "a"
+    for i in range(leaves - 1):
+        t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
+    return t
+
+
 def count_oracle(n, k, _memo={}):
     if (n, k) in _memo:
         return _memo[n, k]
@@ -126,6 +174,25 @@ class TestParse:
     @given(trees)
     def test_roundtrip(self, t):
         assert parse_tree(encode(t)) == t
+
+    @pytest.mark.parametrize("chars, variable", [("a<*>d", False), ("a<*>x", True)])
+    def test_matches_recursive_descent_oracle(self, chars, variable):
+        # every word of up to 7 characters: same tree, or same message and payload
+        for length in range(8):
+            for word in map("".join, itertools.product(chars, repeat=length)):
+                expected = parse_outcome(parse_oracle, word, variable=variable)
+                assert parse_outcome(parse_tree, word, variable=variable) == expected, word
+
+
+class TestDeepTrees:
+    # Tuple == recurses, so deep trees are compared through encode.
+    @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
+    def test_views_accept_any_depth(self, left):
+        t = comb(100_000, left)
+        word = encode(t)
+        assert encode(parse_tree(word)) == word
+        assert encode(rebuild(foliage(t), skeleton(t))) == word
+        assert is_skeleton(skeleton(t))
 
 
 class TestProjections:
@@ -187,18 +254,20 @@ class TestRebuild:
             u, s = foliage(t), skeleton(t)
             assert rebuild(u, s) == rebuild_oracle(u, s) == t
 
-    def test_acceptance_matches_skeleton_parser(self):
-        # exhaustive over all shape-character words up to length 9
-        for length in (0, 3, 6, 9):
-            word = "a" * (length // 3 + 1)
-            for chars in itertools.product("<*>", repeat=length):
-                s = "".join(chars)
-                try:
-                    rebuild(word, s)
-                    accepted = True
-                except MalformedSkeleton:
-                    accepted = False
-                assert accepted == is_skeleton(s), s
+    def test_acceptance_matches_skeleton_set(self):
+        # exhaustive over all shape-character words up to length 12, against
+        # the skeletons of every tree with at most 5 leaves
+        shapes = {skeleton(t) for t in iter_universe(5, Alphabet.from_string("a"))}
+        for length in range(13):
+            for s in map("".join, itertools.product("<*>", repeat=length)):
+                assert is_skeleton(s) == (s in shapes), s
+                if length % 3 == 0:
+                    try:
+                        rebuild("a" * (length // 3 + 1), s)
+                        accepted = True
+                    except MalformedSkeleton:
+                        accepted = False
+                    assert accepted == (s in shapes), s
 
 
 class TestEnumeration:
