@@ -23,6 +23,7 @@ from .errors import (
     NotCP,
     PairOutOfUniverse,
     TreeAlgebraError,
+    TreeTooDeep,
     UniverseTooLarge,
     UnknownLetter,
     UnreadableFile,
@@ -33,7 +34,6 @@ from .morphisms import (
     commute_check,
     graft,
     is_idempotent,
-    kernel_related,
     recolor,
     substitute,
 )
@@ -61,6 +61,7 @@ from .trees import (
     DEFAULT_ALPHABET,
     DEFAULT_UNIVERSE_CAP,
     Tree,
+    Universe,
     VARIABLE,
     catalan,
     encode,

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .congruence import bounded_closure
-from .errors import MalformedTable, NotCP, TreeAlgebraError, UnknownLetter
+from .errors import MalformedTable, NotCP, TreeAlgebraError, TreeTooDeep, UnknownLetter
 from .morphisms import Grafting, WordSubstitution, graft, substitute
 from .polynomials import cp_evidence, cp_to_polynomial, function_from_spec, synthesize
 from .trees import (
@@ -309,6 +309,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return 3
     except TreeAlgebraError as exc:
         _report_error(exc, ns, out, err)
+        return 1
+    except RecursionError:
+        _report_error(TreeTooDeep(ns.command), ns, out, err)
         return 1
     except ValueError as exc:
         err.write(f"usage error: {exc}\n")

@@ -24,8 +24,8 @@ from .trees import (
     DEFAULT_ALPHABET,
     DEFAULT_UNIVERSE_CAP,
     Tree,
+    Universe,
     encode,
-    enumerate_universe,
 )
 
 
@@ -41,38 +41,29 @@ class TreePartition:
     member, so two runs over the same input agree byte for byte.
     """
 
-    def __init__(self, index: Dict[Tree, int], roots: Tuple[int, ...], max_leaves: int):
-        # ``index`` maps each universe tree to its position; keys are in enumeration order.
-        self._index = index
+    def __init__(self, universe: Universe, roots: Tuple[int, ...]):
+        self.universe = universe
+        self.universe_size = len(universe.trees)
         self._roots = roots
-        self.max_leaves = max_leaves
-
-    @property
-    def universe(self) -> Tuple[Tree, ...]:
-        return tuple(self._index)
-
-    @property
-    def universe_size(self) -> int:
-        return len(self._index)
 
     def _idx(self, t: Tree) -> int:
         try:
-            return self._index[t]
+            return self.universe.index[t]
         except KeyError:
-            raise PairOutOfUniverse(encode(t), self.max_leaves) from None
+            raise PairOutOfUniverse(encode(t), self.universe.max_leaves) from None
 
     def related(self, t: Tree, t2: Tree) -> bool:
         return self._roots[self._idx(t)] == self._roots[self._idx(t2)]
 
     def class_of(self, t: Tree) -> List[Tree]:
         root = self._roots[self._idx(t)]
-        return [u for i, u in enumerate(self._index) if self._roots[i] == root]
+        return [u for u, r in zip(self.universe.trees, self._roots) if r == root]
 
     def classes(self) -> List[List[Tree]]:
         """All classes in enumeration order, members in enumeration order."""
         buckets: Dict[int, List[Tree]] = {}
-        for i, t in enumerate(self._index):
-            buckets.setdefault(self._roots[i], []).append(t)
+        for t, root in zip(self.universe.trees, self._roots):
+            buckets.setdefault(root, []).append(t)
         return [buckets[root] for root in sorted(buckets)]
 
 
@@ -89,15 +80,9 @@ def bounded_closure(
     merge, the trees using the absorbed class are re-registered, and
     trees whose child-class pairs collide are merged in turn.
     """
-    universe = enumerate_universe(max_leaves, alphabet, cap)
-    n = len(universe)
-    index: Dict[Tree, int] = {}
-    children: List[Optional[Tuple[int, int]]] = [None] * n
-    for i, t in enumerate(universe):
-        if not isinstance(t, str):
-            # Children have fewer leaves, so they are already indexed.
-            children[i] = (index[t[0]], index[t[1]])
-        index[t] = i
+    universe = Universe(max_leaves, alphabet, cap)
+    index, children = universe.index, universe.children
+    n = len(universe.trees)
 
     parent = list(range(n))
 
@@ -126,10 +111,9 @@ def bounded_closure(
         uses[drop] = []
 
     for t, u in pairs:
-        if t not in index:
-            raise PairOutOfUniverse(encode(t), max_leaves)
-        if u not in index:
-            raise PairOutOfUniverse(encode(u), max_leaves)
+        for tree in (t, u):
+            if tree not in index:
+                raise PairOutOfUniverse(encode(tree), max_leaves)
         merge(index[t], index[u])
 
     work.extend(i for i in range(n) if children[i] is not None)
@@ -145,7 +129,7 @@ def bounded_closure(
             merge(i, other)
 
     roots = tuple(find(i) for i in range(n))
-    return TreePartition(index, roots, max_leaves)
+    return TreePartition(universe, roots)
 
 
 def principal_related(

@@ -87,6 +87,13 @@ class UnreadableFile(TreeAlgebraError):
         super().__init__(f"cannot read {path}: {reason}", {"path": path})
 
 
+class TreeTooDeep(TreeAlgebraError):
+    """A tree is nested too deeply for an operation that recurses per level."""
+
+    def __init__(self, command: str):
+        super().__init__(f"a tree is nested too deeply for {command}", {"command": command})
+
+
 class EmptyWordImage(TreeAlgebraError):
     """A word table maps some letter to the empty word; images must be nonempty."""
 

@@ -10,7 +10,6 @@ congruence, which is how they are used throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 from .trees import Alphabet, DEFAULT_ALPHABET, SHAPE_CHARS, Tree, foliage
 
@@ -52,17 +51,6 @@ def graft(g: Grafting, t: Tree) -> Tree:
 
 def substitute(sub: WordSubstitution, word: str) -> str:
     return word.replace(sub.source, sub.replacement)
-
-
-def kernel_related(h: Union[Grafting, Callable[[Tree], object]], t: Tree, t2: Tree) -> bool:
-    """True iff ``h`` maps both trees to the same image.
-
-    ``h`` may be a :class:`Grafting` or any callable on trees (for example
-    :func:`~treealg.trees.skeleton` or :func:`~treealg.trees.foliage`).
-    """
-    if isinstance(h, Grafting):
-        return graft(h, t) == graft(h, t2)
-    return h(t) == h(t2)
 
 
 def is_idempotent(g: Grafting) -> bool:

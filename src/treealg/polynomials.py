@@ -39,6 +39,7 @@ from .trees import (
     Alphabet,
     DEFAULT_ALPHABET,
     Tree,
+    Universe,
     VARIABLE,
     encode,
     enumerate_universe,
@@ -263,21 +264,25 @@ class EvidenceReport:
 
 
 def _kernel_test(
-    groups: Mapping[object, List[int]],
-    image_of: Callable[[int], Tree],
-    universe: List[Tree],
+    keys: list,
+    image_key: Callable[[Tree], object],
+    images: List[Tree],
+    universe: Universe,
 ) -> Tuple[bool, int, Optional[dict]]:
-    """Within every kernel class, all function images must map together."""
+    """Trees with equal keys must have images with equal ``image_key``."""
+    groups: Dict[object, List[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     checked = 0
     for members in groups.values():
         if len(members) < 2:
             continue
         first = members[0]
-        ref = image_of(first)
+        ref = image_key(images[first])
         for other in members[1:]:
             checked += 1
-            if image_of(other) != ref:
-                witness = {"pair": [encode(universe[first]), encode(universe[other])]}
+            if image_key(images[other]) != ref:
+                witness = {"pair": [encode(universe.trees[first]), encode(universe.trees[other])]}
                 return False, checked, witness
     return True, checked, None
 
@@ -297,24 +302,16 @@ def cp_evidence(
     ``graft(a->t)(f(a)) == graft(a->t)(f(t))``.  All passes constitute
     evidence only; any failure is a disproof with a concrete witness.
     """
-    universe = enumerate_universe(bound, alphabet, cap=None)
-    images = [func(t) for t in universe]
+    universe = Universe(bound, alphabet, cap=None)
+    images = [func(t) for t in universe.trees]
     tests: List[EvidenceTest] = []
 
-    # (a) skeleton kernel, (b) foliage kernel
-    for name, view in (("skeleton-kernel", skeleton), ("foliage-kernel", foliage)):
-        groups: Dict[str, List[int]] = {}
-        for i, t in enumerate(universe):
-            groups.setdefault(view(t), []).append(i)
-        views = {}
-
-        def image_view(i, view=view, views=views):
-            if i not in views:
-                views[i] = view(images[i])
-            return views[i]
-
-        ok, checked, witness = _kernel_test(groups, image_view, universe)
-        tests.append(EvidenceTest(name, ok, checked, witness))
+    # (a) skeleton kernel: the kernel of sending every letter to one letter; (b) foliage kernel
+    for name, keys, view in (
+        ("skeleton-kernel", universe.kernel(dict.fromkeys(alphabet, alphabet.symbols[0])), skeleton),
+        ("foliage-kernel", [foliage(t) for t in universe.trees], foliage),
+    ):
+        tests.append(EvidenceTest(name, *_kernel_test(keys, view, images, universe)))
 
     # (c) grafting kernels over a fixed-plus-seeded sample of graftings
     rng = Random(seed)
@@ -323,42 +320,27 @@ def cp_evidence(
     sample = [(a, t) for a in alphabet for t in small]
     sample += [(rng.choice(alphabet.symbols), rng.choice(larger)) for _ in range(100)]
 
-    has_letter = {a: [a in foliage(t) for t in universe] for a in alphabet}
     ok_all, checked_all, witness_all = True, 0, None
     for a, replacement in sample:
         g = Grafting(a, replacement)
-        contains = has_letter[a]
-        groups = {}
-        for i, t in enumerate(universe):
-            key = graft(g, t) if contains[i] else t
-            groups.setdefault(key, []).append(i)
-        image_cache: Dict[int, Tree] = {}
-
-        def grafted_image(i, g=g, image_cache=image_cache):
-            if i not in image_cache:
-                image_cache[i] = graft(g, images[i])
-            return image_cache[i]
-
-        ok, checked, witness = _kernel_test(groups, grafted_image, universe)
+        keys = universe.kernel({b: replacement if b == a else b for b in alphabet})
+        ok, checked, witness = _kernel_test(keys, lambda t, g=g: graft(g, t), images, universe)
         checked_all += checked
         if not ok and ok_all:
             ok_all = False
-            witness = dict(witness)
-            witness["grafting"] = f"{a}->{encode(replacement)}"
-            witness_all = witness
+            witness_all = dict(witness, grafting=f"{a}->{encode(replacement)}")
     tests.append(EvidenceTest("grafting-kernels", ok_all, checked_all, witness_all))
 
     # (d) idempotent-grafting identity
     ok_d, checked_d, witness_d = True, 0, None
-    leaf_image = {a: images[universe.index(a)] for a in alphabet}
     for a in alphabet:
-        contains = has_letter[a]
-        for i, t in enumerate(universe):
-            if contains[i]:
+        leaf_image = images[universe.index[a]]
+        for t, image in zip(universe.trees, images):
+            if a in foliage(t):
                 continue  # grafting a -> t would not be idempotent
             g = Grafting(a, t)
             checked_d += 1
-            if graft(g, leaf_image[a]) != graft(g, images[i]):
+            if graft(g, leaf_image) != graft(g, image):
                 ok_d = False
                 witness_d = {"pair": [a, encode(t)], "grafting": f"{a}->{encode(t)}"}
                 break

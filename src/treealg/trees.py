@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
     LengthMismatch,
@@ -336,6 +336,49 @@ def enumerate_universe(
     if cap is not None and count > cap:
         raise UniverseTooLarge(count, cap)
     return list(iter_universe(max_leaves, alphabet))
+
+
+class Universe:
+    """The bounded universe, indexed once for every pass over it.
+
+    ``trees`` lists every tree with at most ``max_leaves`` leaves in
+    enumeration order (the letters first, children before parents), ``index``
+    maps each tree to its position, and ``children`` holds the child
+    positions of each pair (``None`` for a leaf).
+    """
+
+    def __init__(
+        self,
+        max_leaves: int,
+        alphabet: Alphabet = DEFAULT_ALPHABET,
+        cap: Optional[int] = DEFAULT_UNIVERSE_CAP,
+    ):
+        self.max_leaves = max_leaves
+        self.alphabet = alphabet
+        self.trees = enumerate_universe(max_leaves, alphabet, cap)
+        self.index: Dict[Tree, int] = {}
+        self.children: List[Optional[Tuple[int, int]]] = []
+        for i, t in enumerate(self.trees):
+            self.children.append(None if isinstance(t, str) else (self.index[t[0]], self.index[t[1]]))
+            self.index[t] = i
+
+    def kernel(self, leaf_image: Mapping[str, Tree]) -> List[int]:
+        """Class number per tree of the homomorphism extending ``leaf_image``.
+
+        Equal numbers mean equal images: leaf images and pairs of child
+        numbers are hash-consed into one table private to the call, so
+        ``a`` and ``<b*c>`` share a number under ``a -> <b*c>``.
+        """
+        table: Dict[object, int] = {}
+
+        def intern(t: Tree) -> int:
+            key = t if isinstance(t, str) else (intern(t[0]), intern(t[1]))
+            return table.setdefault(key, len(table))
+
+        ids = [intern(leaf_image[a]) for a in self.alphabet]
+        for left, right in self.children[len(ids):]:
+            ids.append(table.setdefault((ids[left], ids[right]), len(table)))
+        return ids
 
 
 def random_tree(rng: Random, letters: Tuple[str, ...], max_leaves: int) -> Tree:

@@ -93,6 +93,28 @@ class TestDeepTrees:
         assert invoke("foliage", word) == (0, foliage(t) + "\n", "")
         assert invoke("rebuild", "--foliage", foliage(t), "--skeleton", skeleton(t)) == (0, word + "\n", "")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("graft", "a->b", "{}"),
+            ("to-poly", "--function", "const:{}"),
+            ("check-cp", "--function", "const:{}", "--bound", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_recursive_commands_report_tree_too_deep(self, argv):
+        # these commands still recurse once per level; a 1,200-deep comb is a domain error
+        t = "a"
+        for i in range(1_200 - 1):
+            t = (t, "abc"[i % 3])
+        args = [arg.format(encode(t)) for arg in argv]
+        command = argv[0]
+        detail = f"a tree is nested too deeply for {command}"
+        assert invoke(*args) == (1, "", f"error: TreeTooDeep: {detail}\n")
+        code, out, err = invoke(*args, "--json")
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"error": "TreeTooDeep", "detail": detail, "witness": {"command": command}}
+
 
 class TestErrorsAndExitCodes:
     def test_domain_error_is_exit_one(self):

@@ -3,8 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treealg import (
+    Alphabet,
     Grafting,
     PairOutOfUniverse,
     Relatedness,
@@ -62,9 +64,9 @@ class TestBoundedClosure:
         # for a leaf-to-leaf seed every derivation stays inside the bound,
         # so the closure coincides with the collapse kernel on the universe
         partition = bounded_closure([("a", "b")], 4)
-        index = {t: i for i, t in enumerate(partition.universe)}
+        index = partition.universe.index
         groups = {}
-        for t in partition.universe:
+        for t in partition.universe.trees:
             groups.setdefault(graft(Grafting("a", "b"), t), []).append(t)
         expected = sorted(groups.values(), key=lambda cls: index[cls[0]])
         assert partition.classes() == expected
@@ -75,14 +77,53 @@ class TestBoundedClosure:
 
     def test_compatibility_holds_within_bound(self):
         partition = bounded_closure([("a", "b")], 3)
-        u = partition.universe
-        index = {t: i for i, t in enumerate(u)}
+        index = partition.universe.index
         for t1, t2 in itertools.product(enumerate_universe(1), repeat=2):
             for t1b, t2b in itertools.product(enumerate_universe(1), repeat=2):
                 if partition.related(t1, t1b) and partition.related(t2, t2b):
                     p, q = star(t1, t2), star(t1b, t2b)
                     if p in index and q in index:
                         assert partition.related(p, q)
+
+
+def naive_closure_classes(pairs, universe):
+    """Plain fixpoint: merge the seed pairs, then merge pairings of related
+    parts until a sweep over all pairs of pairings changes nothing."""
+    label = {t: i for i, t in enumerate(universe)}
+
+    def merge(t, u):
+        old, new = label[t], label[u]
+        for k, v in label.items():
+            if v == old:
+                label[k] = new
+
+    for t, u in pairs:
+        merge(t, u)
+    nodes = [t for t in universe if not isinstance(t, str)]
+    changed = True
+    while changed:
+        changed = False
+        for p, q in itertools.product(nodes, repeat=2):
+            if label[p] != label[q] and label[p[0]] == label[q[0]] and label[p[1]] == label[q[1]]:
+                merge(p, q)
+                changed = True
+    classes = {}
+    for t in universe:
+        classes.setdefault(label[t], []).append(t)
+    return list(classes.values())
+
+
+class TestNaiveFixpointOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_naive_fixpoint(self, data):
+        alphabet = Alphabet.from_string(data.draw(st.sampled_from(["ab", "abc"])))
+        bound = data.draw(st.integers(1, 3))
+        # leaf count first, so that letter seeds, whose consequences cascade, are common
+        tree = st.integers(1, bound).flatmap(lambda n: st.sampled_from(enumerate_universe(n, alphabet)))
+        pairs = data.draw(st.lists(st.tuples(tree, tree), max_size=3))
+        partition = bounded_closure(pairs, bound, alphabet)
+        assert partition.classes() == naive_closure_classes(pairs, enumerate_universe(bound, alphabet))
 
 
 class TestRelated:
@@ -191,8 +232,8 @@ class TestMinimality:
         """Splitting any class of the bound-2 closure of {(a, b)} in two
         breaks seed containment or in-bound compatibility."""
         partition = bounded_closure([("a", "b")], 2)
-        universe = partition.universe
-        index = {t: i for i, t in enumerate(universe)}
+        universe = partition.universe.trees
+        index = partition.universe.index
         classes = partition.classes()
 
         def violates(split_classes):

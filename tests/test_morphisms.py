@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from treealg import (
     Grafting,
+    Universe,
     WordSubstitution,
     commute_check,
     encode,
@@ -17,7 +18,6 @@ from treealg import (
     foliage,
     graft,
     is_idempotent,
-    kernel_related,
     parse_tree,
     recolor,
     skeleton,
@@ -101,16 +101,18 @@ class TestProject:
 class TestKernels:
     def test_figure_pair(self):
         t, t2 = parse_tree("<<a*c>*b>"), parse_tree("<a*<c*b>>")
-        assert not kernel_related(skeleton, t, t2)
-        assert kernel_related(foliage, t, t2)
+        assert skeleton(t) != skeleton(t2)
+        assert foliage(t) == foliage(t2)
 
     def test_collapsing_grafting(self):
-        assert kernel_related(Grafting("a", "b"), "a", "b")
+        g = Grafting("a", "b")
+        assert graft(g, "a") == graft(g, "b")
 
     def test_kernels_are_compatible_on_u3(self):
         # image of a pairing depends only on the images of the parts
         u3 = enumerate_universe(3)
-        kernels = [skeleton, foliage, lambda t: graft(Grafting("a", parse_tree("<b*c>")), t)]
+        g = Grafting("a", parse_tree("<b*c>"))
+        kernels = [skeleton, foliage, lambda t: graft(g, t)]
         for h in kernels:
             image_class = {}
             for t in u3:
@@ -124,17 +126,26 @@ class TestKernels:
                         assert seen[key] == value
                     else:
                         seen[key] = value
+        # the same law for class numbers read off the universe, on pairings inside it
+        universe = Universe(3)
+        ids = universe.kernel({"a": g.replacement, "b": "b", "c": "c"})
+        seen = {}
+        for t, t2 in itertools.product(u3, repeat=2):
+            pair = universe.index.get(star(t, t2))
+            if pair is not None:
+                key = (ids[universe.index[t]], ids[universe.index[t2]])
+                assert seen.setdefault(key, ids[pair]) == ids[pair]
 
     def test_kernels_are_equivalences(self):
         u5 = enumerate_universe(5, cap=None)
         for t in u5:
-            assert kernel_related(skeleton, t, t)
+            assert skeleton(t) == skeleton(t)
         rng = Random(0)
         for _ in range(1000):
             t, t2, t3 = (rng.choice(u5) for _ in range(3))
-            assert kernel_related(foliage, t, t2) == kernel_related(foliage, t2, t)
-            if kernel_related(skeleton, t, t2) and kernel_related(skeleton, t2, t3):
-                assert kernel_related(skeleton, t, t3)
+            assert (foliage(t) == foliage(t2)) == (foliage(t2) == foliage(t))
+            if skeleton(t) == skeleton(t2) and skeleton(t2) == skeleton(t3):
+                assert skeleton(t) == skeleton(t3)
 
 
 class TestIdempotence:

@@ -1,6 +1,8 @@
 """Polynomial evaluation, synthesis, and congruence-preservation checks."""
 
 import itertools
+import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -42,6 +44,13 @@ poly_letters = st.sampled_from("abcx")
 polys = st.recursive(poly_letters, lambda ch: st.tuples(ch, ch), max_leaves=10)
 plain_letters = st.sampled_from("abc")
 plain_trees = st.recursive(plain_letters, lambda ch: st.tuples(ch, ch), max_leaves=10)
+
+# Evidence reports as `check-cp --json` prints them, one per line; bytes
+# captured before the kernels moved onto the indexed universe.
+PINNED_LINES = (Path(__file__).parent / "evidence_reports.jsonl").read_text().splitlines()
+PINNED_REPORTS = {
+    tuple(json.loads(line)[key] for key in ("function", "bound", "seed")): line for line in PINNED_LINES
+}
 
 
 class TestEvalPoly:
@@ -194,6 +203,17 @@ class TestCpEvidence:
         func = table_function({t: t for t in enumerate_universe(1)})
         with pytest.raises(EvaluationFailure):
             cp_evidence(func, 2)
+
+    @pytest.mark.parametrize(
+        "spec", ["identity", "mirror", "recolor:b", "const:<a*b>", "poly:<x*<a*x>>", "poly:<x*x>"]
+    )
+    @pytest.mark.parametrize("bound", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_report_bytes_are_pinned(self, spec, bound, seed):
+        # witnesses, checked counts and family order, byte for byte
+        report = cp_evidence(function_from_spec(spec), bound, seed=seed)
+        line = json.dumps(report.as_json(), separators=(",", ":"))
+        assert line == PINNED_REPORTS[spec, bound, seed]
 
 
 class TestIdempotentGraftingIdentity:

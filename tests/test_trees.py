@@ -7,14 +7,17 @@ from hypothesis import given, strategies as st
 
 from treealg import (
     Alphabet,
+    Grafting,
     LengthMismatch,
     MalformedSkeleton,
     MalformedTree,
+    Universe,
     UniverseTooLarge,
     UnknownLetter,
     encode,
     enumerate_universe,
     foliage,
+    graft,
     is_skeleton,
     iter_universe,
     leaf_count,
@@ -334,6 +337,50 @@ class TestEnumeration:
 
     def test_iter_matches_enumerate(self):
         assert list(iter_universe(4)) == enumerate_universe(4, cap=None)
+
+
+def partition_of(keys):
+    """Class numbers renumbered by first occurrence: equal partitions give equal lists."""
+    first = {}
+    return [first.setdefault(key, len(first)) for key in keys]
+
+
+class TestUniverse:
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_index_and_children_agree_with_trees(self, bound):
+        u = Universe(bound)
+        assert u.max_leaves == bound and u.trees == enumerate_universe(bound)
+        assert u.index == {t: i for i, t in enumerate(u.trees)}
+        for t, pair in zip(u.trees, u.children):
+            if isinstance(t, str):
+                assert pair is None
+            else:
+                assert (u.trees[pair[0]], u.trees[pair[1]]) == t
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_kernel_matches_grafting(self, bound):
+        # replacements with up to 3 leaves, larger than the universe at bounds 1 and 2
+        u = Universe(bound)
+        for a in "abc":
+            for replacement in enumerate_universe(3):
+                g = Grafting(a, replacement)
+                ids = u.kernel({b: replacement if b == a else b for b in "abc"})
+                assert partition_of(ids) == partition_of(graft(g, t) for t in u.trees), (a, encode(replacement))
+
+    def test_leaf_and_pair_with_equal_images_share_a_number(self):
+        u = Universe(2)
+        ids = u.kernel({"a": parse_tree("<b*c>"), "b": "b", "c": "c"})
+        assert ids[u.index["a"]] == ids[u.index[parse_tree("<b*c>")]]
+        assert len(set(ids)) == len(u.trees) - 1
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_constant_leaf_map_gives_skeleton_partition(self, bound):
+        u = Universe(bound)
+        assert partition_of(u.kernel(dict.fromkeys("abc", "a"))) == partition_of(map(skeleton, u.trees))
+
+    def test_cap_enforced(self):
+        with pytest.raises(UniverseTooLarge):
+            Universe(3, cap=10)
 
 
 class TestAlphabet:
