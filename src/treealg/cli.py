@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from .congruence import bounded_closure
-from .errors import MalformedTable, NotCP, TreeAlgebraError, TreeTooDeep, UnknownLetter
+from .errors import NotCP, TreeAlgebraError, TreeTooDeep, UnknownLetter
 from .morphisms import Grafting, WordSubstitution, graft, substitute
 from .polynomials import cp_evidence, cp_to_polynomial, function_from_spec, synthesize
+from .selftest import run_selftest
 from .trees import (
     Alphabet,
     DEFAULT_UNIVERSE_CAP,
@@ -28,92 +30,12 @@ from .trees import (
     foliage,
     leaf_count,
     parse_tree,
-    read_lines,
     read_pairs,
+    read_table,
     rebuild,
     skeleton,
 )
 from .words import synthesize_word
-
-_NEEDS_THREE_LETTERS = {"synthesize", "word-synthesize", "check-cp", "to-poly"}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alphabet", default="abc", help="ordered letters (default: abc)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    common.add_argument("--json", action="store_true", help="structured output")
-    common.add_argument("--unicode", action="store_true", help="render <*> as triangles/bullet")
-
-    parser = argparse.ArgumentParser(prog="treealg", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", parents=[common], help="validate a tree and print its canonical form")
-    p.add_argument("tree")
-
-    p = sub.add_parser("skeleton", parents=[common], help="shape word of a tree")
-    p.add_argument("tree")
-
-    p = sub.add_parser("foliage", parents=[common], help="leaf word of a tree")
-    p.add_argument("tree")
-
-    p = sub.add_parser("rebuild", parents=[common], help="tree from its leaf word and shape word")
-    p.add_argument("--foliage", required=True)
-    p.add_argument("--skeleton", required=True)
-
-    p = sub.add_parser("graft", parents=[common], help="apply a grafting LETTER->TREE")
-    p.add_argument("grafting", metavar="LETTER->TREE")
-    p.add_argument("tree")
-
-    p = sub.add_parser("substitute", parents=[common], help="apply a substitution LETTER=>WORD")
-    p.add_argument("substitution", metavar="LETTER=>WORD")
-    p.add_argument("word")
-
-    p = sub.add_parser("project", parents=[common], help="erase letters outside a preset")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sigma", action="store_true", help="keep shape characters only")
-    group.add_argument("--phi", action="store_true", help="keep alphabet letters only")
-    p.add_argument("word")
-
-    p = sub.add_parser("enumerate", parents=[common], help="all trees with at most N leaves")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_UNIVERSE_CAP)
-
-    p = sub.add_parser("closure", parents=[common], help="bounded congruence closure of seed pairs")
-    p.add_argument("--pairs", required=True, metavar="FILE", help="one 'TREE TREE' pair per line")
-    p.add_argument("--bound", type=int, default=6, help="universe leaf bound (default: 6)")
-    p.add_argument("--cap", type=int, default=DEFAULT_UNIVERSE_CAP)
-
-    p = sub.add_parser("synthesize", parents=[common], help="polynomial from a generator table")
-    p.add_argument("--table", required=True, metavar="FILE", help="one 'LETTER TREE' line per letter")
-
-    p = sub.add_parser("word-synthesize", parents=[common], help="word polynomial from a word table")
-    p.add_argument("--table", required=True, metavar="FILE", help="one 'LETTER WORD' line per letter")
-
-    p = sub.add_parser("check-cp", parents=[common], help="congruence-preservation evidence report")
-    p.add_argument("--function", required=True,
-                   help="identity | mirror | recolor:LETTER | const:TREE | poly:TREE | table:FILE")
-    p.add_argument("--bound", type=int, default=4)
-
-    p = sub.add_parser("to-poly", parents=[common], help="polynomial representing a function, verified")
-    p.add_argument("--function", required=True)
-    p.add_argument("--verify-bound", type=int, default=6)
-
-    sub.add_parser("selftest", parents=[common],
-                   help="run the full verification suite (fixed reference alphabet abc)")
-
-    return parser
-
-
-def _render(text: str, ns) -> str:
-    return text.translate(UNICODE_SHAPES) if ns.unicode else text
-
-
-def _emit(ns, out, text: str, payload: dict) -> None:
-    if ns.json:
-        out.write(json.dumps(payload, separators=(",", ":")) + "\n")
-    else:
-        out.write(text + "\n")
 
 
 def _parse_grafting(text: str, alphabet: Alphabet) -> Grafting:
@@ -137,152 +59,171 @@ def _parse_substitution(text: str, alphabet: Alphabet) -> WordSubstitution:
     return WordSubstitution(source, rest)
 
 
-def _read_table(path: str, alphabet: Alphabet, parse_value):
-    table = {}
-    for number, line in read_lines(path):
-        fields = line.split()
-        if len(fields) != 2 or len(fields[0]) != 1:
-            raise MalformedTable(f"{path}:{number}: expected 'LETTER VALUE'")
-        letter, value = fields
-        if letter in table:
-            raise MalformedTable(f"{path}:{number}: duplicate entry for {letter!r}")
-        table[letter] = parse_value(value)
-    return table
+def _letter(text: str) -> Optional[str]:
+    return text if len(text) == 1 else None
 
 
-def _cmd_parse(ns, alphabet, out) -> int:
+# A handler returns its payload, trees encoded, for `run` to print; check-cp
+# and selftest write their own output and return their exit code instead.
+
+
+def _cmd_parse(ns, alphabet, out) -> dict:
     tree = parse_tree(ns.tree, alphabet)
-    text = _render(encode(tree), ns)
-    _emit(ns, out, text, {
-        "tree": text,
-        "leaves": leaf_count(tree),
-        "skeleton": _render(skeleton(tree), ns),
-        "foliage": foliage(tree),
-    })
-    return 0
+    return {"tree": encode(tree), "leaves": leaf_count(tree),
+            "skeleton": skeleton(tree), "foliage": foliage(tree)}
 
 
-def _cmd_skeleton(ns, alphabet, out) -> int:
-    word = _render(skeleton(parse_tree(ns.tree, alphabet)), ns)
-    _emit(ns, out, word, {"skeleton": word})
-    return 0
+def _cmd_skeleton(ns, alphabet, out) -> dict:
+    return {"skeleton": skeleton(parse_tree(ns.tree, alphabet))}
 
 
-def _cmd_foliage(ns, alphabet, out) -> int:
-    word = foliage(parse_tree(ns.tree, alphabet))
-    _emit(ns, out, word, {"foliage": word})
-    return 0
+def _cmd_foliage(ns, alphabet, out) -> dict:
+    return {"foliage": foliage(parse_tree(ns.tree, alphabet))}
 
 
-def _cmd_rebuild(ns, alphabet, out) -> int:
-    tree = rebuild(ns.foliage, ns.skeleton, alphabet)
-    text = _render(encode(tree), ns)
-    _emit(ns, out, text, {"tree": text})
-    return 0
+def _cmd_rebuild(ns, alphabet, out) -> dict:
+    return {"tree": encode(rebuild(ns.foliage, ns.skeleton, alphabet))}
 
 
-def _cmd_graft(ns, alphabet, out) -> int:
-    g = _parse_grafting(ns.grafting, alphabet)
-    tree = graft(g, parse_tree(ns.tree, alphabet))
-    text = _render(encode(tree), ns)
-    _emit(ns, out, text, {"tree": text})
-    return 0
+def _cmd_graft(ns, alphabet, out) -> dict:
+    grafting = _parse_grafting(ns.grafting, alphabet)
+    return {"tree": encode(graft(grafting, parse_tree(ns.tree, alphabet)))}
 
 
-def _cmd_substitute(ns, alphabet, out) -> int:
+def _cmd_substitute(ns, alphabet, out) -> dict:
     sub = _parse_substitution(ns.substitution, alphabet)
     for ch in ns.word:
         if ch not in alphabet:
             raise UnknownLetter(ch, "input word")
-    result = substitute(sub, ns.word)
-    _emit(ns, out, result, {"word": result})
-    return 0
+    return {"word": substitute(sub, ns.word)}
 
 
-def _cmd_project(ns, alphabet, out) -> int:
+def _cmd_project(ns, alphabet, out) -> dict:
     for ch in ns.word:
         if ch not in alphabet and ch not in SHAPE_CHARS:
             raise UnknownLetter(ch, "input word")
     # Input holds only letters and shape characters, so erasing one kind keeps the other.
-    word = _render(erase_letters(ns.word), ns) if ns.sigma else erase_shapes(ns.word)
-    _emit(ns, out, word, {"word": word})
-    return 0
+    return {"word": erase_letters(ns.word) if ns.sigma else erase_shapes(ns.word)}
 
 
-def _cmd_enumerate(ns, alphabet, out) -> int:
+def _cmd_enumerate(ns, alphabet, out) -> dict:
     trees = enumerate_universe(ns.bound, alphabet, ns.cap)
-    rendered = [_render(encode(t), ns) for t in trees]
-    if ns.json:
-        out.write(json.dumps({"count": len(rendered), "trees": rendered}, separators=(",", ":")) + "\n")
-    else:
-        for text in rendered:
-            out.write(text + "\n")
-    return 0
+    return {"count": len(trees), "trees": [encode(t) for t in trees]}
 
 
-def _cmd_closure(ns, alphabet, out) -> int:
-    pairs = read_pairs(ns.pairs, alphabet)
-    partition = bounded_closure(pairs, ns.bound, alphabet, ns.cap)
-    payload = {
-        "universe_size": partition.universe_size,
-        "classes": [[_render(encode(t), ns) for t in cls] for cls in partition.classes()],
-    }
-    out.write(json.dumps(payload, separators=(",", ":")) + "\n")
-    return 0
+def _cmd_closure(ns, alphabet, out) -> dict:
+    partition = bounded_closure(read_pairs(ns.pairs, alphabet), ns.bound, alphabet, ns.cap)
+    classes = [[encode(t) for t in cls] for cls in partition.classes()]
+    return {"universe_size": partition.universe_size, "classes": classes}
 
 
-def _cmd_synthesize(ns, alphabet, out) -> int:
-    table = _read_table(ns.table, alphabet, lambda text: parse_tree(text, alphabet))
-    poly = synthesize(table, alphabet)
-    text = _render(encode(poly), ns)
-    _emit(ns, out, text, {"polynomial": text})
-    return 0
+def _cmd_synthesize(ns, alphabet, out) -> dict:
+    table = read_table(ns.table, _letter, lambda text: parse_tree(text, alphabet), "LETTER VALUE")
+    return {"polynomial": encode(synthesize(table, alphabet))}
 
 
-def _cmd_word_synthesize(ns, alphabet, out) -> int:
-    table = _read_table(ns.table, alphabet, lambda text: text)
-    poly = synthesize_word(table, alphabet)
-    _emit(ns, out, poly, {"polynomial": poly})
-    return 0
+def _cmd_word_synthesize(ns, alphabet, out) -> dict:
+    table = read_table(ns.table, _letter, str, "LETTER VALUE")
+    return {"polynomial": synthesize_word(table, alphabet)}
 
 
 def _cmd_check_cp(ns, alphabet, out) -> int:
-    func = function_from_spec(ns.function, alphabet)
-    report = cp_evidence(func, ns.bound, alphabet, ns.seed)
+    # Printed as is: --unicode would turn the '>' of a grafting's '->' into a triangle.
+    report = cp_evidence(function_from_spec(ns.function, alphabet), ns.bound, alphabet, ns.seed)
     out.write(json.dumps(report.as_json(), separators=(",", ":")) + "\n")
     return 0 if report.passed else 3
 
 
-def _cmd_to_poly(ns, alphabet, out) -> int:
-    func = function_from_spec(ns.function, alphabet)
-    poly = cp_to_polynomial(func, ns.verify_bound, alphabet)
-    text = _render(encode(poly), ns)
-    _emit(ns, out, text, {"verdict": "polynomial", "polynomial": text})
-    return 0
+def _cmd_to_poly(ns, alphabet, out) -> dict:
+    poly = cp_to_polynomial(function_from_spec(ns.function, alphabet), ns.verify_bound, alphabet)
+    return {"verdict": "polynomial", "polynomial": encode(poly)}
 
 
 def _cmd_selftest(ns, alphabet, out) -> int:
-    from .selftest import run_selftest
-
     return run_selftest(out, seed=ns.seed, as_json=ns.json)
 
 
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "skeleton": _cmd_skeleton,
-    "foliage": _cmd_foliage,
-    "rebuild": _cmd_rebuild,
-    "graft": _cmd_graft,
-    "substitute": _cmd_substitute,
-    "project": _cmd_project,
-    "enumerate": _cmd_enumerate,
-    "closure": _cmd_closure,
-    "synthesize": _cmd_synthesize,
-    "word-synthesize": _cmd_word_synthesize,
-    "check-cp": _cmd_check_cp,
-    "to-poly": _cmd_to_poly,
-    "selftest": _cmd_selftest,
-}
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--alphabet", default="abc", help="ordered letters (default: abc)")
+    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    common.add_argument("--json", action="store_true", help="structured output")
+    common.add_argument("--unicode", action="store_true", help="render <*> as triangles/bullet")
+
+    parser = argparse.ArgumentParser(prog="treealg", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, help, text=None, three_letters=False):
+        """Declare a subcommand. Without --json, `run` prints the payload's
+        ``text`` field; a command without one always prints JSON."""
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler, text=text, three_letters=three_letters)
+        return p
+
+    p = command("parse", _cmd_parse, "validate a tree and print its canonical form", "tree")
+    p.add_argument("tree")
+    command("skeleton", _cmd_skeleton, "shape word of a tree", "skeleton").add_argument("tree")
+    command("foliage", _cmd_foliage, "leaf word of a tree", "foliage").add_argument("tree")
+
+    p = command("rebuild", _cmd_rebuild, "tree from its leaf word and shape word", "tree")
+    p.add_argument("--foliage", required=True)
+    p.add_argument("--skeleton", required=True)
+
+    p = command("graft", _cmd_graft, "apply a grafting LETTER->TREE", "tree")
+    p.add_argument("grafting", metavar="LETTER->TREE")
+    p.add_argument("tree")
+
+    p = command("substitute", _cmd_substitute, "apply a substitution LETTER=>WORD", "word")
+    p.add_argument("substitution", metavar="LETTER=>WORD")
+    p.add_argument("word")
+
+    p = command("project", _cmd_project, "erase letters outside a preset", "word")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--sigma", action="store_true", help="keep shape characters only")
+    group.add_argument("--phi", action="store_true", help="keep alphabet letters only")
+    p.add_argument("word")
+
+    p = command("enumerate", _cmd_enumerate, "all trees with at most N leaves", "trees")
+    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--cap", type=int, default=DEFAULT_UNIVERSE_CAP)
+
+    p = command("closure", _cmd_closure, "bounded congruence closure of seed pairs")
+    p.add_argument("--pairs", required=True, metavar="FILE", help="one 'TREE TREE' pair per line")
+    p.add_argument("--bound", type=int, default=6, help="universe leaf bound (default: 6)")
+    p.add_argument("--cap", type=int, default=DEFAULT_UNIVERSE_CAP)
+
+    p = command("synthesize", _cmd_synthesize, "polynomial from a generator table", "polynomial",
+                three_letters=True)
+    p.add_argument("--table", required=True, metavar="FILE", help="one 'LETTER TREE' line per letter")
+
+    p = command("word-synthesize", _cmd_word_synthesize, "word polynomial from a word table", "polynomial",
+                three_letters=True)
+    p.add_argument("--table", required=True, metavar="FILE", help="one 'LETTER WORD' line per letter")
+
+    p = command("check-cp", _cmd_check_cp, "congruence-preservation evidence report", three_letters=True)
+    p.add_argument("--function", required=True,
+                   help="identity | mirror | recolor:LETTER | const:TREE | poly:TREE | table:FILE")
+    p.add_argument("--bound", type=int, default=4)
+
+    p = command("to-poly", _cmd_to_poly, "polynomial representing a function, verified", "polynomial",
+                three_letters=True)
+    p.add_argument("--function", required=True)
+    p.add_argument("--verify-bound", type=int, default=6)
+
+    command("selftest", _cmd_selftest, "run the full verification suite (fixed reference alphabet abc)")
+
+    return parser
+
+
+def _render(value):
+    """``value`` with the shape characters of each string in it drawn as triangles/bullet."""
+    if isinstance(value, str):
+        return value.translate(UNICODE_SHAPES)
+    if isinstance(value, list):
+        return [_render(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _render(item) for key, item in value.items()}
+    return value
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
@@ -299,11 +240,11 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except ValueError as exc:
         err.write(f"usage error: {exc}\n")
         return 2
-    if ns.command in _NEEDS_THREE_LETTERS and len(alphabet) < 3:
+    if ns.three_letters and len(alphabet) < 3:
         err.write(f"usage error: {ns.command} needs an alphabet of at least three letters\n")
         return 2
     try:
-        return _HANDLERS[ns.command](ns, alphabet, out)
+        payload = ns.handler(ns, alphabet, out)
     except NotCP as exc:
         _report_error(exc, ns, out, err)
         return 3
@@ -316,6 +257,16 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except ValueError as exc:
         err.write(f"usage error: {exc}\n")
         return 2
+    if isinstance(payload, int):
+        return payload
+    if ns.unicode:
+        payload = _render(payload)
+    if ns.json or ns.text is None:
+        out.write(json.dumps(payload, separators=(",", ":")) + "\n")
+    else:
+        text = payload[ns.text]
+        out.writelines(line + "\n" for line in (text if isinstance(text, list) else [text]))
+    return 0
 
 
 def _report_error(exc: TreeAlgebraError, ns, out, err) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -30,7 +31,6 @@ from .errors import (
     AlphabetTooSmall,
     EvaluationFailure,
     HypothesesViolated,
-    MalformedTable,
     NotCP,
     UnknownLetter,
 )
@@ -47,8 +47,9 @@ from .trees import (
     iter_universe,
     mirror,
     parse_tree,
-    read_pairs,
+    read_table,
     skeleton,
+    _require_cover,
 )
 
 
@@ -90,12 +91,7 @@ class HypothesisCheck:
 
 
 def _validate_table(table: Mapping[str, Tree], alphabet: Alphabet) -> None:
-    missing = [a for a in alphabet if a not in table]
-    extra = [a for a in table if a not in alphabet]
-    if missing or extra:
-        raise MalformedTable(
-            f"table must cover the alphabet exactly; missing {missing}, extra {extra}"
-        )
+    _require_cover(table, alphabet)
     for a in alphabet:
         for ch in foliage(table[a]):
             if ch not in alphabet:
@@ -200,7 +196,8 @@ def function_from_spec(spec: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Cand
     """Build a candidate from its CLI spelling.
 
     ``identity`` | ``mirror`` | ``recolor:LETTER`` | ``const:TREE`` |
-    ``poly:TREE`` | ``table:FILE`` (one ``TREE TREE`` pair per line).
+    ``poly:TREE`` | ``table:FILE`` (one ``TREE TREE`` pair per line, no
+    tree twice on the left).
     """
     if spec == "identity":
         return identity_function()
@@ -214,7 +211,8 @@ def function_from_spec(spec: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Cand
     if kind == "poly" and arg:
         return poly_function(parse_tree(arg, alphabet, variable=True))
     if kind == "table" and arg:
-        return table_function(dict(read_pairs(arg, alphabet)), name=spec)
+        tree = partial(parse_tree, alphabet=alphabet)
+        return table_function(read_table(arg, tree, tree, "TREE TREE"), name=spec)
     raise ValueError(f"unknown function spec {spec!r}")
 
 

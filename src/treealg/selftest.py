@@ -9,7 +9,6 @@ randomized criteria is configurable.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 from dataclasses import dataclass
@@ -414,11 +413,6 @@ def criterion_cp_evidence(ctx: _Context) -> CriterionResult:
     ):
         problems.append("documented mirror witness did not check out")
 
-    from .cli import run  # local import; the CLI imports this module lazily too
-
-    sink = io.StringIO()
-    if run(["check-cp", "--function", "mirror", "--bound", "4"], stdout=sink, stderr=sink) != 3:
-        problems.append("check-cp mirror exit code was not 3")
     try:
         cp_to_polynomial(mirror_function(), 6, alphabet)
         problems.append("mirror produced a polynomial")

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
     LengthMismatch,
@@ -95,6 +95,16 @@ class Alphabet:
 
 
 DEFAULT_ALPHABET = Alphabet.from_string("abc")
+
+
+def _require_cover(table: Mapping[str, object], alphabet: Alphabet) -> None:
+    """Raise unless the keys of a letter table are exactly the alphabet."""
+    missing = [a for a in alphabet if a not in table]
+    extra = [a for a in table if a not in alphabet]
+    if missing or extra:
+        raise MalformedTable(
+            f"table must cover the alphabet exactly; missing {missing}, extra {extra}"
+        )
 
 
 def star(t: Tree, t2: Tree) -> Tree:
@@ -419,3 +429,23 @@ def read_pairs(path: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> List[Tuple[T
             raise MalformedTable(f"{path}:{number}: expected 'TREE TREE'")
         pairs.append((parse_tree(fields[0], alphabet), parse_tree(fields[1], alphabet)))
     return pairs
+
+
+def read_table(
+    path: str, parse_key: Callable[[str], object], parse_value: Callable[[str], object], expected: str
+) -> dict:
+    """Map from a file with one ``KEY VALUE`` line each; a repeated key is an error.
+
+    ``parse_key`` returns ``None`` for a key of the wrong form, and the line is
+    then reported as not matching ``expected`` (such as ``LETTER VALUE``).
+    """
+    table = {}
+    for number, line in read_lines(path):
+        fields = line.split()
+        key = parse_key(fields[0]) if len(fields) == 2 else None
+        if key is None:
+            raise MalformedTable(f"{path}:{number}: expected '{expected}'")
+        if key in table:
+            raise MalformedTable(f"{path}:{number}: duplicate entry for {fields[0]!r}")
+        table[key] = parse_value(fields[1])
+    return table

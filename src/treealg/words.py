@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
-from .errors import EmptyWordImage, HypothesesViolated, MalformedTable, UnknownLetter
+from .errors import EmptyWordImage, HypothesesViolated, UnknownLetter
 from .morphisms import WordSubstitution, substitute
-from .trees import Alphabet, DEFAULT_ALPHABET, VARIABLE
+from .trees import Alphabet, DEFAULT_ALPHABET, VARIABLE, _require_cover
 
 
 def eval_word_poly(poly: str, word: str) -> str:
@@ -55,12 +55,7 @@ def check_word_hypotheses(
 ) -> WordHypothesisCheck:
     """Images must be nonempty over the alphabet, equal-length, and pairwise
     compatible under the letter-collapsing substitutions."""
-    missing = [a for a in alphabet if a not in table]
-    extra = [a for a in table if a not in alphabet]
-    if missing or extra:
-        raise MalformedTable(
-            f"table must cover the alphabet exactly; missing {missing}, extra {extra}"
-        )
+    _require_cover(table, alphabet)
     for a in alphabet:
         image = table[a]
         if image == "":

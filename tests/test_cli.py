@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,23 @@ def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def left_comb(leaves):
+    t = "a"
+    for i in range(leaves - 1):
+        t = (t, "abc"[i % 3])
+    return t
+
+
+# One CLI run per row: argv, input files, exit code, stdout and stderr, for the
+# README tour and the error cases, each plain, with --json and with --unicode.
+# "{tmp}" stands for the directory holding the files, "{comb}" for a left comb
+# of 1,200 leaves. Only the streams handed to `run` are compared; argparse's
+# own usage messages go to sys.stderr and vary across Python versions.
+PINNED_RUNS = [
+    json.loads(line) for line in (Path(__file__).parent / "cli_outputs.jsonl").read_text().splitlines()
+]
 
 
 class TestBasics:
@@ -104,10 +122,7 @@ class TestDeepTrees:
     )
     def test_recursive_commands_report_tree_too_deep(self, argv):
         # these commands still recurse once per level; a 1,200-deep comb is a domain error
-        t = "a"
-        for i in range(1_200 - 1):
-            t = (t, "abc"[i % 3])
-        args = [arg.format(encode(t)) for arg in argv]
+        args = [arg.format(encode(left_comb(1_200))) for arg in argv]
         command = argv[0]
         detail = f"a tree is nested too deeply for {command}"
         assert invoke(*args) == (1, "", f"error: TreeTooDeep: {detail}\n")
@@ -309,6 +324,36 @@ class TestInputFiles:
         reason = "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"
         assert_unreadable(argv, str(path), f"cannot read {path}: {reason}")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("check-cp", "--bound", "1"), ("to-poly", "--verify-bound", "1")],
+        ids=lambda argv: argv[0],
+    )
+    def test_conflicting_function_table_lines(self, tmp_path, argv):
+        table = tmp_path / "fn.txt"
+        table.write_text("a b\nb b\nc c\na c\n")
+        args = (*argv, "--function", f"table:{table}")
+        detail = f"{table}:4: duplicate entry for 'a'"
+        assert invoke(*args) == (1, "", f"error: MalformedTable: {detail}\n")
+        code, out, err = invoke(*args, "--json")
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"error": "MalformedTable", "detail": detail}
+
     def test_directory_is_unreadable(self, tmp_path):
         code, _, err = invoke("closure", "--pairs", str(tmp_path))
         assert code == 1 and err.startswith("error: UnreadableFile: cannot read ")
+
+
+@pytest.mark.parametrize("row", PINNED_RUNS, ids=lambda row: " ".join(row["argv"]))
+def test_pinned_output(tmp_path, row):
+    for name, content in row["files"].items():
+        (tmp_path / name).write_bytes(content.encode("utf-8", "surrogateescape"))
+    comb = encode(left_comb(1_200))
+    args = [arg.replace("{tmp}", str(tmp_path)).replace("{comb}", comb) for arg in row["argv"]]
+    code, out, err = invoke(*args)
+    here = str(tmp_path)
+    assert (code, out.replace(here, "{tmp}"), err.replace(here, "{tmp}")) == (
+        row["code"],
+        row["stdout"],
+        row["stderr"],
+    )
