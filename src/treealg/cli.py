@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from typing import Optional
 
 from .congruence import bounded_closure
@@ -129,7 +130,7 @@ def _cmd_word_synthesize(ns, alphabet, out) -> dict:
 
 def _cmd_check_cp(ns, alphabet, out) -> int:
     # Printed as is: --unicode would turn the '>' of a grafting's '->' into a triangle.
-    report = cp_evidence(function_from_spec(ns.function, alphabet), ns.bound, alphabet, ns.seed)
+    report = cp_evidence(function_from_spec(ns.function, alphabet), ns.bound, alphabet, ns.seed, ns.cap)
     out.write(json.dumps(report.as_json(), separators=(",", ":")) + "\n")
     return 0 if report.passed else 3
 
@@ -204,6 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True,
                    help="identity | mirror | recolor:LETTER | const:TREE | poly:TREE | table:FILE")
     p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--cap", type=int, default=DEFAULT_UNIVERSE_CAP)
 
     p = command("to-poly", _cmd_to_poly, "polynomial representing a function, verified", "polynomial",
                 three_letters=True)
@@ -231,7 +233,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        # argparse prints --help and usage errors to sys.stdout/sys.stderr
+        with redirect_stdout(out), redirect_stderr(err):
+            ns = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2

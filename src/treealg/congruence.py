@@ -25,6 +25,7 @@ from .trees import (
     DEFAULT_UNIVERSE_CAP,
     Tree,
     Universe,
+    _gc_paused,
     encode,
 )
 
@@ -41,10 +42,11 @@ class TreePartition:
     member, so two runs over the same input agree byte for byte.
     """
 
-    def __init__(self, universe: Universe, roots: Tuple[int, ...]):
+    def __init__(self, universe: Universe, roots: Tuple[int, ...], stats: Dict[str, int]):
         self.universe = universe
         self.universe_size = len(universe.trees)
         self._roots = roots
+        self.stats = stats
 
     def _idx(self, t: Tree) -> int:
         try:
@@ -62,9 +64,10 @@ class TreePartition:
     def classes(self) -> List[List[Tree]]:
         """All classes in enumeration order, members in enumeration order."""
         buckets: Dict[int, List[Tree]] = {}
-        for t, root in zip(self.universe.trees, self._roots):
-            buckets.setdefault(root, []).append(t)
-        return [buckets[root] for root in sorted(buckets)]
+        with _gc_paused():
+            for t, root in zip(self.universe.trees, self._roots):
+                buckets.setdefault(root, []).append(t)
+            return [buckets[root] for root in sorted(buckets)]
 
 
 def bounded_closure(
@@ -75,14 +78,27 @@ def bounded_closure(
 ) -> TreePartition:
     """Least in-universe equivalence containing ``pairs``, compatible with pairing.
 
-    Union-find over universe indices with a worklist: every non-leaf tree
-    is registered under the class pair of its children; when two classes
-    merge, the trees using the absorbed class are re-registered, and
-    trees whose child-class pairs collide are merged in turn.
+    Union-find over universe indices, the seed pairs merged first.  One
+    sweep in enumeration order, children before parents, then registers
+    each non-leaf tree once under the class pair of its children; a tree
+    whose pair is already taken is merged with its owner.  When a merge
+    drops a class, only its users registered so far are re-registered
+    (a worklist); later users see the final classes when the sweep
+    reaches them.  The smaller root is kept, so every root is its class's
+    enumeration-smallest member.
     """
     universe = Universe(max_leaves, alphabet, cap)
+    with _gc_paused():
+        roots, stats = _sweep(universe, pairs)
+    return TreePartition(universe, roots, stats)
+
+
+def _sweep(universe: Universe, pairs: Iterable[Tuple[Tree, Tree]]):
+    """Roots and counters of the closure of ``pairs`` on ``universe``."""
     index, children = universe.index, universe.children
     n = len(universe.trees)
+    first_pair = len(universe.alphabet)
+    stats = {"universe_size": n, "registrations": n - first_pair, "requeued": 0, "merges": 0}
 
     parent = list(range(n))
 
@@ -92,12 +108,8 @@ def bounded_closure(
             x = parent[x]
         return x
 
+    # users of a root: the registered trees whose key holds that root
     uses: List[List[int]] = [[] for _ in range(n)]
-    for i, ch in enumerate(children):
-        if ch is not None:
-            uses[ch[0]].append(i)
-            uses[ch[1]].append(i)
-
     work: List[int] = []
 
     def merge(x: int, y: int) -> None:
@@ -109,27 +121,34 @@ def bounded_closure(
         work.extend(uses[drop])
         uses[keep].extend(uses[drop])
         uses[drop] = []
+        stats["merges"] += 1
 
     for t, u in pairs:
         for tree in (t, u):
             if tree not in index:
-                raise PairOutOfUniverse(encode(tree), max_leaves)
+                raise PairOutOfUniverse(encode(tree), universe.max_leaves)
         merge(index[t], index[u])
 
-    work.extend(i for i in range(n) if children[i] is not None)
     signature: Dict[Tuple[int, int], int] = {}
-    while work:
-        i = work.pop()
+    for i in range(first_pair, n):
         left, right = children[i]
         key = (find(left), find(right))
-        other = signature.get(key)
-        if other is None:
-            signature[key] = i
-        else:
+        uses[key[0]].append(i)
+        uses[key[1]].append(i)
+        other = signature.setdefault(key, i)
+        if other != i:
             merge(i, other)
+        while work:
+            j = work.pop()
+            stats["requeued"] += 1
+            left, right = children[j]
+            other = signature.setdefault((find(left), find(right)), j)
+            if other != j:
+                merge(j, other)
 
-    roots = tuple(find(i) for i in range(n))
-    return TreePartition(universe, roots)
+    stats["registrations"] += stats["requeued"]
+    stats["signature_size"] = len(signature)
+    return tuple(find(i) for i in range(n)), stats
 
 
 def principal_related(

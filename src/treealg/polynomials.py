@@ -38,6 +38,7 @@ from .morphisms import Grafting, graft, recolor
 from .trees import (
     Alphabet,
     DEFAULT_ALPHABET,
+    DEFAULT_UNIVERSE_CAP,
     Tree,
     Universe,
     VARIABLE,
@@ -290,6 +291,7 @@ def cp_evidence(
     bound: int,
     alphabet: Alphabet = DEFAULT_ALPHABET,
     seed: int = 0,
+    cap: Optional[int] = DEFAULT_UNIVERSE_CAP,
 ) -> EvidenceReport:
     """Run the decidable necessary conditions for congruence preservation.
 
@@ -299,8 +301,9 @@ def cp_evidence(
     random ones with at most four), and the idempotent-grafting identity
     ``graft(a->t)(f(a)) == graft(a->t)(f(t))``.  All passes constitute
     evidence only; any failure is a disproof with a concrete witness.
+    A universe larger than ``cap`` raises :class:`UniverseTooLarge`.
     """
-    universe = Universe(bound, alphabet, cap=None)
+    universe = Universe(bound, alphabet, cap)
     images = [func(t) for t in universe.trees]
     tests: List[EvidenceTest] = []
 

@@ -19,9 +19,11 @@ file readers at the end.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -348,6 +350,22 @@ def enumerate_universe(
     return list(iter_universe(max_leaves, alphabet))
 
 
+@contextmanager
+def _gc_paused():
+    """Run the body with the cyclic collector off, then restore the caller's state.
+
+    Universe tables are acyclic tuples, lists and dicts, which reference
+    counting frees alone; collections over them find nothing to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class Universe:
     """The bounded universe, indexed once for every pass over it.
 
@@ -365,12 +383,13 @@ class Universe:
     ):
         self.max_leaves = max_leaves
         self.alphabet = alphabet
-        self.trees = enumerate_universe(max_leaves, alphabet, cap)
         self.index: Dict[Tree, int] = {}
         self.children: List[Optional[Tuple[int, int]]] = []
-        for i, t in enumerate(self.trees):
-            self.children.append(None if isinstance(t, str) else (self.index[t[0]], self.index[t[1]]))
-            self.index[t] = i
+        with _gc_paused():
+            self.trees = enumerate_universe(max_leaves, alphabet, cap)
+            for i, t in enumerate(self.trees):
+                self.children.append(None if isinstance(t, str) else (self.index[t[0]], self.index[t[1]]))
+                self.index[t] = i
 
     def kernel(self, leaf_image: Mapping[str, Tree]) -> List[int]:
         """Class number per tree of the homomorphism extending ``leaf_image``.

@@ -26,8 +26,8 @@ def left_comb(leaves):
 # One CLI run per row: argv, input files, exit code, stdout and stderr, for the
 # README tour and the error cases, each plain, with --json and with --unicode.
 # "{tmp}" stands for the directory holding the files, "{comb}" for a left comb
-# of 1,200 leaves. Only the streams handed to `run` are compared; argparse's
-# own usage messages go to sys.stderr and vary across Python versions.
+# of 1,200 leaves. argparse's usage messages are among the pinned bytes: they
+# wrap at the terminal width, so the test fixes it, and vary across Python versions.
 PINNED_RUNS = [
     json.loads(line) for line in (Path(__file__).parent / "cli_outputs.jsonl").read_text().splitlines()
 ]
@@ -168,6 +168,12 @@ class TestErrorsAndExitCodes:
         code, _, err = invoke("enumerate", "--bound", "3", "--cap", "10")
         assert code == 1 and "UniverseTooLarge" in err
 
+    @pytest.mark.parametrize("argv", [["--help"], ["closure", "--help"]])
+    def test_help_goes_to_given_stdout(self, argv, capsys):
+        code, out, err = invoke(*argv)
+        assert code == 0 and out.startswith("usage: treealg") and err == ""
+        assert capsys.readouterr() == ("", "")
+
 
 class TestClosure:
     FIXTURE = (
@@ -253,6 +259,14 @@ class TestCpCommands:
         first = invoke("check-cp", "--function", "poly:<x*c>", "--bound", "3")
         second = invoke("check-cp", "--function", "poly:<x*c>", "--bound", "3")
         assert first == second
+
+    @pytest.mark.parametrize("args", [["--bound", "9"], ["--bound", "3", "--cap", "10"]])
+    def test_check_cp_universe_cap(self, args):
+        code, out, err = invoke("check-cp", "--function", "identity", *args)
+        assert code == 1 and out == "" and "UniverseTooLarge" in err
+        code, out, err = invoke("check-cp", "--function", "identity", "--json", *args)
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"] == "UniverseTooLarge"
 
     def test_to_poly_identity(self):
         code, out, _ = invoke("to-poly", "--function", "identity", "--verify-bound", "4")
@@ -345,7 +359,8 @@ class TestInputFiles:
 
 
 @pytest.mark.parametrize("row", PINNED_RUNS, ids=lambda row: " ".join(row["argv"]))
-def test_pinned_output(tmp_path, row):
+def test_pinned_output(tmp_path, monkeypatch, row):
+    monkeypatch.setenv("COLUMNS", "80")
     for name, content in row["files"].items():
         (tmp_path / name).write_bytes(content.encode("utf-8", "surrogateescape"))
     comb = encode(left_comb(1_200))

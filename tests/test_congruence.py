@@ -1,5 +1,6 @@
 """Bounded congruence closure and the partitions it produces."""
 
+import gc
 import itertools
 
 import pytest
@@ -10,6 +11,8 @@ from treealg import (
     Grafting,
     PairOutOfUniverse,
     Relatedness,
+    Universe,
+    UniverseTooLarge,
     bounded_closure,
     encode,
     enumerate_universe,
@@ -124,6 +127,134 @@ class TestNaiveFixpointOracle:
         pairs = data.draw(st.lists(st.tuples(tree, tree), max_size=3))
         partition = bounded_closure(pairs, bound, alphabet)
         assert partition.classes() == naive_closure_classes(pairs, enumerate_universe(bound, alphabet))
+
+
+def worklist_oracle(pairs, max_leaves, alphabet):
+    """Roots of the closure by the earlier loop: every pair tree pushed in
+    enumeration order and popped last-in first-out, each merge re-queueing
+    every user of the dropped class."""
+    universe = Universe(max_leaves, alphabet, cap=None)
+    index, children = universe.index, universe.children
+    n = len(universe.trees)
+
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    uses = [[] for _ in range(n)]
+    for i, ch in enumerate(children):
+        if ch is not None:
+            uses[ch[0]].append(i)
+            uses[ch[1]].append(i)
+
+    work = []
+
+    def merge(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return
+        keep, drop = (rx, ry) if rx < ry else (ry, rx)
+        parent[drop] = keep
+        work.extend(uses[drop])
+        uses[keep].extend(uses[drop])
+        uses[drop] = []
+
+    for t, u in pairs:
+        merge(index[t], index[u])
+
+    work.extend(i for i in range(n) if children[i] is not None)
+    signature = {}
+    while work:
+        i = work.pop()
+        left, right = children[i]
+        key = (find(left), find(right))
+        other = signature.get(key)
+        if other is None:
+            signature[key] = i
+        else:
+            merge(i, other)
+
+    return tuple(find(i) for i in range(n))
+
+
+# Seed sets whose sweep re-registers trees: a merge drops a class that
+# already-registered trees use.  Dropping that re-registration gives a wrong
+# partition on both, and no seed set of the benchmark ever takes it.
+REQUEUEING_SEEDS = [
+    (["a~<a*b>", "c~<b*b>", "b~a"], 2),
+    (["<c*a>~a", "<<c*a>*b>~b"], 3),
+]
+
+
+def seed_pairs(texts):
+    return [tuple(parse_tree(side) for side in text.split("~")) for text in texts]
+
+
+class TestWorklistOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_roots_match_worklist_loop(self, data):
+        alphabet = Alphabet.from_string(data.draw(st.sampled_from(["ab", "abc"])))
+        bound = data.draw(st.integers(1, 4))
+        # leaf count first, so that letter seeds, whose consequences cascade, are common
+        tree = st.integers(1, bound).flatmap(lambda n: st.sampled_from(enumerate_universe(n, alphabet)))
+        pairs = data.draw(st.lists(st.tuples(tree, tree), max_size=3))
+        assert bounded_closure(pairs, bound, alphabet)._roots == worklist_oracle(pairs, bound, alphabet)
+
+    @pytest.mark.parametrize("texts, bound", REQUEUEING_SEEDS)
+    def test_requeueing_seed_sets(self, texts, bound):
+        pairs = seed_pairs(texts)
+        abc = Alphabet.from_string("abc")
+        partition = bounded_closure(pairs, bound, abc)
+        assert partition._roots == worklist_oracle(pairs, bound, abc)
+        assert partition.stats["requeued"] > 0
+
+
+class TestStats:
+    @pytest.mark.parametrize("texts", [["a~b"], ["a~b", "b~c"], ["<a*b>~<b*a>"]])
+    def test_each_tree_registered_once(self, texts):
+        partition = bounded_closure(seed_pairs(texts), 5)
+        stats = partition.stats
+        assert stats["universe_size"] == partition.universe_size
+        assert stats["registrations"] == partition.universe_size - 3
+        assert stats["requeued"] == 0
+        assert stats["merges"] == partition.universe_size - len(partition.classes())
+
+    @pytest.mark.parametrize("texts, bound", REQUEUEING_SEEDS)
+    def test_requeued_counts_into_registrations(self, texts, bound):
+        partition = bounded_closure(seed_pairs(texts), bound)
+        stats = partition.stats
+        assert stats["registrations"] == partition.universe_size - 3 + stats["requeued"]
+
+
+class TestGcState:
+    """Universe building, closure and classes pause the cyclic collector and
+    leave it as they found it, also when they raise."""
+
+    @staticmethod
+    def _calls():
+        big = parse_tree("<<a*b>*<a*b>>")
+        yield lambda: bounded_closure([("a", "b")], 3)
+        yield lambda: Universe(3)
+        yield bounded_closure([("a", "b")], 3).classes
+        yield lambda: pytest.raises(PairOutOfUniverse, bounded_closure, [(big, "a")], 2)
+        yield lambda: pytest.raises(UniverseTooLarge, bounded_closure, [], 4, cap=10)
+        yield lambda: pytest.raises(UniverseTooLarge, Universe, 4, cap=10)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, enabled):
+        was = gc.isenabled()
+        try:
+            for call in self._calls():
+                gc.enable() if enabled else gc.disable()
+                call()
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
 
 
 class TestRelated:
