@@ -16,6 +16,7 @@ by :func:`principal_related` makes that explicit.
 from __future__ import annotations
 
 import enum
+import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import PairOutOfUniverse
@@ -42,7 +43,7 @@ class TreePartition:
     member, so two runs over the same input agree byte for byte.
     """
 
-    def __init__(self, universe: Universe, roots: Tuple[int, ...], stats: Dict[str, int]):
+    def __init__(self, universe: Universe, roots: Tuple[int, ...], stats: Dict[str, float]):
         self.universe = universe
         self.universe_size = len(universe.trees)
         self._roots = roots
@@ -85,11 +86,16 @@ def bounded_closure(
     drops a class, only its users registered so far are re-registered
     (a worklist); later users see the final classes when the sweep
     reaches them.  The smaller root is kept, so every root is its class's
-    enumeration-smallest member.
+    enumeration-smallest member.  ``stats`` also holds the seconds spent
+    building the universe (``universe_s``) and in the sweep (``sweep_s``).
     """
+    start = time.perf_counter()
     universe = Universe(max_leaves, alphabet, cap)
+    built = time.perf_counter()
     with _gc_paused():
         roots, stats = _sweep(universe, pairs)
+    stats["universe_s"] = built - start
+    stats["sweep_s"] = time.perf_counter() - built
     return TreePartition(universe, roots, stats)
 
 

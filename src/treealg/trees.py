@@ -373,6 +373,12 @@ class Universe:
     enumeration order (the letters first, children before parents), ``index``
     maps each tree to its position, and ``children`` holds the child
     positions of each pair (``None`` for a leaf).
+
+    The tables grow by rank arithmetic, with no lookups: the trees of one
+    shape ``(L, R)`` form one block whose child positions are the product of
+    the blocks of ``L`` and ``R``, left foliage most significant.  Each pair
+    is one tuple of two trees already in the list, so subtrees are shared,
+    and ``index`` is filled from the finished list.
     """
 
     def __init__(
@@ -381,15 +387,28 @@ class Universe:
         alphabet: Alphabet = DEFAULT_ALPHABET,
         cap: Optional[int] = DEFAULT_UNIVERSE_CAP,
     ):
+        if max_leaves < 1:
+            raise ValueError("max_leaves must be >= 1")
+        count = universe_size(max_leaves, len(alphabet))
+        if cap is not None and count > cap:
+            raise UniverseTooLarge(count, cap)
         self.max_leaves = max_leaves
         self.alphabet = alphabet
-        self.index: Dict[Tree, int] = {}
-        self.children: List[Optional[Tuple[int, int]]] = []
+        k = len(alphabet)
         with _gc_paused():
-            self.trees = enumerate_universe(max_leaves, alphabet, cap)
-            for i, t in enumerate(self.trees):
-                self.children.append(None if isinstance(t, str) else (self.index[t[0]], self.index[t[1]]))
-                self.index[t] = i
+            trees: List[Tree] = list(alphabet.symbols)
+            children: List[Optional[Tuple[int, int]]] = [None] * k
+            # positions of the trees of each shape, all foliages in product order
+            block = {"": range(k)}
+            for n in range(2, max_leaves + 1):
+                for shape in _shapes(n):
+                    left, right = block[shape[0]], block[shape[1]]
+                    block[shape] = range(len(trees), len(trees) + len(left) * len(right))
+                    children.extend(itertools.product(left, right))
+                    trees.extend(itertools.product(trees[left.start:left.stop], trees[right.start:right.stop]))
+            self.trees = trees
+            self.children = children
+            self.index: Dict[Tree, int] = dict(zip(trees, range(count)))
 
     def kernel(self, leaf_image: Mapping[str, Tree]) -> List[int]:
         """Class number per tree of the homomorphism extending ``leaf_image``.

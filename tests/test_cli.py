@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import treealg
 from treealg import encode, foliage, skeleton
 from treealg.cli import run
 
@@ -167,6 +171,19 @@ class TestErrorsAndExitCodes:
     def test_universe_cap(self):
         code, _, err = invoke("enumerate", "--bound", "3", "--cap", "10")
         assert code == 1 and "UniverseTooLarge" in err
+
+    @pytest.mark.parametrize("command", [
+        ["closure", "--pairs", "{pairs}"],
+        ["enumerate"],
+        ["check-cp", "--function", "mirror"],
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_bound_zero_is_usage_error(self, tmp_path, command, flags):
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("a b\n")
+        argv = [arg.format(pairs=pairs) for arg in command]
+        code, out, err = invoke(*argv, "--bound", "0", *flags)
+        assert (code, out, err) == (2, "", "usage error: max_leaves must be >= 1\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["closure", "--help"]])
     def test_help_goes_to_given_stdout(self, argv, capsys):
@@ -356,6 +373,27 @@ class TestInputFiles:
     def test_directory_is_unreadable(self, tmp_path):
         code, _, err = invoke("closure", "--pairs", str(tmp_path))
         assert code == 1 and err.startswith("error: UnreadableFile: cannot read ")
+
+
+class TestHashSeed:
+    """Output bytes do not depend on the interpreter's string hash seed."""
+
+    def _run(self, argv, hash_seed, cwd):
+        src = str(Path(treealg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "treealg.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, timeout=120)
+        return proc.returncode, proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["closure", "--pairs", "F", "--bound", "5"],
+        ["check-cp", "--function", "mirror", "--bound", "4", "--json"],
+    ])
+    def test_stdout_identical_across_hash_seeds(self, tmp_path, argv):
+        (tmp_path / "F").write_text("a <b*c>\n<a*b> <b*a>\n")
+        first, second = (self._run(argv, seed, tmp_path) for seed in ("0", "1"))
+        assert first == second and first[1]
 
 
 @pytest.mark.parametrize("row", PINNED_RUNS, ids=lambda row: " ".join(row["argv"]))

@@ -58,6 +58,10 @@ class TestBoundedClosure:
         with pytest.raises(PairOutOfUniverse):
             bounded_closure([(big, "a")], 2)
 
+    def test_bound_zero_rejected(self):
+        with pytest.raises(ValueError, match="max_leaves must be >= 1"):
+            bounded_closure([], 0)
+
     def test_deterministic(self):
         one = bounded_closure([("a", "b"), ("c", ("a", "a"))], 3)
         two = bounded_closure([("a", "b"), ("c", ("a", "a"))], 3)
@@ -223,6 +227,8 @@ class TestStats:
         assert stats["registrations"] == partition.universe_size - 3
         assert stats["requeued"] == 0
         assert stats["merges"] == partition.universe_size - len(partition.classes())
+        for phase in ("universe_s", "sweep_s"):
+            assert isinstance(stats[phase], float) and stats[phase] >= 0
 
     @pytest.mark.parametrize("texts, bound", REQUEUEING_SEEDS)
     def test_requeued_counts_into_registrations(self, texts, bound):

@@ -346,16 +346,27 @@ def partition_of(keys):
 
 
 class TestUniverse:
-    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
     def test_index_and_children_agree_with_trees(self, bound):
-        u = Universe(bound)
-        assert u.max_leaves == bound and u.trees == enumerate_universe(bound)
-        assert u.index == {t: i for i, t in enumerate(u.trees)}
-        for t, pair in zip(u.trees, u.children):
-            if isinstance(t, str):
-                assert pair is None
-            else:
-                assert (u.trees[pair[0]], u.trees[pair[1]]) == t
+        # enumerate_universe streams iter_universe, independent of Universe's rank arithmetic
+        for letters in ["a", "ab", "abc", "abcd"]:
+            alphabet = Alphabet.from_string(letters)
+            u = Universe(bound, alphabet, cap=None)
+            assert u.max_leaves == bound and u.trees == enumerate_universe(bound, alphabet, cap=None)
+            assert u.index == {t: i for i, t in enumerate(u.trees)}
+            assert list(u.index) == u.trees
+            for t, pair in zip(u.trees, u.children):
+                if isinstance(t, str):
+                    assert pair is None
+                else:
+                    assert (u.trees[pair[0]], u.trees[pair[1]]) == t
+                    # each subtree is the universe's own object, not an equal copy
+                    assert t[0] is u.trees[pair[0]] and t[1] is u.trees[pair[1]]
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_non_positive_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="max_leaves must be >= 1"):
+            Universe(bound)
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_kernel_matches_grafting(self, bound):
