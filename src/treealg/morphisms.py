@@ -39,14 +39,44 @@ class WordSubstitution:
 
 
 def graft(g: Grafting, t: Tree) -> Tree:
+    """Image of ``t`` under ``g``; unchanged subtrees are shared, not copied.
+
+    A recursive fold, like the tree views; a tree deeper than the recursion
+    limit goes through the iterative walker instead.
+    """
+    try:
+        return _graft(g.source, g.replacement, t)
+    except RecursionError:
+        return _graft_deep(g.source, g.replacement, t)
+
+
+def _graft(source: str, replacement: Tree, t: Tree) -> Tree:
     if isinstance(t, str):
-        return g.replacement if t == g.source else t
+        return replacement if t == source else t
     left, right = t
-    new_left = graft(g, left)
-    new_right = graft(g, right)
+    new_left = _graft(source, replacement, left)
+    new_right = _graft(source, replacement, right)
     if new_left is left and new_right is right:
         return t
     return (new_left, new_right)
+
+
+def _graft_deep(source: str, replacement: Tree, t: Tree) -> Tree:
+    """:func:`_graft` in post-order with an explicit stack, for trees of any depth."""
+    done = []  # images of the finished subtrees, left before right
+    stack = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, str):
+            done.append(replacement if node == source else node)
+        elif expanded:
+            new_right = done.pop()
+            new_left = done.pop()
+            left, right = node
+            done.append(node if new_left is left and new_right is right else (new_left, new_right))
+        else:
+            stack += ((node, True), (node[1], False), (node[0], False))
+    return done[0]
 
 
 def substitute(sub: WordSubstitution, word: str) -> str:

@@ -115,23 +115,46 @@ def star(t: Tree, t2: Tree) -> Tree:
 
 
 def leaf_count(t: Tree) -> int:
+    return len(foliage(t))
+
+
+# The three views fold the tree recursively, building each word from its
+# children's words.  A plain Python-to-Python call uses no C stack on
+# CPython 3.11, so a tree deeper than the recursion limit raises
+# RecursionError, and the view falls back to the iterative walker.
+
+
+def _encode(t: Tree) -> str:
     if isinstance(t, str):
-        return 1
-    n = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            n += 1
-        else:
-            stack.extend(node)
-    return n
+        return t
+    left, right = t
+    return f"<{_encode(left)}*{_encode(right)}>"
+
+
+def _skeleton(t: Tree) -> str:
+    if isinstance(t, str):
+        return ""
+    left, right = t
+    return f"<{_skeleton(left)}*{_skeleton(right)}>"
+
+
+def _foliage(t: Tree) -> str:
+    if isinstance(t, str):
+        return t
+    left, right = t
+    return _foliage(left) + _foliage(right)
 
 
 def encode(t: Tree) -> str:
     """Serialize a tree to its canonical ``<left*right>`` word."""
-    if isinstance(t, str):
-        return t
+    try:
+        return _encode(t)
+    except RecursionError:
+        return _encode_deep(t)
+
+
+def _encode_deep(t: Tree) -> str:
+    """:func:`encode` with an explicit stack, for trees of any depth."""
     parts = []
     stack = [t]
     while stack:
@@ -156,16 +179,18 @@ def erase_shapes(text: str) -> str:
 
 def skeleton(t: Tree) -> str:
     """Shape word of a tree: its encoding with all letters erased."""
-    if isinstance(t, str):
-        return ""
-    return erase_letters(encode(t))
+    try:
+        return _skeleton(t)
+    except RecursionError:
+        return erase_letters(_encode_deep(t))
 
 
 def foliage(t: Tree) -> str:
     """Leaf word of a tree, left to right."""
-    if isinstance(t, str):
-        return t
-    return erase_shapes(encode(t))
+    try:
+        return _foliage(t)
+    except RecursionError:
+        return erase_shapes(_encode_deep(t))
 
 
 def mirror(t: Tree) -> Tree:

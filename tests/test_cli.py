@@ -20,10 +20,10 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def left_comb(leaves):
+def comb(leaves, left=True):
     t = "a"
     for i in range(leaves - 1):
-        t = (t, "abc"[i % 3])
+        t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
     return t
 
 
@@ -106,19 +106,21 @@ class TestBasics:
 class TestDeepTrees:
     @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
     def test_views_of_a_comb(self, left):
-        t = "a"
-        for i in range(100_000 - 1):
-            t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
+        t = comb(100_000, left)
         word = encode(t)
         assert invoke("parse", word) == (0, word + "\n", "")
         assert invoke("skeleton", word) == (0, skeleton(t) + "\n", "")
         assert invoke("foliage", word) == (0, foliage(t) + "\n", "")
         assert invoke("rebuild", "--foliage", foliage(t), "--skeleton", skeleton(t)) == (0, word + "\n", "")
 
+    @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
+    def test_graft_of_a_comb(self, left):
+        word = encode(comb(100_000, left))
+        assert invoke("graft", "a-><b*c>", word) == (0, word.replace("a", "<b*c>") + "\n", "")
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ("graft", "a->b", "{}"),
             ("to-poly", "--function", "const:{}"),
             ("check-cp", "--function", "const:{}", "--bound", "2"),
         ],
@@ -126,7 +128,7 @@ class TestDeepTrees:
     )
     def test_recursive_commands_report_tree_too_deep(self, argv):
         # these commands still recurse once per level; a 1,200-deep comb is a domain error
-        args = [arg.format(encode(left_comb(1_200))) for arg in argv]
+        args = [arg.format(encode(comb(1_200))) for arg in argv]
         command = argv[0]
         detail = f"a tree is nested too deeply for {command}"
         assert invoke(*args) == (1, "", f"error: TreeTooDeep: {detail}\n")
@@ -401,8 +403,8 @@ def test_pinned_output(tmp_path, monkeypatch, row):
     monkeypatch.setenv("COLUMNS", "80")
     for name, content in row["files"].items():
         (tmp_path / name).write_bytes(content.encode("utf-8", "surrogateescape"))
-    comb = encode(left_comb(1_200))
-    args = [arg.replace("{tmp}", str(tmp_path)).replace("{comb}", comb) for arg in row["argv"]]
+    word = encode(comb(1_200))
+    args = [arg.replace("{tmp}", str(tmp_path)).replace("{comb}", word) for arg in row["argv"]]
     code, out, err = invoke(*args)
     here = str(tmp_path)
     assert (code, out.replace(here, "{tmp}"), err.replace(here, "{tmp}")) == (

@@ -24,6 +24,7 @@ from treealg import (
     star,
     substitute,
 )
+from treealg.morphisms import _graft_deep
 
 letters = st.sampled_from("abc")
 trees = st.recursive(letters, lambda ch: st.tuples(ch, ch), max_leaves=15)
@@ -59,6 +60,45 @@ class TestGraft:
             Grafting("<", "a")
         with pytest.raises(ValueError):
             Grafting("ab", "a")
+
+
+def graft_reference(g, t):
+    """The plain recursive graft, an oracle for the fast path and its fallback."""
+    if isinstance(t, str):
+        return g.replacement if t == g.source else t
+    left, right = t
+    new_left = graft_reference(g, left)
+    new_right = graft_reference(g, right)
+    if new_left is left and new_right is right:
+        return t
+    return (new_left, new_right)
+
+
+def comb(leaves, left):
+    t = "a"
+    for i in range(leaves - 1):
+        t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
+    return t
+
+
+class TestGraftWalkers:
+    @pytest.mark.parametrize("replacement", ["b", "<b*c>", "<a*<a*b>>"])
+    def test_both_walkers_match_the_recursive_reference(self, replacement):
+        trees_6 = Universe(6).trees
+        for source in "abc":
+            g = Grafting(source, parse_tree(replacement))
+            for t in trees_6:
+                expected = graft_reference(g, t)
+                for image in (graft(g, t), _graft_deep(g.source, g.replacement, t)):
+                    assert image == expected and (image is t) == (expected is t)
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
+    def test_combs_past_the_recursion_limit(self, left):
+        t = comb(100_000, left)
+        word = encode(t)
+        assert encode(graft(Grafting("a", ("b", "c")), t)) == word.replace("a", "<b*c>")
+        # no leaf carries d, so the comb itself comes back
+        assert graft(Grafting("d", "a"), t) is t
 
 
 class TestSubstitute:

@@ -1,6 +1,7 @@
 """Trees: parsing, encoding, projections, rebuild, enumeration."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,8 @@ from treealg import (
     UnknownLetter,
     encode,
     enumerate_universe,
+    erase_letters,
+    erase_shapes,
     foliage,
     graft,
     is_skeleton,
@@ -29,9 +32,11 @@ from treealg import (
     star,
     universe_size,
 )
-from treealg.trees import UNICODE_SHAPES
+from treealg import morphisms, trees as trees_module
+from treealg.trees import UNICODE_SHAPES, _encode_deep
 
 ABC = Alphabet.from_string("abc")
+ODD = Alphabet(("'", "(", ",", " "))
 
 letters = st.sampled_from("abc")
 trees = st.recursive(letters, lambda ch: st.tuples(ch, ch), max_leaves=25)
@@ -118,6 +123,35 @@ def comb(leaves, left):
     return t
 
 
+def comb_word(leaves, left):
+    """Encoding of ``comb(leaves, left)``, written out directly."""
+    labels = ["abc"[i % 3] for i in range(leaves - 1)]
+    if left:
+        return "<" * (leaves - 1) + "a" + "".join(f"*{c}>" for c in labels)
+    return "".join(f"<{c}*" for c in reversed(labels)) + "a" + ">" * (leaves - 1)
+
+
+def iterative_views(t):
+    """Encoding, skeleton and foliage through the kept iterative walker."""
+    word = _encode_deep(t)
+    return word, erase_letters(word), erase_shapes(word)
+
+
+def near_recursion_limit(fn, spare=20):
+    """Call ``fn()`` from a stack about ``spare`` frames short of the recursion limit."""
+
+    def headroom(n):
+        try:
+            return headroom(n + 1)
+        except RecursionError:
+            return n
+
+    def descend(n):
+        return fn() if n == 0 else descend(n - 1)
+
+    return descend(headroom(0) - spare)
+
+
 def count_oracle(n, k, _memo={}):
     if (n, k) in _memo:
         return _memo[n, k]
@@ -192,10 +226,48 @@ class TestDeepTrees:
     @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
     def test_views_accept_any_depth(self, left):
         t = comb(100_000, left)
-        word = encode(t)
+        word = comb_word(100_000, left)
+        expected = (word, erase_letters(word), erase_shapes(word))
+        assert (encode(t), skeleton(t), foliage(t)) == iterative_views(t) == expected
         assert encode(parse_tree(word)) == word
         assert encode(rebuild(foliage(t), skeleton(t))) == word
         assert is_skeleton(skeleton(t))
+
+
+class TestFastPath:
+    # the recursive folds against the iterative walker they fall back to
+    @pytest.mark.parametrize("bound, alphabet", [(6, ABC), (4, ODD)], ids=["abc", "odd-letters"])
+    def test_views_match_iterative_walker(self, bound, alphabet):
+        for t in iter_universe(bound, alphabet):
+            assert (encode(t), skeleton(t), foliage(t)) == iterative_views(t)
+
+    def test_fallback_near_the_recursion_limit(self, monkeypatch):
+        # with 20 frames to spare the folds overflow on 60-leaf combs and fall back
+        fallbacks = []
+
+        def spy(module, name):
+            walker = getattr(module, name)
+
+            def wrapped(*args):
+                fallbacks.append(name)
+                return walker(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(trees_module, "_encode_deep")
+        spy(morphisms, "_graft_deep")
+        samples = [comb(60, True), comb(60, False), *iter_universe(2)]
+        g = Grafting("a", ("b", "c"))
+
+        def views():
+            return [(encode(t), skeleton(t), foliage(t), graft(g, t)) for t in samples]
+
+        limit = sys.getrecursionlimit()
+        near_limit = near_recursion_limit(views)
+        assert sys.getrecursionlimit() == limit
+        assert sorted(fallbacks) == ["_encode_deep"] * 6 + ["_graft_deep"] * 2
+        fallbacks.clear()
+        assert near_limit == views() and not fallbacks
 
 
 class TestProjections:
