@@ -14,7 +14,9 @@ the pair of projections.  :func:`erase_letters` and :func:`erase_shapes`
 take the same two projections of any text.
 
 All values are immutable; every function here is pure, apart from the
-file readers at the end.
+file readers at the end.  :func:`parse_tree` and :func:`rebuild` remember
+each small word the scanner has accepted and build the next tree of that
+shape by one compiled call; the memo changes no result.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ class Alphabet:
                 raise ValueError(f"duplicate letter {sym!r}")
             seen.add(sym)
         object.__setattr__(self, "letter_set", frozenset(seen))
+        # every letter, and the variable, written as '.': a text's dotted word
+        object.__setattr__(self, "dots", str.maketrans(dict.fromkeys(seen | {VARIABLE}, ".")))
 
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
@@ -241,17 +245,52 @@ def _scan(text: str, letters, leaves: Iterator[str]) -> Tree:
         pos += 1
 
 
+# Builders for small trees, one per accepted word, compiled from the word:
+# ``<*>`` become ``(,)`` and the i-th leaf slot ``.`` becomes ``L[i]``, so a
+# known shape costs a couple of string passes and one call.  The memos are
+# safe to share: an entry is stored only after _scan has accepted its word,
+# so it can change no result and no error; they hold only shapes with at
+# most _MEMO_LEAVES leaves, 626 entries each; and under the GIL two threads
+# racing on one word can at worst compile the same builder twice.
+_MEMO_LEAVES = 8
+_MEMO_TEXT = 4 * _MEMO_LEAVES - 3  # the longest word of such a tree
+_TO_TUPLE = str.maketrans(SHAPE_CHARS, "(,)")
+_PARSED: Dict[str, Callable[[str], Tree]] = {}  # dotted word -> builder
+_REBUILT: Dict[str, Callable[[str], Tree]] = {}  # skeleton -> builder
+
+
+def _compile(dotted: str) -> Callable[[str], Tree]:
+    """Builder taking the leaves of a dotted word in order to its tree."""
+    parts = dotted.translate(_TO_TUPLE).split(".")
+    body = "".join(f"{part}L[{i}]" for i, part in enumerate(parts[:-1])) + parts[-1]
+    return eval(f"lambda L: {body}")  # noqa: S307
+
+
 def parse_tree(text: str, alphabet: Alphabet = DEFAULT_ALPHABET, *, variable: bool = False) -> Tree:
     """Parse the ``<left*right>`` grammar; inverse of :func:`encode`.
 
     With ``variable=True`` the reserved symbol ``x`` is accepted as a leaf
-    (polynomial contexts); plain-tree contexts reject it.
+    (polynomial contexts); plain-tree contexts reject it.  When every
+    non-shape character is a letter, whether the text parses depends only on
+    its dotted word, so a dotted word the scanner accepted once is built
+    from the memo.
     """
     letters = alphabet.letter_set | {VARIABLE} if variable else alphabet.letter_set
+    dotted = None
+    if len(text) <= _MEMO_TEXT:
+        leaves = text.translate(_DROP_SHAPE)
+        if set(leaves) <= letters:
+            dotted = text.translate(alphabet.dots)
+            build = _PARSED.get(dotted)
+            if build is not None:
+                return build(leaves)
     try:
-        return _scan(text, letters, iter(()))
+        tree = _scan(text, letters, iter(()))
     except _ScanError as exc:
         raise MalformedTree(text, *exc.args) from None
+    if dotted is not None:
+        _PARSED[dotted] = _compile(dotted)
+    return tree
 
 
 def is_skeleton(word: str) -> bool:
@@ -272,20 +311,29 @@ def rebuild(u: str, s: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Tree:
     Scans the skeleton with ``u`` as the supply of leaves: a leaf slot
     occurs wherever an operand is expected and the next character does not
     open a subtree, so the split of ``u`` between subtrees is forced by ``s``.
+    A skeleton the scanner accepted once is built from the memo.
     """
     if not set(u) <= alphabet.letter_set:
         bad = next(ch for ch in u if ch not in alphabet.letter_set)
         raise UnknownLetter(bad, "foliage")
     if len(s) != 3 * len(u) - 3:
         raise LengthMismatch(u, s)
+    small = len(u) <= _MEMO_LEAVES
+    if small:
+        build = _REBUILT.get(s)
+        if build is not None:
+            return build(u)
     if not set(s) <= _SHAPE_SET:
         bad = next(ch for ch in s if ch not in _SHAPE_SET)
         raise MalformedSkeleton(s, f"unexpected {bad!r}")
     try:
-        return _scan(s, (), iter(u))
+        tree = _scan(s, (), iter(u))
     except _ScanError as exc:
         pos, reason = exc.args
         raise MalformedSkeleton(s, f"{reason} at index {pos}") from None
+    if small:
+        _REBUILT[s] = _compile(s.replace("<*", "<.*").replace("*>", "*.>") or ".")
+    return tree
 
 
 def catalan(n: int) -> int:

@@ -6,11 +6,12 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treealg import (
     Alphabet,
     AlphabetTooSmall,
+    CandidateFunction,
     EvaluationFailure,
     Grafting,
     HypothesesViolated,
@@ -29,6 +30,7 @@ from treealg import (
     identity_function,
     is_idempotent,
     iter_polynomials,
+    leaf_count,
     mirror,
     mirror_function,
     parse_tree,
@@ -42,6 +44,9 @@ from treealg import (
 
 poly_letters = st.sampled_from("abcx")
 polys = st.recursive(poly_letters, lambda ch: st.tuples(ch, ch), max_leaves=10)
+small_polys = st.recursive(poly_letters, lambda ch: st.tuples(ch, ch), max_leaves=4).filter(
+    lambda p: leaf_count(p) <= 4
+)
 plain_letters = st.sampled_from("abc")
 plain_trees = st.recursive(plain_letters, lambda ch: st.tuples(ch, ch), max_leaves=10)
 
@@ -214,6 +219,33 @@ class TestCpEvidence:
         report = cp_evidence(function_from_spec(spec), bound, seed=seed)
         line = json.dumps(report.as_json(), separators=(",", ":"))
         assert line == PINNED_REPORTS[spec, bound, seed]
+
+
+def swap_ab(t):
+    """The automorphism exchanging the letters a and b."""
+    if isinstance(t, str):
+        return {"a": "b", "b": "a"}.get(t, t)
+    return (swap_ab(t[0]), swap_ab(t[1]))
+
+
+class TestEvidenceAgreesWithSynthesis:
+    # cp_evidence at bound 3 against cp_to_polynomial verifying at bound 3
+    @settings(max_examples=100, deadline=None)
+    @given(small_polys)
+    def test_polynomials_pass_both(self, poly):
+        func = poly_function(poly)
+        assert cp_evidence(func, 3).verdict == "evidence-of-cp"
+        assert cp_to_polynomial(func, 3) == poly
+
+    @pytest.mark.parametrize(
+        "func",
+        [mirror_function(), recolor_function("b"), CandidateFunction("swap:ab", swap_ab)],
+        ids=["mirror", "recolor:b", "swap:ab"],
+    )
+    def test_non_polynomials_fail_both(self, func):
+        assert cp_evidence(func, 3).verdict == "not-cp"
+        with pytest.raises(NotCP):
+            cp_to_polynomial(func, 3)
 
 
 class TestIdempotentGraftingIdentity:

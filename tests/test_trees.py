@@ -12,6 +12,7 @@ from treealg import (
     LengthMismatch,
     MalformedSkeleton,
     MalformedTree,
+    TreeAlgebraError,
     Universe,
     UniverseTooLarge,
     UnknownLetter,
@@ -343,6 +344,111 @@ class TestRebuild:
                     except MalformedSkeleton:
                         accepted = False
                     assert accepted == (s in shapes), s
+
+
+def outcome(fn, *args, **kwargs):
+    """The tree ``fn`` returns, or the class, message and payload of its error."""
+    try:
+        return fn(*args, **kwargs)
+    except TreeAlgebraError as exc:
+        return type(exc), str(exc), exc.payload()
+
+
+def scan_only(fn, *args, **kwargs):
+    """:func:`outcome` with the shape memos switched off: no word is small enough."""
+    saved = trees_module._MEMO_TEXT, trees_module._MEMO_LEAVES
+    trees_module._MEMO_TEXT = trees_module._MEMO_LEAVES = -1
+    try:
+        return outcome(fn, *args, **kwargs)
+    finally:
+        trees_module._MEMO_TEXT, trees_module._MEMO_LEAVES = saved
+
+
+@pytest.fixture
+def memos(monkeypatch):
+    """Fresh, empty shape memos for one test: (parse memo, rebuild memo)."""
+    parsed, rebuilt = {}, {}
+    monkeypatch.setattr(trees_module, "_PARSED", parsed)
+    monkeypatch.setattr(trees_module, "_REBUILT", rebuilt)
+    return parsed, rebuilt
+
+
+class TestShapeMemo:
+    # parse_tree and rebuild through their memos, against the scanner alone
+    def test_every_shape_up_to_eight_leaves(self, memos):
+        a = Alphabet.from_string("a")
+        for t in iter_universe(8, a):
+            word, u, s = encode(t), foliage(t), skeleton(t)
+            for _ in range(2):  # the first call fills the memo, the second reads it
+                assert outcome(parse_tree, word, a) == scan_only(parse_tree, word, a) == t
+                assert outcome(rebuild, u, s, a) == scan_only(rebuild, u, s, a) == t
+        assert [len(memo) for memo in memos] == [626, 626]
+
+    def test_every_bound_six_tree(self, memos):
+        for t in iter_universe(6, ABC):
+            word, u, s = encode(t), foliage(t), skeleton(t)
+            assert outcome(parse_tree, word, ABC) == scan_only(parse_tree, word, ABC) == t
+            assert outcome(rebuild, u, s, ABC) == scan_only(rebuild, u, s, ABC) == t
+
+    @pytest.mark.parametrize("letters", ["ab", "ab."])
+    @pytest.mark.parametrize("variable", [False, True])
+    def test_every_short_word(self, memos, letters, variable):
+        # every word of up to 6 characters: same tree, or same error.  Both
+        # shapes that fit in 6 characters are in the memo from the start.
+        alphabet = Alphabet.from_string(letters)
+        for t in iter_universe(2, alphabet):
+            parse_tree(encode(t), alphabet)
+        assert sorted(memos[0]) == [".", "<.*.>"]
+        for length in range(7):
+            for word in map("".join, itertools.product("<*>ab.x", repeat=length)):
+                expected = scan_only(parse_tree, word, alphabet, variable=variable)
+                assert outcome(parse_tree, word, alphabet, variable=variable) == expected, word
+
+    @pytest.mark.parametrize("letters", ["ab", "ab."])
+    def test_skeleton_like_words(self, memos, letters):
+        # every word of up to 6 characters over '<*>.a' as a skeleton, with
+        # foliages of the right length and of the wrong one
+        alphabet = Alphabet.from_string(letters)
+        for t in iter_universe(3, alphabet):
+            parse_tree(encode(t), alphabet)  # fill the parse memo with dotted words
+        for length in range(7):
+            for s in map("".join, itertools.product("<*>.a", repeat=length)):
+                n = length // 3 + 1
+                for u in ("a" * n, "." * n, "ab" * n):
+                    expected = scan_only(rebuild, u, s, alphabet)
+                    for _ in range(2):
+                        assert outcome(rebuild, u, s, alphabet) == expected, (u, s)
+
+    def test_rebuilt_skeleton_does_not_parse(self, memos):
+        expected = scan_only(parse_tree, "<*>")
+        assert rebuild("ab", "<*>") == ("a", "b")
+        assert outcome(parse_tree, "<*>") == expected
+        assert expected[0] is MalformedTree
+
+    def test_dotted_word_is_not_a_skeleton(self, memos):
+        assert parse_tree("<<a*b>*a>") == (("a", "b"), "a")
+        assert "<<.*.>*.>" in memos[0]
+        with pytest.raises(MalformedSkeleton, match="unexpected '.'"):
+            rebuild("abab", "<<.*.>*.>")
+        assert not is_skeleton("<<.*.>*.>")
+
+    def test_dot_as_letter_and_as_non_letter(self, memos):
+        dotted = Alphabet.from_string("ab.")
+        plain = Alphabet.from_string("ab")
+        assert parse_tree("<.*a>", dotted) == (".", "a")
+        assert parse_tree("<a*b>", plain) == ("a", "b")
+        assert outcome(parse_tree, "<.*a>", plain) == scan_only(parse_tree, "<.*a>", plain)
+        with pytest.raises(MalformedTree, match=r"index 1: unexpected '\.'"):
+            parse_tree("<.*a>", plain)
+        assert rebuild(".a", "<*>", dotted) == (".", "a")
+        with pytest.raises(UnknownLetter):
+            rebuild(".a", "<*>", plain)
+
+    @pytest.mark.parametrize("leaves", [9, 256])
+    def test_large_trees_skip_the_memo(self, memos, leaves):
+        t = comb(leaves, True)
+        assert parse_tree(encode(t)) == rebuild(foliage(t), skeleton(t)) == t
+        assert memos == ({}, {})
 
 
 class TestEnumeration:
