@@ -16,7 +16,8 @@ take the same two projections of any text.
 All values are immutable; every function here is pure, apart from the
 file readers at the end.  :func:`parse_tree` and :func:`rebuild` remember
 each small word the scanner has accepted and build the next tree of that
-shape by one compiled call; the memo changes no result.
+shape by one compiled call, which pays only when small shapes repeat;
+the memo changes no result.
 """
 
 from __future__ import annotations
@@ -247,7 +248,9 @@ def _scan(text: str, letters, leaves: Iterator[str]) -> Tree:
 
 # Builders for small trees, one per accepted word, compiled from the word:
 # ``<*>`` become ``(,)`` and the i-th leaf slot ``.`` becomes ``L[i]``, so a
-# known shape costs a couple of string passes and one call.  The memos are
+# known shape costs a couple of string passes and one call.  The first tree
+# of a shape pays the scan plus one compilation, so the memos pay back only
+# where small shapes repeat, as in a universe sweep.  The memos are
 # safe to share: an entry is stored only after _scan has accepted its word,
 # so it can change no result and no error; they hold only shapes with at
 # most _MEMO_LEAVES leaves, 626 entries each; and under the GIL two threads

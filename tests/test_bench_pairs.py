@@ -1,5 +1,7 @@
-"""tools/bench_pairs.py: pair order, seeds and the BENCH summary figures."""
+"""tools/bench_pairs.py: pair order, seeds, run length and the BENCH summary figures."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,14 +24,14 @@ def test_pairs_alternate_and_summarize(monkeypatch):
         "change": {1: (120, 2.0), 2: (130, 0.5), 3: (95, 2.0), 4: (150, 0.5)},
     }
 
-    def run_bench(checkout, workload, seed, seconds, trace):
+    def run_bench(checkout, workload, seed, trace):
         calls.append((checkout.name, seed))
         return fake_result(*figures[checkout.name][seed])
 
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
     checkouts = {side: ROOT / side for side in bench_pairs.SIDES}
     monkeypatch.setattr(bench_pairs, "end_to_end_metrics", lambda _: {"setup_s": "lower", "work_per_s": "higher"})
-    section = bench_pairs.pairs_section(checkouts, "views", 4, 5)
+    section = bench_pairs.pairs_section(checkouts, "views", 4)
 
     assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
                      ("parent", 3), ("change", 3), ("change", 4), ("parent", 4)]
@@ -41,3 +43,17 @@ def test_pairs_alternate_and_summarize(monkeypatch):
     assert work["change_vs_parent"] == 0.25
     assert work["change_better_in_pairs"] == 4
     assert section["metrics"]["setup_s"]["change_better_in_pairs"] == 2
+
+
+def test_runs_last_the_declared_run_seconds(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 2, "end_to_end": []}))
+    argvs = []
+
+    def run(argv, **kwargs):
+        argvs.append(argv)
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(fake_result(1, 1)) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    bench_pairs.run_bench(tmp_path, "views", 3, 0)
+    assert argvs[0][argvs[0].index("--seconds") + 1] == "2"
+    assert bench_pairs.run_seconds(ROOT) == json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]

@@ -10,6 +10,7 @@ side for each pair, pair k with seed k, alternating which side runs first
 (the parent in odd pairs), and records medians, quartiles,
 ``change_vs_parent`` and ``change_better_in_pairs`` of every end-to-end
 metric.  ``traced`` records one ``--trace 1`` round per side, parent first.
+Every run lasts the ``run_seconds`` its checkout's BENCHMARK.json declares.
 ``sweep`` times selftest's shared universe sweep once per side in a fresh
 interpreter, change first.  Each command merges its section into ``--out``
 and leaves the other sections as they are.  Stdlib only.
@@ -42,10 +43,19 @@ def machine() -> str:
     )
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def declared(checkout: Path) -> dict:
+    return json.loads((checkout / "BENCHMARK.json").read_text())
+
+
+def run_seconds(checkout: Path):
+    """The run length, in seconds, that a checkout's BENCHMARK.json fixes."""
+    return declared(checkout)["run_seconds"]
+
+
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """The final JSON line of one ``perfbench/run.py`` run in ``checkout``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(run_seconds(checkout)), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S)
     if not out.stdout.strip():
         raise SystemExit(f"{' '.join(argv[1:])} in {checkout.name} printed nothing (exit {out.returncode})")
@@ -57,8 +67,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
 
 def end_to_end_metrics(checkout: Path) -> dict:
     """Name -> "higher" or "lower" for the end-to-end metrics a checkout declares."""
-    declared = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in declared["end_to_end"]}
+    return {m["name"]: m["better"] for m in declared(checkout)["end_to_end"]}
 
 
 def quartiles(values: list) -> dict:
@@ -66,12 +75,12 @@ def quartiles(values: list) -> dict:
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
-def pairs_section(checkouts: dict, workload: str, count: int, seconds: float) -> dict:
+def pairs_section(checkouts: dict, workload: str, count: int) -> dict:
     results = {side: [] for side in SIDES}
     for k in range(1, count + 1):
         order = SIDES if k % 2 else SIDES[::-1]
         for side in order:
-            results[side].append(run_bench(checkouts[side], workload, k, seconds, 0))
+            results[side].append(run_bench(checkouts[side], workload, k, 0))
             print(f"{workload} pair {k}/{count}: {side} done", file=sys.stderr)
     metrics = {}
     for name, better in end_to_end_metrics(checkouts["change"]).items():
@@ -97,9 +106,10 @@ def pairs_section(checkouts: dict, workload: str, count: int, seconds: float) ->
 
 
 def traced_section(checkouts: dict, seed: int) -> dict:
-    runs = {side: run_bench(checkouts[side], "views", seed, 5, 1) for side in SIDES}
+    runs = {side: run_bench(checkouts[side], "views", seed, 1) for side in SIDES}
+    seconds = run_seconds(checkouts["change"])
     section = {
-        "note": f"python3 perfbench/run.py --workload views --seed {seed} --seconds 5 --trace 1, "
+        "note": f"python3 perfbench/run.py --workload views --seed {seed} --seconds {seconds} --trace 1, "
         "parent first; one traced round of each workload per side, in fresh interpreters"
     }
     for name in runs["change"]["metrics"]:
@@ -135,7 +145,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="BENCH file to create or update")
     parser.add_argument("--workload", default="views", help="workload for pairs (default views)")
     parser.add_argument("--pairs", type=int, default=10, help="pair count (default 10)")
-    parser.add_argument("--seconds", type=float, default=5, help="--seconds of each run (default 5)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the traced round (default 1)")
     parser.add_argument("--parent-name", help="how the file names the parent, such as its commit")
     parser.add_argument("--change-name", help="how the file names the change")
@@ -149,11 +158,11 @@ def main(argv=None) -> int:
             bench[side] = name
     if args.command == "pairs":
         bench["command"] = (
-            f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, "
+            f"python3 perfbench/run.py --workload W --seed S --seconds {run_seconds(checkouts['change'])} --trace 0, "
             "run from a fresh copy of each commit; pairs alternate which side runs first, pair k uses "
             "seed k; quartiles are statistics.quantiles(n=4, method='inclusive')"
         )
-        section = pairs_section(checkouts, args.workload, args.pairs, args.seconds)
+        section = pairs_section(checkouts, args.workload, args.pairs)
         bench.setdefault("workloads", {})[args.workload] = section
     elif args.command == "traced":
         bench["traced"] = traced_section(checkouts, args.seed)
