@@ -22,7 +22,8 @@ corresponding images.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import partial
 from random import Random
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -44,6 +45,8 @@ from .trees import (
     VARIABLE,
     encode,
     enumerate_universe,
+    erase_letters,
+    erase_shapes,
     foliage,
     iter_universe,
     mirror,
@@ -240,6 +243,8 @@ class EvidenceReport:
     seed: int
     verdict: str  # "evidence-of-cp" | "not-cp"
     tests: Tuple[EvidenceTest, ...]
+    # counters and phase seconds of the run; not part of the report's JSON
+    stats: Dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -262,27 +267,28 @@ class EvidenceReport:
         }
 
 
+def _first_with_key(keys: List[str]) -> Dict[int, int]:
+    """The sparse kernel of a key per tree: each later position to the first with its key."""
+    first_of: Dict[str, int] = {}
+    return {i: first for i, key in enumerate(keys) if (first := first_of.setdefault(key, i)) != i}
+
+
 def _kernel_test(
-    keys: list,
-    image_key: Callable[[Tree], object],
-    images: List[Tree],
-    universe: Universe,
+    moved: Mapping[int, int], view: Callable[[int], object], words: List[str]
 ) -> Tuple[bool, int, Optional[dict]]:
-    """Trees with equal keys must have images with equal ``image_key``."""
-    groups: Dict[object, List[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
+    """Each tree in ``moved`` (a sparse kernel) must agree under ``view`` with its first tree.
+
+    ``view`` maps a position to the key of its image; classes are checked in
+    order of their first trees, members in position order.
+    """
     checked = 0
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        first = members[0]
-        ref = image_key(images[first])
-        for other in members[1:]:
-            checked += 1
-            if image_key(images[other]) != ref:
-                witness = {"pair": [encode(universe.trees[first]), encode(universe.trees[other])]}
-                return False, checked, witness
+    first, ref = -1, None
+    for rep, i in sorted(zip(moved.values(), moved)):
+        if rep != first:
+            first, ref = rep, view(rep)
+        checked += 1
+        if view(i) != ref:
+            return False, checked, {"pair": [words[rep], words[i]]}
     return True, checked, None
 
 
@@ -302,17 +308,39 @@ def cp_evidence(
     ``graft(a->t)(f(a)) == graft(a->t)(f(t))``.  All passes constitute
     evidence only; any failure is a disproof with a concrete witness.
     A universe larger than ``cap`` raises :class:`UniverseTooLarge`.
+
+    Only the trees that a sparse kernel (:meth:`Universe.kernel`) moves are
+    checked, on encodings computed once: ``a -> r`` replaces the letter
+    ``a`` by the encoding of ``r``, and skeleton and foliage erase the
+    letters or the shapes.  ``stats`` holds the universe size, the sampled
+    graftings, the trees their kernels moved, and the seconds spent on the
+    images (``images_s``), the kernels (``kernels_s``) and the checks
+    (``checks_s``).
     """
     universe = Universe(bound, alphabet, cap)
-    images = [func(t) for t in universe.trees]
+    start = time.perf_counter()
+    words = list(alphabet.symbols)
+    for left, right in universe.children[len(words):]:
+        words.append(f"<{words[left]}*{words[right]}>")
+    foliages = [erase_shapes(word) for word in words]
+    images = [encode(func(t)) for t in universe.trees]
+    stats = {"universe_size": len(words), "images_s": time.perf_counter() - start, "kernels_s": 0.0}
+
+    def kernel(read: Callable, arg) -> Dict[int, int]:
+        start = time.perf_counter()
+        moved = read(arg)
+        stats["kernels_s"] += time.perf_counter() - start
+        return moved
+
+    start = time.perf_counter()
     tests: List[EvidenceTest] = []
 
     # (a) skeleton kernel: the kernel of sending every letter to one letter; (b) foliage kernel
-    for name, keys, view in (
-        ("skeleton-kernel", universe.kernel(dict.fromkeys(alphabet, alphabet.symbols[0])), skeleton),
-        ("foliage-kernel", [foliage(t) for t in universe.trees], foliage),
+    for name, moved, view in (
+        ("skeleton-kernel", kernel(universe.kernel, dict.fromkeys(alphabet, alphabet.symbols[0])), erase_letters),
+        ("foliage-kernel", kernel(_first_with_key, foliages), erase_shapes),
     ):
-        tests.append(EvidenceTest(name, *_kernel_test(keys, view, images, universe)))
+        tests.append(EvidenceTest(name, *_kernel_test(moved, lambda i, view=view: view(images[i]), words)))
 
     # (c) grafting kernels over a fixed-plus-seeded sample of graftings
     rng = Random(seed)
@@ -321,36 +349,39 @@ def cp_evidence(
     sample = [(a, t) for a in alphabet for t in small]
     sample += [(rng.choice(alphabet.symbols), rng.choice(larger)) for _ in range(100)]
 
-    ok_all, checked_all, witness_all = True, 0, None
+    ok_all, checked_all, witness_all, moved_all = True, 0, None, 0
     for a, replacement in sample:
-        g = Grafting(a, replacement)
-        keys = universe.kernel({b: replacement if b == a else b for b in alphabet})
-        ok, checked, witness = _kernel_test(keys, lambda t, g=g: graft(g, t), images, universe)
+        word = encode(replacement)
+        moved = kernel(universe.kernel, {b: replacement if b == a else b for b in alphabet})
+        moved_all += len(moved)
+        view = lambda i, a=a, word=word: images[i].replace(a, word)  # noqa: E731
+        ok, checked, witness = _kernel_test(moved, view, words)
         checked_all += checked
         if not ok and ok_all:
             ok_all = False
-            witness_all = dict(witness, grafting=f"{a}->{encode(replacement)}")
+            witness_all = dict(witness, grafting=f"{a}->{word}")
     tests.append(EvidenceTest("grafting-kernels", ok_all, checked_all, witness_all))
 
     # (d) idempotent-grafting identity
     ok_d, checked_d, witness_d = True, 0, None
     for a in alphabet:
         leaf_image = images[universe.index[a]]
-        for t, image in zip(universe.trees, images):
-            if a in foliage(t):
+        for word, leaves, image in zip(words, foliages, images):
+            if a in leaves:
                 continue  # grafting a -> t would not be idempotent
-            g = Grafting(a, t)
             checked_d += 1
-            if graft(g, leaf_image) != graft(g, image):
+            if leaf_image.replace(a, word) != image.replace(a, word):
                 ok_d = False
-                witness_d = {"pair": [a, encode(t)], "grafting": f"{a}->{encode(t)}"}
+                witness_d = {"pair": [a, word], "grafting": f"{a}->{word}"}
                 break
         if not ok_d:
             break
     tests.append(EvidenceTest("idempotent-grafting", ok_d, checked_d, witness_d))
 
+    stats.update(graftings=len(sample), moved=moved_all)
+    stats["checks_s"] = time.perf_counter() - start - stats["kernels_s"]
     verdict = "evidence-of-cp" if all(t.passed for t in tests) else "not-cp"
-    return EvidenceReport(func.name, bound, seed, verdict, tuple(tests))
+    return EvidenceReport(func.name, bound, seed, verdict, tuple(tests), stats)
 
 
 def cp_to_polynomial(

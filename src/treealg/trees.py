@@ -28,7 +28,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -198,11 +198,36 @@ def foliage(t: Tree) -> str:
         return erase_shapes(_encode_deep(t))
 
 
-def mirror(t: Tree) -> Tree:
-    """Swap left and right children at every node."""
+def _mirror(t: Tree) -> Tree:
     if isinstance(t, str):
         return t
-    return (mirror(t[1]), mirror(t[0]))
+    left, right = t
+    return (_mirror(right), _mirror(left))
+
+
+def mirror(t: Tree) -> Tree:
+    """Swap left and right children at every node."""
+    try:
+        return _mirror(t)
+    except RecursionError:
+        return _mirror_deep(t)
+
+
+def _mirror_deep(t: Tree) -> Tree:
+    """:func:`mirror` in post-order with an explicit stack, for trees of any depth."""
+    done = []  # mirrored subtrees, each right child's before its left child's
+    stack = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, str):
+            done.append(node)
+        elif expanded:
+            new_left = done.pop()
+            new_right = done.pop()
+            done.append((new_right, new_left))
+        else:
+            stack += ((node, True), (node[0], False), (node[1], False))
+    return done[0]
 
 
 class _ScanError(Exception):
@@ -486,23 +511,76 @@ class Universe:
             self.children = children
             self.index: Dict[Tree, int] = dict(zip(trees, range(count)))
 
-    def kernel(self, leaf_image: Mapping[str, Tree]) -> List[int]:
-        """Class number per tree of the homomorphism extending ``leaf_image``.
+    # pair_at and parents are built on first use, by the first kernel call
+    @cached_property
+    def pair_at(self) -> Dict[Tuple[int, int], int]:
+        """Position of each pair tree, keyed by its children's positions."""
+        k = len(self.alphabet)
+        with _gc_paused():
+            return dict(zip(self.children[k:], range(k, len(self.trees))))
 
-        Equal numbers mean equal images: leaf images and pairs of child
-        numbers are hash-consed into one table private to the call, so
-        ``a`` and ``<b*c>`` share a number under ``a -> <b*c>``.
+    @cached_property
+    def parents(self) -> List[List[int]]:
+        """Positions of the pair trees that have each tree as a child, ascending."""
+        parents: List[List[int]] = [[] for _ in self.trees]
+        with _gc_paused():
+            for i in range(len(self.alphabet), len(self.trees)):
+                left, right = self.children[i]
+                parents[left].append(i)
+                if right != left:
+                    parents[right].append(i)
+        return parents
+
+    def kernel(self, leaf_image: Mapping[str, Tree]) -> Dict[int, int]:
+        """Sparse kernel of the homomorphism extending ``leaf_image``.
+
+        Maps each tree that is not first in its class (equal images) to the
+        position of the first, leaving the other trees out.  The first tree
+        with a pair image ``(L, R)`` is the first leaf with that image, else
+        the pair of the first trees with images ``L`` and ``R``; so only
+        leaves repeating a leaf's image and pairs whose image is a leaf's
+        move on their own, and the rest is their upward closure through
+        :attr:`parents`, walked in position order.
         """
-        table: Dict[object, int] = {}
+        pair_at, parents, children = self.pair_at, self.parents, self.children
+        moved: Dict[int, int] = {}
+        first_leaf: Dict[Tree, int] = {}
+        for i, a in enumerate(self.alphabet.symbols):
+            first = first_leaf.setdefault(leaf_image[a], i)
+            if first != i:
+                moved[i] = first
 
-        def intern(t: Tree) -> int:
-            key = t if isinstance(t, str) else (intern(t[0]), intern(t[1]))
-            return table.setdefault(key, len(table))
+        def first_with_image(t: Tree) -> Optional[int]:
+            i = first_leaf.get(t)
+            if i is None and not isinstance(t, str):
+                i = pair_at.get((first_with_image(t[0]), first_with_image(t[1])))
+            return i
 
-        ids = [intern(leaf_image[a]) for a in self.alphabet]
-        for left, right in self.children[len(ids):]:
-            ids.append(table.setdefault((ids[left], ids[right]), len(table)))
-        return ids
+        # a pair-shaped leaf image's key: the first trees with its two halves' images
+        leaf_at: Dict[Tuple[int, int], int] = {}
+        for image, i in first_leaf.items():
+            if not isinstance(image, str):
+                key = (first_with_image(image[0]), first_with_image(image[1]))
+                if None not in key:
+                    leaf_at[key] = i
+                    if key in pair_at:
+                        moved[pair_at[key]] = i
+
+        pending = bytearray(len(children))  # 1 marks a parent of a moved tree, still to visit
+        for i in moved:
+            for p in parents[i]:
+                pending[p] = 1
+        p = pending.find(1)
+        while p >= 0:
+            left, right = children[p]
+            key = (moved.get(left, left), moved.get(right, right))
+            first = leaf_at[key] if key in leaf_at else pair_at[key]
+            if first != p:
+                moved[p] = first
+                for q in parents[p]:
+                    pending[q] = 1
+            p = pending.find(1, p + 1)
+        return moved
 
 
 def random_tree(rng: Random, letters: Tuple[str, ...], max_leaves: int) -> Tree:

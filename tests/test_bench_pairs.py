@@ -57,3 +57,23 @@ def test_runs_last_the_declared_run_seconds(monkeypatch, tmp_path):
     bench_pairs.run_bench(tmp_path, "views", 3, 0)
     assert argvs[0][argvs[0].index("--seconds") + 1] == "2"
     assert bench_pairs.run_seconds(ROOT) == json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def test_check_cp_alternates_and_takes_medians(monkeypatch):
+    calls = []
+    seconds = {"parent": [5.0, 4.0, 6.0], "change": [1.0, 1.2, 0.8]}
+
+    def timed_seconds(checkout, code, spec, bound):
+        calls.append((checkout.name, spec, bound))
+        return seconds[checkout.name][sum(1 for c in calls if c[:2] == (checkout.name, spec)) - 1]
+
+    monkeypatch.setattr(bench_pairs, "timed_seconds", timed_seconds)
+    checkouts = {side: ROOT / side for side in bench_pairs.SIDES}
+    section = bench_pairs.check_cp_section(checkouts, 3)
+
+    assert calls[:6] == [("parent", "identity", "6"), ("change", "identity", "6"), ("change", "identity", "6"),
+                         ("parent", "identity", "6"), ("parent", "identity", "6"), ("change", "identity", "6")]
+    assert len(calls) == 12 and {c[1] for c in calls[6:]} == {"mirror"}
+    assert section["identity"]["parent"] == {"runs": [5.0, 4.0, 6.0], "median": 5.0}
+    assert section["mirror"]["change"]["median"] == 1.0
+    assert section["mirror"]["change_vs_parent"] == -0.8

@@ -121,20 +121,31 @@ class TestDeepTrees:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("to-poly", "--function", "const:{}"),
-            ("check-cp", "--function", "const:{}", "--bound", "2"),
+            ("to-poly", "--function", "const:{const}"),
+            ("check-cp", "--function", "poly:{poly}", "--bound", "2"),
         ],
         ids=lambda argv: argv[0],
     )
     def test_recursive_commands_report_tree_too_deep(self, argv):
-        # these commands still recurse once per level; a 1,200-deep comb is a domain error
-        args = [arg.format(encode(comb(1_200))) for arg in argv]
+        # check_hypotheses compares trees and compile_poly recurses, once per level each;
+        # a 1,200-deep comb (with the variable at the bottom, for the polynomial) is a domain error
+        word = encode(comb(1_200))
+        args = [arg.format(const=word, poly=word.replace("a", "x")) for arg in argv]
         command = argv[0]
         detail = f"a tree is nested too deeply for {command}"
         assert invoke(*args) == (1, "", f"error: TreeTooDeep: {detail}\n")
         code, out, err = invoke(*args, "--json")
         assert code == 1 and err == ""
         assert json.loads(out) == {"error": "TreeTooDeep", "detail": detail, "witness": {"command": command}}
+
+
+    def test_check_cp_of_a_deep_constant(self):
+        # the evidence checks compare encodings, so no step recurses once per level
+        spec = f"const:{encode(comb(1_200))}"
+        code, out, err = invoke("check-cp", "--function", spec, "--bound", "2", "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["function"] == spec and report["verdict"] == "evidence-of-cp"
 
 
 class TestErrorsAndExitCodes:

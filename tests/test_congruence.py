@@ -237,6 +237,14 @@ class TestStats:
         assert stats["registrations"] == partition.universe_size - 3 + stats["requeued"]
 
 
+class TestKernelTables:
+    def test_closure_builds_no_parent_tables(self):
+        # pair_at and parents serve Universe.kernel only
+        partition = bounded_closure(seed_pairs(["a~b", "<a*b>~<b*a>"]), 4)
+        partition.classes()
+        assert not {"pair_at", "parents"} & set(vars(partition.universe))
+
+
 class TestGcState:
     """Universe building, closure and classes pause the cyclic collector and
     leave it as they found it, also when they raise."""

@@ -101,6 +101,24 @@ class TestGraftWalkers:
         assert graft(Grafting("d", "a"), t) is t
 
 
+class TestCommutingLaw:
+    # grafting a -> r acts on encodings as replacing the letter a by the encoding of r
+    def test_every_small_tree_and_replacement(self):
+        u4 = enumerate_universe(4)
+        for r in enumerate_universe(3):
+            word = encode(r)
+            for t in u4:
+                for a in "abc":
+                    assert encode(graft(Grafting(a, r), t)) == encode(t).replace(a, word)
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
+    @pytest.mark.parametrize("replacement", ["c", "<b*c>", "<a*<a*b>>"])
+    def test_combs_past_the_recursion_limit(self, left, replacement):
+        t = comb(100_000, left)
+        g = Grafting("a", parse_tree(replacement))
+        assert encode(graft(g, t)) == encode(t).replace("a", replacement)
+
+
 class TestSubstitute:
     def test_expansion(self):
         assert substitute(WordSubstitution("a", "bc"), "aba") == "bcbbc"
@@ -168,13 +186,14 @@ class TestKernels:
                         seen[key] = value
         # the same law for class numbers read off the universe, on pairings inside it
         universe = Universe(3)
-        ids = universe.kernel({"a": g.replacement, "b": "b", "c": "c"})
+        moved = universe.kernel({"a": g.replacement, "b": "b", "c": "c"})
+        first = [moved.get(i, i) for i in range(len(universe.trees))]
         seen = {}
         for t, t2 in itertools.product(u3, repeat=2):
             pair = universe.index.get(star(t, t2))
             if pair is not None:
-                key = (ids[universe.index[t]], ids[universe.index[t2]])
-                assert seen.setdefault(key, ids[pair]) == ids[pair]
+                key = (first[universe.index[t]], first[universe.index[t2]])
+                assert seen.setdefault(key, first[pair]) == first[pair]
 
     def test_kernels_are_equivalences(self):
         u5 = enumerate_universe(5, cap=None)

@@ -41,6 +41,7 @@ from treealg import (
     table_function,
     unused_letter_count,
 )
+from treealg import morphisms, polynomials
 
 poly_letters = st.sampled_from("abcx")
 polys = st.recursive(poly_letters, lambda ch: st.tuples(ch, ch), max_leaves=10)
@@ -208,6 +209,34 @@ class TestCpEvidence:
         func = table_function({t: t for t in enumerate_universe(1)})
         with pytest.raises(EvaluationFailure):
             cp_evidence(func, 2)
+
+    @pytest.mark.parametrize("spec", ["identity", "poly:<x*<a*x>>", "const:<a*b>"])
+    def test_stats_count_the_moved_trees(self, spec):
+        # on a passing candidate every moved tree is checked once
+        report = cp_evidence(function_from_spec(spec), 4)
+        assert report.passed
+        by_name = {t.name: t for t in report.tests}
+        assert report.stats["moved"] == by_name["grafting-kernels"].checked > 0
+        assert report.stats["universe_size"] == 471 and report.stats["graftings"] == 3 * 12 + 100
+        assert all(report.stats[key] >= 0 for key in ("images_s", "kernels_s", "checks_s"))
+        assert "stats" not in report.as_json()
+
+    def test_failing_candidate_checks_fewer_than_it_moves(self):
+        report = cp_evidence(mirror_function(), 4)
+        by_name = {t.name: t for t in report.tests}
+        assert not by_name["grafting-kernels"].passed
+        assert by_name["grafting-kernels"].checked < report.stats["moved"]
+
+    def test_no_grafting_of_trees(self, monkeypatch):
+        # the checks run on encodings; graft itself is never called
+        def refuse(*args):
+            raise AssertionError("graft called")
+
+        monkeypatch.setattr(morphisms, "graft", refuse)
+        monkeypatch.setattr(polynomials, "graft", refuse)
+        for spec in ("identity", "mirror"):
+            line = json.dumps(cp_evidence(function_from_spec(spec), 3).as_json(), separators=(",", ":"))
+            assert line == PINNED_REPORTS[spec, 3, 0]
 
     @pytest.mark.parametrize(
         "spec", ["identity", "mirror", "recolor:b", "const:<a*b>", "poly:<x*<a*x>>", "poly:<x*x>"]

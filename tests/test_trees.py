@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,7 +35,7 @@ from treealg import (
     universe_size,
 )
 from treealg import morphisms, trees as trees_module
-from treealg.trees import UNICODE_SHAPES, _encode_deep
+from treealg.trees import UNICODE_SHAPES, _encode_deep, _mirror_deep
 
 ABC = Alphabet.from_string("abc")
 ODD = Alphabet(("'", "(", ",", " "))
@@ -234,6 +235,15 @@ class TestDeepTrees:
         assert encode(rebuild(foliage(t), skeleton(t))) == word
         assert is_skeleton(skeleton(t))
 
+    @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
+    def test_mirror_accepts_any_depth(self, left):
+        # oracle without recursion: mirroring reverses the word and swaps the brackets
+        t = comb(100_000, left)
+        word = comb_word(100_000, left)
+        mirrored = word[::-1].translate(str.maketrans("<>", "><"))
+        assert encode(mirror(t)) == encode(_mirror_deep(t)) == mirrored
+        assert encode(mirror(mirror(t))) == word
+
 
 class TestFastPath:
     # the recursive folds against the iterative walker they fall back to
@@ -257,16 +267,17 @@ class TestFastPath:
 
         spy(trees_module, "_encode_deep")
         spy(morphisms, "_graft_deep")
+        spy(trees_module, "_mirror_deep")
         samples = [comb(60, True), comb(60, False), *iter_universe(2)]
         g = Grafting("a", ("b", "c"))
 
         def views():
-            return [(encode(t), skeleton(t), foliage(t), graft(g, t)) for t in samples]
+            return [(encode(t), skeleton(t), foliage(t), graft(g, t), mirror(t)) for t in samples]
 
         limit = sys.getrecursionlimit()
         near_limit = near_recursion_limit(views)
         assert sys.getrecursionlimit() == limit
-        assert sorted(fallbacks) == ["_encode_deep"] * 6 + ["_graft_deep"] * 2
+        assert sorted(fallbacks) == ["_encode_deep"] * 6 + ["_graft_deep"] * 2 + ["_mirror_deep"] * 2
         fallbacks.clear()
         assert near_limit == views() and not fallbacks
 
@@ -523,6 +534,31 @@ def partition_of(keys):
     return [first.setdefault(key, len(first)) for key in keys]
 
 
+def first_members(u, moved):
+    """Position of the first member of each tree's class, from a sparse kernel."""
+    return [moved.get(i, i) for i in range(len(u.trees))]
+
+
+def dense_kernel(u, leaf_image):
+    """Class number per tree, hash-consing images bottom-up over the whole universe."""
+    table = {}
+
+    def intern(t):
+        key = t if isinstance(t, str) else (intern(t[0]), intern(t[1]))
+        return table.setdefault(key, len(table))
+
+    ids = [intern(leaf_image[a]) for a in u.alphabet]
+    for left, right in u.children[len(ids):]:
+        ids.append(table.setdefault((ids[left], ids[right]), len(table)))
+    return ids
+
+
+def sparse_of(ids):
+    """The sparse form of class numbers: each non-first member to its first member."""
+    first = {}
+    return {i: f for i, key in enumerate(ids) if (f := first.setdefault(key, i)) != i}
+
+
 class TestUniverse:
     @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
     def test_index_and_children_agree_with_trees(self, bound):
@@ -553,23 +589,77 @@ class TestUniverse:
         for a in "abc":
             for replacement in enumerate_universe(3):
                 g = Grafting(a, replacement)
-                ids = u.kernel({b: replacement if b == a else b for b in "abc"})
-                assert partition_of(ids) == partition_of(graft(g, t) for t in u.trees), (a, encode(replacement))
+                moved = u.kernel({b: replacement if b == a else b for b in "abc"})
+                expected = partition_of(graft(g, t) for t in u.trees)
+                assert partition_of(first_members(u, moved)) == expected, (a, encode(replacement))
+                # a tree moves to the first tree with its image
+                assert all(graft(g, u.trees[i]) == graft(g, u.trees[f]) and f < i for i, f in moved.items())
 
     def test_leaf_and_pair_with_equal_images_share_a_number(self):
         u = Universe(2)
-        ids = u.kernel({"a": parse_tree("<b*c>"), "b": "b", "c": "c"})
-        assert ids[u.index["a"]] == ids[u.index[parse_tree("<b*c>")]]
-        assert len(set(ids)) == len(u.trees) - 1
+        moved = u.kernel({"a": parse_tree("<b*c>"), "b": "b", "c": "c"})
+        assert moved == {u.index[parse_tree("<b*c>")]: u.index["a"]}
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_constant_leaf_map_gives_skeleton_partition(self, bound):
         u = Universe(bound)
-        assert partition_of(u.kernel(dict.fromkeys("abc", "a"))) == partition_of(map(skeleton, u.trees))
+        moved = u.kernel(dict.fromkeys("abc", "a"))
+        assert partition_of(first_members(u, moved)) == partition_of(map(skeleton, u.trees))
+
+    @pytest.mark.parametrize("bound", [1, 3, 5])
+    def test_pair_tables_invert_children(self, bound):
+        u = Universe(bound)
+        assert "pair_at" not in vars(u) and "parents" not in vars(u)
+        u.kernel(dict.fromkeys("abc", "a"))
+        assert "pair_at" in vars(u) and "parents" in vars(u)
+        assert u.pair_at == {pair: i for i, pair in enumerate(u.children) if pair is not None}
+        for i, ps in enumerate(u.parents):
+            assert ps == [p for p, pair in enumerate(u.children) if pair is not None and i in pair]
 
     def test_cap_enforced(self):
         with pytest.raises(UniverseTooLarge):
             Universe(3, cap=10)
+
+
+class TestSparseKernel:
+    # the sparse kernel against the dense hash-consing pass it replaced
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+    def test_grafting_leaf_maps_match_dense_pass(self, letters, bound):
+        # every leaf map sending one letter into U_3 and the others to themselves
+        alphabet = Alphabet.from_string(letters)
+        u = Universe(bound, alphabet, cap=None)
+        for a in letters:
+            for replacement in iter_universe(3, alphabet):
+                leaf_image = {b: replacement if b == a else b for b in letters}
+                assert u.kernel(leaf_image) == sparse_of(dense_kernel(u, leaf_image)), (a, encode(replacement))
+
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+    def test_random_leaf_maps_match_dense_pass(self, letters, bound):
+        # every letter to a random tree of up to 3 leaves, so images of leaves and pairs collide
+        rng = Random(bound * 10 + len(letters))
+        alphabet = Alphabet.from_string(letters)
+        u = Universe(bound, alphabet, cap=None)
+        for _ in range(30):
+            leaf_image = {b: random_tree(rng, alphabet.symbols, 3) for b in letters}
+            assert u.kernel(leaf_image) == sparse_of(dense_kernel(u, leaf_image)), leaf_image
+
+    def test_images_outside_the_alphabet_and_larger_than_the_universe(self):
+        u = Universe(3)
+        wide = parse_tree("<<a*b>*<c*a>>")
+        for leaf_image in (
+            {"a": "d", "b": "d", "c": "c"},
+            {"a": wide, "b": wide[0], "c": wide[1]},
+            {"a": (wide, wide), "b": wide, "c": "c"},
+        ):
+            assert u.kernel(leaf_image) == sparse_of(dense_kernel(u, leaf_image))
+
+    def test_fresh_replacement_moves_only_the_trees_that_contain_its_copy(self):
+        # a -> <b*c>: a tree moves iff <b*c> occurs in it, the copy becoming an a
+        u = Universe(4)
+        moved = u.kernel({"a": parse_tree("<b*c>"), "b": "b", "c": "c"})
+        assert sorted(moved) == [i for i, t in enumerate(u.trees) if "<b*c>" in encode(t)]
 
 
 class TestAlphabet:

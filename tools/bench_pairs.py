@@ -3,6 +3,7 @@
     python3 tools/bench_pairs.py pairs PARENT CHANGE --workload views --pairs 10 --out BENCH_4.json
     python3 tools/bench_pairs.py traced PARENT CHANGE --out BENCH_4.json
     python3 tools/bench_pairs.py sweep PARENT CHANGE --out BENCH_4.json
+    python3 tools/bench_pairs.py check-cp PARENT CHANGE --pairs 3 --out BENCH_5.json
 
 PARENT and CHANGE are directories holding a checkout each (``src/`` and
 ``perfbench/``).  ``pairs`` runs ``perfbench/run.py --trace 0`` once per
@@ -12,7 +13,10 @@ side for each pair, pair k with seed k, alternating which side runs first
 metric.  ``traced`` records one ``--trace 1`` round per side, parent first.
 Every run lasts the ``run_seconds`` its checkout's BENCHMARK.json declares.
 ``sweep`` times selftest's shared universe sweep once per side in a fresh
-interpreter, change first.  Each command merges its section into ``--out``
+interpreter, change first.  ``check-cp`` times ``cp_evidence`` at bound 6
+(what ``treealg check-cp --bound 6`` runs) for ``identity`` and ``mirror``,
+``--pairs`` times per side, each run in a fresh interpreter, alternating
+which side runs first.  Each command merges its section into ``--out``
 and leaves the other sections as they are.  Stdlib only.
 """
 
@@ -33,6 +37,13 @@ SWEEP = (
     "import time; from treealg.selftest import _Context; "
     "start = time.perf_counter(); _Context(0).sweep(); print(time.perf_counter() - start)"
 )
+CHECK_CP = (
+    "import sys, time; from treealg import cp_evidence, function_from_spec; "
+    "func = function_from_spec(sys.argv[1]); start = time.perf_counter(); "
+    "cp_evidence(func, int(sys.argv[2])); print(time.perf_counter() - start)"
+)
+CHECK_CP_BOUND = 6
+CHECK_CP_SPECS = ("identity", "mirror")
 
 
 def machine() -> str:
@@ -120,15 +131,16 @@ def traced_section(checkouts: dict, seed: int) -> dict:
     return section
 
 
-def sweep_seconds(checkout: Path) -> float:
+def timed_seconds(checkout: Path, code: str, *args: str) -> float:
+    """The seconds that ``code``, run with ``args`` in a fresh interpreter on a checkout, prints last."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    out = subprocess.run([sys.executable, "-c", SWEEP], cwd=checkout, env=env, stdout=subprocess.PIPE,
+    out = subprocess.run([sys.executable, "-c", code, *args], cwd=checkout, env=env, stdout=subprocess.PIPE,
                          text=True, check=True, timeout=RUN_TIMEOUT_S)
-    return round(float(out.stdout.split()[-1]), 1)
+    return float(out.stdout.split()[-1])
 
 
 def sweep_section(checkouts: dict) -> dict:
-    seconds = {side: sweep_seconds(checkouts[side]) for side in SIDES[::-1]}
+    seconds = {side: round(timed_seconds(checkouts[side], SWEEP), 1) for side in SIDES[::-1]}
     return {
         "note": "wall seconds (time.perf_counter) of _Context(0).sweep(), the encode/erase/rebuild/"
         "parse_tree sweep over all 3,137,844 trees with at most 8 leaves that selftest criteria "
@@ -137,14 +149,34 @@ def sweep_section(checkouts: dict) -> dict:
     }
 
 
+def check_cp_section(checkouts: dict, count: int) -> dict:
+    section = {
+        "note": f"wall seconds (time.perf_counter) of cp_evidence(function_from_spec(SPEC), {CHECK_CP_BOUND}), "
+        f"the work of treealg check-cp --bound {CHECK_CP_BOUND}; {count} runs per side, each in a fresh "
+        "interpreter, run k starting with the parent when k is odd"
+    }
+    for spec in CHECK_CP_SPECS:
+        seconds = {side: [] for side in SIDES}
+        for k in range(1, count + 1):
+            for side in SIDES if k % 2 else SIDES[::-1]:
+                seconds[side].append(round(timed_seconds(checkouts[side], CHECK_CP, spec, str(CHECK_CP_BOUND)), 3))
+                print(f"check-cp {spec} run {k}/{count}: {side} done", file=sys.stderr)
+        medians = {side: statistics.median(seconds[side]) for side in SIDES}
+        section[spec] = {
+            **{side: {"runs": seconds[side], "median": medians[side]} for side in SIDES},
+            "change_vs_parent": round(medians["change"] / medians["parent"] - 1, 4),
+        }
+    return section
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=("pairs", "traced", "sweep"))
+    parser.add_argument("command", choices=("pairs", "traced", "sweep", "check-cp"))
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True, help="BENCH file to create or update")
     parser.add_argument("--workload", default="views", help="workload for pairs (default views)")
-    parser.add_argument("--pairs", type=int, default=10, help="pair count (default 10)")
+    parser.add_argument("--pairs", type=int, default=10, help="pair count, or runs per side of check-cp (default 10)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the traced round (default 1)")
     parser.add_argument("--parent-name", help="how the file names the parent, such as its commit")
     parser.add_argument("--change-name", help="how the file names the change")
@@ -166,8 +198,10 @@ def main(argv=None) -> int:
         bench.setdefault("workloads", {})[args.workload] = section
     elif args.command == "traced":
         bench["traced"] = traced_section(checkouts, args.seed)
-    else:
+    elif args.command == "sweep":
         bench["selftest_sweep"] = sweep_section(checkouts)
+    else:
+        bench["check_cp"] = check_cp_section(checkouts, args.pairs)
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
