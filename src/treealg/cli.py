@@ -24,7 +24,6 @@ from .trees import (
     DEFAULT_UNIVERSE_CAP,
     SHAPE_CHARS,
     UNICODE_SHAPES,
-    _gc_paused,
     encode,
     enumerate_universe,
     erase_letters,
@@ -115,8 +114,7 @@ def _cmd_enumerate(ns, alphabet, out) -> dict:
 
 def _cmd_closure(ns, alphabet, out) -> dict:
     partition = bounded_closure(read_pairs(ns.pairs, alphabet), ns.bound, alphabet, ns.cap)
-    with _gc_paused():  # the per-class lists are acyclic; collections over them free nothing
-        classes = [[encode(t) for t in cls] for cls in partition.classes()]
+    classes = partition.classes(partition.universe.words())
     return {"universe_size": partition.universe_size, "classes": classes}
 
 

@@ -16,8 +16,10 @@ by :func:`principal_related` makes that explicit.
 from __future__ import annotations
 
 import enum
+import itertools
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PairOutOfUniverse
 from .trees import (
@@ -39,36 +41,47 @@ class Relatedness(enum.Enum):
 class TreePartition:
     """Equivalence classes over a fixed universe; immutable once built.
 
-    The canonical representative of a class is its enumeration-smallest
-    member, so two runs over the same input agree byte for byte.
+    ``_roots`` holds the root position of each tree's class.  The canonical
+    representative of a class is its enumeration-smallest member, so two
+    runs over the same input agree byte for byte.
     """
 
-    def __init__(self, universe: Universe, roots: Tuple[int, ...], stats: Dict[str, float]):
+    def __init__(self, universe: Universe, roots: array, stats: Dict[str, float]):
         self.universe = universe
-        self.universe_size = len(universe.trees)
+        self.universe_size = len(universe)
         self._roots = roots
         self.stats = stats
 
-    def _idx(self, t: Tree) -> int:
-        try:
-            return self.universe.index[t]
-        except KeyError:
-            raise PairOutOfUniverse(encode(t), self.universe.max_leaves) from None
-
     def related(self, t: Tree, t2: Tree) -> bool:
-        return self._roots[self._idx(t)] == self._roots[self._idx(t2)]
+        return self._roots[_position(self.universe, t)] == self._roots[_position(self.universe, t2)]
 
     def class_of(self, t: Tree) -> List[Tree]:
-        root = self._roots[self._idx(t)]
+        root = self._roots[_position(self.universe, t)]
         return [u for u, r in zip(self.universe.trees, self._roots) if r == root]
 
-    def classes(self) -> List[List[Tree]]:
-        """All classes in enumeration order, members in enumeration order."""
-        buckets: Dict[int, List[Tree]] = {}
+    def classes(self, members: Optional[Sequence] = None) -> List[list]:
+        """All classes in enumeration order, members in enumeration order.
+
+        A member is a tree, or the entry of ``members`` at its position,
+        such as a word of :meth:`Universe.words`.
+        """
+        buckets: Dict[int, list] = {}
         with _gc_paused():
-            for t, root in zip(self.universe.trees, self._roots):
+            for t, root in zip(self.universe.trees if members is None else members, self._roots):
                 buckets.setdefault(root, []).append(t)
             return [buckets[root] for root in sorted(buckets)]
+
+
+def _position(universe: Universe, t: Tree) -> int:
+    """Position of ``t`` in ``universe``; :class:`PairOutOfUniverse` if it has none."""
+    i = universe.position(t)
+    if i is None:
+        try:
+            word = encode(t)
+        except (TypeError, ValueError):  # not a tree at all
+            word = repr(t)
+        raise PairOutOfUniverse(word, universe.max_leaves)
+    return i
 
 
 def bounded_closure(
@@ -79,7 +92,7 @@ def bounded_closure(
 ) -> TreePartition:
     """Least in-universe equivalence containing ``pairs``, compatible with pairing.
 
-    Union-find over universe indices, the seed pairs merged first.  One
+    Union-find over universe positions, the seed pairs merged first.  One
     sweep in enumeration order, children before parents, then registers
     each non-leaf tree once under the class pair of its children; a tree
     whose pair is already taken is merged with its owner.  When a merge
@@ -100,22 +113,39 @@ def bounded_closure(
 
 
 def _sweep(universe: Universe, pairs: Iterable[Tuple[Tree, Tree]]):
-    """Roots and counters of the closure of ``pairs`` on ``universe``."""
-    index, children = universe.index, universe.children
-    n = len(universe.trees)
+    """Roots and counters of the closure of ``pairs`` on ``universe``.
+
+    Walks the pair blocks, whose trees have the children
+    ``product(lefts, rights)`` in position order; a re-queued tree finds its
+    children by :meth:`Universe.children_of`.  All tables are ``array('i')``.
+    The users of a root are a linked list of child slots, slot
+    ``2 * i + side`` being tree ``i``'s use of its left (0) or right (1)
+    child's class: ``link`` holds each slot's successor (-1 ends a list),
+    then one head cell per root, and ``tail`` each root's last cell, its
+    head cell while the list is empty.  A merge re-queues the dropped
+    root's users in list order and splices its list onto the kept root's.
+    """
+    n = len(universe)
     first_pair = len(universe.alphabet)
     stats = {"universe_size": n, "registrations": n - first_pair, "requeued": 0, "merges": 0}
 
-    parent = list(range(n))
+    # parent[x] <= x throughout: a merge links the larger root under the
+    # smaller, and path halving only points a node at an ancestor
+    parent = array("i", range(n))
+    heads = 2 * n  # link[heads + r] is the first slot of root r's list
+    link = array("i", [-1]) * (3 * n)
+    tail = array("i", range(heads, heads + n))
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        p = parent[x]
+        while p != x:  # path halving
+            grand = parent[p]
+            if grand == p:
+                return p
+            parent[x] = x = grand
+            p = parent[x]
         return x
 
-    # users of a root: the registered trees whose key holds that root
-    uses: List[List[int]] = [[] for _ in range(n)]
     work: List[int] = []
 
     def merge(x: int, y: int) -> None:
@@ -124,37 +154,50 @@ def _sweep(universe: Universe, pairs: Iterable[Tuple[Tree, Tree]]):
             return
         keep, drop = (rx, ry) if rx < ry else (ry, rx)
         parent[drop] = keep
-        work.extend(uses[drop])
-        uses[keep].extend(uses[drop])
-        uses[drop] = []
-        stats["merges"] += 1
+        slot = link[heads + drop]
+        if slot >= 0:
+            link[tail[keep]] = slot
+            tail[keep] = tail[drop]
+            link[heads + drop], tail[drop] = -1, heads + drop
+            while slot >= 0:
+                work.append(slot >> 1)
+                slot = link[slot]
 
     for t, u in pairs:
-        for tree in (t, u):
-            if tree not in index:
-                raise PairOutOfUniverse(encode(tree), universe.max_leaves)
-        merge(index[t], index[u])
+        merge(_position(universe, t), _position(universe, u))
 
-    signature: Dict[Tuple[int, int], int] = {}
-    for i in range(first_pair, n):
-        left, right = children[i]
-        key = (find(left), find(right))
-        uses[key[0]].append(i)
-        uses[key[1]].append(i)
-        other = signature.setdefault(key, i)
-        if other != i:
-            merge(i, other)
-        while work:
-            j = work.pop()
-            stats["requeued"] += 1
-            left, right = children[j]
-            other = signature.setdefault((find(left), find(right)), j)
-            if other != j:
-                merge(j, other)
+    signature: Dict[int, int] = {}  # the class pair (l, r) of a registered tree, keyed l * n + r
+    i = first_pair
+    for lefts, rights in universe.pair_blocks():
+        for left, right in itertools.product(lefts, rights):
+            left, right = find(left), find(right)
+            slot = 2 * i
+            link[tail[left]] = slot
+            tail[left] = slot
+            link[tail[right]] = slot + 1
+            tail[right] = slot + 1
+            other = signature.setdefault(left * n + right, i)
+            if other != i:
+                if parent[i] == i:
+                    # i is its class's smallest member, so no registered tree uses the class yet
+                    parent[i] = find(other)
+                else:
+                    merge(i, other)
+            while work:
+                j = work.pop()
+                stats["requeued"] += 1
+                left, right = universe.children_of(j)
+                other = signature.setdefault(find(left) * n + find(right), j)
+                if other != j:
+                    merge(j, other)
+            i += 1
 
     stats["registrations"] += stats["requeued"]
     stats["signature_size"] = len(signature)
-    return tuple(find(i) for i in range(n)), stats
+    for x in range(n):  # parent[parent[x]] is a root by the time x is reached
+        parent[x] = parent[parent[x]]
+    stats["merges"] = n - sum(map(int.__eq__, parent, range(n)))  # each merge ended one root
+    return parent, stats
 
 
 def principal_related(

@@ -319,9 +319,7 @@ def cp_evidence(
     """
     universe = Universe(bound, alphabet, cap)
     start = time.perf_counter()
-    words = list(alphabet.symbols)
-    for left, right in universe.children[len(words):]:
-        words.append(f"<{words[left]}*{words[right]}>")
+    words = universe.words()
     foliages = [erase_shapes(word) for word in words]
     images = [encode(func(t)) for t in universe.trees]
     stats = {"universe_size": len(words), "images_s": time.perf_counter() - start, "kernels_s": 0.0}
@@ -365,7 +363,7 @@ def cp_evidence(
     # (d) idempotent-grafting identity
     ok_d, checked_d, witness_d = True, 0, None
     for a in alphabet:
-        leaf_image = images[universe.index[a]]
+        leaf_image = images[universe.position(a)]
         for word, leaves, image in zip(words, foliages, images):
             if a in leaves:
                 continue  # grafting a -> t would not be idempotent

@@ -26,6 +26,7 @@ import gc
 import itertools
 import math
 import re
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -467,19 +468,41 @@ def _gc_paused():
             gc.enable()
 
 
+def _ranker(letter: Dict[str, int], shape_at: Dict[Tuple[int, int], int], size: List[int], leaves: List[int]):
+    """The bottom-up fold behind :meth:`Universe.position`, over its block table."""
+
+    def rank(t, budget: int) -> Optional[Tuple[int, int]]:
+        # (shape, offset in its block) of a tree with at most ``budget`` leaves, else None
+        if isinstance(t, str):
+            i = letter.get(t)
+            return None if i is None else (0, i)
+        if not isinstance(t, tuple) or len(t) != 2 or budget < 2:
+            return None
+        left = rank(t[0], budget - 1)
+        if left is None:
+            return None
+        right = rank(t[1], budget - leaves[left[0]])
+        if right is None:
+            return None
+        return shape_at[left[0], right[0]], left[1] * size[right[0]] + right[1]
+
+    return rank
+
+
 class Universe:
-    """The bounded universe, indexed once for every pass over it.
+    """The bounded universe as a table of shape blocks, ranked by arithmetic.
 
-    ``trees`` lists every tree with at most ``max_leaves`` leaves in
-    enumeration order (the letters first, children before parents), ``index``
-    maps each tree to its position, and ``children`` holds the child
-    positions of each pair (``None`` for a leaf).
-
-    The tables grow by rank arithmetic, with no lookups: the trees of one
-    shape ``(L, R)`` form one block whose child positions are the product of
-    the blocks of ``L`` and ``R``, left foliage most significant.  Each pair
-    is one tuple of two trees already in the list, so subtrees are shared,
-    and ``index`` is filled from the finished list.
+    Positions number every tree with at most ``max_leaves`` leaves in
+    enumeration order: the letters first, then the trees of each shape in
+    shape order, children before parents.  The trees of one pair shape
+    ``(L, R)`` form one block, the product of the blocks of ``L`` and ``R``
+    with the left child most significant, so the tree with children at
+    offsets ``l`` and ``r`` of their blocks sits at
+    ``start[(L, R)] + l * size[R] + r``.  The table holds per shape its
+    start, its size, its two subshapes and its leaf count: O(shapes), 626
+    at bound 8, and no tree.  :meth:`position` ranks a tree by that
+    formula, folded bottom-up.  ``trees``, ``children``, ``pair_at`` and
+    ``parents`` are built on first use, for the callers that need them.
     """
 
     def __init__(
@@ -495,21 +518,77 @@ class Universe:
             raise UniverseTooLarge(count, cap)
         self.max_leaves = max_leaves
         self.alphabet = alphabet
-        k = len(alphabet)
+        self._count = count
+        # per shape, in position order; shape 0 is the leaf
+        self._start, self._size, self._left, self._right = [0], [len(alphabet)], [0], [0]
+        leaves = [1]
+        shape_at: Dict[Tuple[int, int], int] = {}  # (left shape, right shape) -> shape
+        shape_id = {"": 0}
+        for n in range(2, max_leaves + 1):
+            for shape in _shapes(n):
+                left, right = shape_id[shape[0]], shape_id[shape[1]]
+                shape_id[shape] = shape_at[left, right] = len(self._start)
+                self._start.append(self._start[-1] + self._size[-1])
+                self._size.append(self._size[left] * self._size[right])
+                self._left.append(left)
+                self._right.append(right)
+                leaves.append(n)
+        letter = {a: i for i, a in enumerate(alphabet.symbols)}
+        self._rank = _ranker(letter, shape_at, self._size, leaves)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def pair_blocks(self) -> List[Tuple[range, range]]:
+        """The blocks of the pair shapes in position order, each as ``(lefts, rights)``.
+
+        ``lefts`` and ``rights`` are the blocks of the two subshapes; the
+        block's trees have the children ``product(lefts, rights)`` in order.
+        """
+        block = [range(start, start + size) for start, size in zip(self._start, self._size)]
+        return [(block[left], block[right]) for left, right in zip(self._left[1:], self._right[1:])]
+
+    def position(self, t) -> Optional[int]:
+        """Position of ``t``; ``None`` for any value that is not a tree of this universe.
+
+        The walk gives up as soon as the leaves seen pass ``max_leaves``, so
+        it recurses at most ``max_leaves`` deep whatever the input.
+        """
+        found = self._rank(t, self.max_leaves)
+        return None if found is None else self._start[found[0]] + found[1]
+
+    def children_of(self, i: int) -> Tuple[int, int]:
+        """Positions of the two children of the pair tree at position ``i``."""
+        shape = bisect_right(self._start, i) - 1
+        left, right = divmod(i - self._start[shape], self._size[self._right[shape]])
+        return self._start[self._left[shape]] + left, self._start[self._right[shape]] + right
+
+    @cached_property
+    def trees(self) -> List[Tree]:
+        """Every tree in position order; each pair's subtrees are the list's own entries."""
         with _gc_paused():
-            trees: List[Tree] = list(alphabet.symbols)
-            children: List[Optional[Tuple[int, int]]] = [None] * k
-            # positions of the trees of each shape, all foliages in product order
-            block = {"": range(k)}
-            for n in range(2, max_leaves + 1):
-                for shape in _shapes(n):
-                    left, right = block[shape[0]], block[shape[1]]
-                    block[shape] = range(len(trees), len(trees) + len(left) * len(right))
-                    children.extend(itertools.product(left, right))
-                    trees.extend(itertools.product(trees[left.start:left.stop], trees[right.start:right.stop]))
-            self.trees = trees
-            self.children = children
-            self.index: Dict[Tree, int] = dict(zip(trees, range(count)))
+            trees: List[Tree] = list(self.alphabet.symbols)
+            for left, right in self.pair_blocks():
+                trees.extend(itertools.product(trees[left.start:left.stop], trees[right.start:right.stop]))
+        return trees
+
+    @cached_property
+    def children(self) -> List[Optional[Tuple[int, int]]]:
+        """The child positions of each tree, ``None`` for a leaf."""
+        with _gc_paused():
+            children: List[Optional[Tuple[int, int]]] = [None] * len(self.alphabet)
+            for left, right in self.pair_blocks():
+                children.extend(itertools.product(left, right))
+        return children
+
+    def words(self) -> List[str]:
+        """The encoding of every tree in position order, each composed from its children's."""
+        words = list(self.alphabet.symbols)
+        for left, right in self.pair_blocks():
+            words.extend(
+                f"<{lw}*{rw}>" for lw, rw in itertools.product(words[left.start:left.stop], words[right.start:right.stop])
+            )
+        return words
 
     # pair_at and parents are built on first use, by the first kernel call
     @cached_property
@@ -517,14 +596,14 @@ class Universe:
         """Position of each pair tree, keyed by its children's positions."""
         k = len(self.alphabet)
         with _gc_paused():
-            return dict(zip(self.children[k:], range(k, len(self.trees))))
+            return dict(zip(self.children[k:], range(k, len(self))))
 
     @cached_property
     def parents(self) -> List[List[int]]:
         """Positions of the pair trees that have each tree as a child, ascending."""
-        parents: List[List[int]] = [[] for _ in self.trees]
+        parents: List[List[int]] = [[] for _ in range(len(self))]
         with _gc_paused():
-            for i in range(len(self.alphabet), len(self.trees)):
+            for i in range(len(self.alphabet), len(self)):
                 left, right = self.children[i]
                 parents[left].append(i)
                 if right != left:

@@ -77,3 +77,22 @@ def test_check_cp_alternates_and_takes_medians(monkeypatch):
     assert section["identity"]["parent"] == {"runs": [5.0, 4.0, 6.0], "median": 5.0}
     assert section["mirror"]["change"]["median"] == 1.0
     assert section["mirror"]["change_vs_parent"] == -0.8
+
+
+def test_closure_scale_runs_change_first_and_records_failures(monkeypatch):
+    calls = []
+
+    def run(argv, **kwargs):
+        side, bound = Path(kwargs["cwd"]).name, argv[-1]
+        calls.append((side, bound))
+        if (side, bound) == ("parent", "9"):
+            return subprocess.CompletedProcess(argv, 1, stdout="", stderr="Traceback ...\nMemoryError\n")
+        return subprocess.CompletedProcess(argv, 0, stdout='{"seconds": 1.5, "peak_rss_mb": 90}\n', stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    checkouts = {side: ROOT / side for side in bench_pairs.SIDES}
+    section = bench_pairs.closure_scale_section(checkouts)
+
+    assert calls == [("change", "8"), ("parent", "8"), ("change", "9"), ("parent", "9")]
+    assert section["8"]["parent"] == {"seconds": 1.5, "peak_rss_mb": 90}
+    assert section["9"]["parent"] == {"failed": "MemoryError"}

@@ -71,11 +71,11 @@ class TestBoundedClosure:
         # for a leaf-to-leaf seed every derivation stays inside the bound,
         # so the closure coincides with the collapse kernel on the universe
         partition = bounded_closure([("a", "b")], 4)
-        index = partition.universe.index
+        position = partition.universe.position
         groups = {}
         for t in partition.universe.trees:
             groups.setdefault(graft(Grafting("a", "b"), t), []).append(t)
-        expected = sorted(groups.values(), key=lambda cls: index[cls[0]])
+        expected = sorted(groups.values(), key=lambda cls: position(cls[0]))
         assert partition.classes() == expected
         # class count: shapes times foliages over the collapsed alphabet
         from treealg import catalan
@@ -84,12 +84,12 @@ class TestBoundedClosure:
 
     def test_compatibility_holds_within_bound(self):
         partition = bounded_closure([("a", "b")], 3)
-        index = partition.universe.index
+        position = partition.universe.position
         for t1, t2 in itertools.product(enumerate_universe(1), repeat=2):
             for t1b, t2b in itertools.product(enumerate_universe(1), repeat=2):
                 if partition.related(t1, t1b) and partition.related(t2, t2b):
                     p, q = star(t1, t2), star(t1b, t2b)
-                    if p in index and q in index:
+                    if position(p) is not None and position(q) is not None:
                         assert partition.related(p, q)
 
 
@@ -137,9 +137,10 @@ def worklist_oracle(pairs, max_leaves, alphabet):
     """Roots of the closure by the earlier loop: every pair tree pushed in
     enumeration order and popped last-in first-out, each merge re-queueing
     every user of the dropped class."""
-    universe = Universe(max_leaves, alphabet, cap=None)
-    index, children = universe.index, universe.children
-    n = len(universe.trees)
+    trees = enumerate_universe(max_leaves, alphabet, cap=None)
+    index = {t: i for i, t in enumerate(trees)}
+    children = [None if isinstance(t, str) else (index[t[0]], index[t[1]]) for t in trees]
+    n = len(trees)
 
     parent = list(range(n))
 
@@ -207,14 +208,14 @@ class TestWorklistOracle:
         # leaf count first, so that letter seeds, whose consequences cascade, are common
         tree = st.integers(1, bound).flatmap(lambda n: st.sampled_from(enumerate_universe(n, alphabet)))
         pairs = data.draw(st.lists(st.tuples(tree, tree), max_size=3))
-        assert bounded_closure(pairs, bound, alphabet)._roots == worklist_oracle(pairs, bound, alphabet)
+        assert tuple(bounded_closure(pairs, bound, alphabet)._roots) == worklist_oracle(pairs, bound, alphabet)
 
     @pytest.mark.parametrize("texts, bound", REQUEUEING_SEEDS)
     def test_requeueing_seed_sets(self, texts, bound):
         pairs = seed_pairs(texts)
         abc = Alphabet.from_string("abc")
         partition = bounded_closure(pairs, bound, abc)
-        assert partition._roots == worklist_oracle(pairs, bound, abc)
+        assert tuple(partition._roots) == worklist_oracle(pairs, bound, abc)
         assert partition.stats["requeued"] > 0
 
 
@@ -239,10 +240,14 @@ class TestStats:
 
 class TestKernelTables:
     def test_closure_builds_no_parent_tables(self):
+        # the closure reads only the block table; classes() adds the trees, and
         # pair_at and parents serve Universe.kernel only
+        tables = {"trees", "children", "pair_at", "parents"}
         partition = bounded_closure(seed_pairs(["a~b", "<a*b>~<b*a>"]), 4)
+        partition.related("a", parse_tree("<a*b>"))
+        assert not tables & set(vars(partition.universe))
         partition.classes()
-        assert not {"pair_at", "parents"} & set(vars(partition.universe))
+        assert tables & set(vars(partition.universe)) == {"trees"}
 
 
 class TestGcState:
@@ -288,6 +293,24 @@ class TestRelated:
         partition = bounded_closure([], 1)
         with pytest.raises(PairOutOfUniverse):
             partition.related(parse_tree("<a*b>"), "a")
+
+    @pytest.mark.parametrize("value", ["d", "ab", None, 5, ("a", 5), ("a", "b", "c")])
+    def test_non_trees_are_out_of_universe(self, value):
+        partition = bounded_closure([], 2)
+        with pytest.raises(PairOutOfUniverse):
+            partition.related(value, "a")
+        with pytest.raises(PairOutOfUniverse):
+            bounded_closure([("a", value)], 2)
+
+    def test_deep_comb_is_out_of_universe(self):
+        comb = "a"
+        for _ in range(100_000):
+            comb = (comb, "b")
+        partition = bounded_closure([], 3)
+        with pytest.raises(PairOutOfUniverse, match=r"<<<<a\*b>\*b>"):
+            partition.related("a", comb)
+        with pytest.raises(PairOutOfUniverse):
+            bounded_closure([(comb, "a")], 3)
 
     def test_class_of(self):
         partition = bounded_closure([("a", "b")], 2)
@@ -378,7 +401,7 @@ class TestMinimality:
         breaks seed containment or in-bound compatibility."""
         partition = bounded_closure([("a", "b")], 2)
         universe = partition.universe.trees
-        index = partition.universe.index
+        position = partition.universe.position
         classes = partition.classes()
 
         def violates(split_classes):
@@ -397,7 +420,7 @@ class TestMinimality:
                     if cls_of[u1] != cls_of[u2]:
                         continue
                     p, q = star(t1, u1), star(t2, u2)
-                    if p in index and q in index and cls_of[p] != cls_of[q]:
+                    if position(p) is not None and position(q) is not None and cls_of[p] != cls_of[q]:
                         return True
             return False
 

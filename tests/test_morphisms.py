@@ -190,9 +190,9 @@ class TestKernels:
         first = [moved.get(i, i) for i in range(len(universe.trees))]
         seen = {}
         for t, t2 in itertools.product(u3, repeat=2):
-            pair = universe.index.get(star(t, t2))
+            pair = universe.position(star(t, t2))
             if pair is not None:
-                key = (first[universe.index[t]], first[universe.index[t2]])
+                key = (first[universe.position(t)], first[universe.position(t2)])
                 assert seen.setdefault(key, first[pair]) == first[pair]
 
     def test_kernels_are_equivalences(self):

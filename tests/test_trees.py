@@ -565,17 +565,46 @@ class TestUniverse:
         # enumerate_universe streams iter_universe, independent of Universe's rank arithmetic
         for letters in ["a", "ab", "abc", "abcd"]:
             alphabet = Alphabet.from_string(letters)
+            expected = enumerate_universe(bound, alphabet, cap=None)
             u = Universe(bound, alphabet, cap=None)
-            assert u.max_leaves == bound and u.trees == enumerate_universe(bound, alphabet, cap=None)
-            assert u.index == {t: i for i, t in enumerate(u.trees)}
-            assert list(u.index) == u.trees
-            for t, pair in zip(u.trees, u.children):
+            assert u.max_leaves == bound and len(u) == len(expected)
+            assert [u.position(t) for t in expected] == list(range(len(expected)))
+            assert u.words() == [encode(t) for t in expected]
+            assert u.trees == expected
+            for i, (t, pair) in enumerate(zip(u.trees, u.children)):
                 if isinstance(t, str):
                     assert pair is None
                 else:
+                    assert pair == u.children_of(i)
                     assert (u.trees[pair[0]], u.trees[pair[1]]) == t
                     # each subtree is the universe's own object, not an equal copy
                     assert t[0] is u.trees[pair[0]] and t[1] is u.trees[pair[1]]
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "d",  # unknown letter
+            "ab",  # not one letter
+            ("a", "d"),
+            ((("a", "b"), "c"), ("a", "b")),  # five leaves, one past the bound
+            ("a", ("b", ("c", ("a", ("b", "c"))))),
+            None,
+            5,
+            ["a", "b"],
+            ("a", "b", "c"),
+            ("a", 5),
+            (),
+        ],
+    )
+    def test_position_is_none_outside_the_universe(self, value):
+        assert Universe(4).position(value) is None
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_position_cuts_off_deep_combs(self, side):
+        comb = "a"
+        for _ in range(100_000):
+            comb = (comb, "b") if side == 0 else ("b", comb)
+        assert Universe(3).position(comb) is None
 
     @pytest.mark.parametrize("bound", [0, -1])
     def test_non_positive_bound_rejected(self, bound):
@@ -598,7 +627,7 @@ class TestUniverse:
     def test_leaf_and_pair_with_equal_images_share_a_number(self):
         u = Universe(2)
         moved = u.kernel({"a": parse_tree("<b*c>"), "b": "b", "c": "c"})
-        assert moved == {u.index[parse_tree("<b*c>")]: u.index["a"]}
+        assert moved == {u.position(parse_tree("<b*c>")): u.position("a")}
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_constant_leaf_map_gives_skeleton_partition(self, bound):

@@ -4,6 +4,7 @@
     python3 tools/bench_pairs.py traced PARENT CHANGE --out BENCH_4.json
     python3 tools/bench_pairs.py sweep PARENT CHANGE --out BENCH_4.json
     python3 tools/bench_pairs.py check-cp PARENT CHANGE --pairs 3 --out BENCH_5.json
+    python3 tools/bench_pairs.py closure-scale PARENT CHANGE --out BENCH_6.json
 
 PARENT and CHANGE are directories holding a checkout each (``src/`` and
 ``perfbench/``).  ``pairs`` runs ``perfbench/run.py --trace 0`` once per
@@ -16,8 +17,13 @@ Every run lasts the ``run_seconds`` its checkout's BENCHMARK.json declares.
 interpreter, change first.  ``check-cp`` times ``cp_evidence`` at bound 6
 (what ``treealg check-cp --bound 6`` runs) for ``identity`` and ``mirror``,
 ``--pairs`` times per side, each run in a fresh interpreter, alternating
-which side runs first.  Each command merges its section into ``--out``
-and leaves the other sections as they are.  Stdlib only.
+which side runs first.  ``closure-scale`` times
+``bounded_closure([("a", "b")], N, cap=None)`` for N = 8 and 9 once per
+side, change first, each run in a fresh interpreter whose address space
+is capped at ``SCALE_MEMORY_GB``, and records its peak RSS (``ru_maxrss``);
+a run that hits the cap is recorded as failed.  Each command merges its
+section into ``--out`` and leaves the other sections as they are.  Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -44,6 +51,14 @@ CHECK_CP = (
 )
 CHECK_CP_BOUND = 6
 CHECK_CP_SPECS = ("identity", "mirror")
+SCALE = (
+    "import json, resource, sys, time; from treealg import bounded_closure; "
+    "start = time.perf_counter(); bounded_closure([('a', 'b')], int(sys.argv[1]), cap=None); "
+    "seconds = time.perf_counter() - start; peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+    "print(json.dumps({'seconds': round(seconds, 2), 'peak_rss_mb': round(peak / 1024)}))"
+)
+SCALE_BOUNDS = (8, 9)
+SCALE_MEMORY_GB = 2  # address space per run, so that a universe too large for the box fails fast
 
 
 def machine() -> str:
@@ -169,9 +184,39 @@ def check_cp_section(checkouts: dict, count: int) -> dict:
     return section
 
 
+def scale_run(checkout: Path, bound: int) -> dict:
+    """Seconds and peak RSS of one uncapped a~b closure at ``bound``, or why the run failed."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    limit = SCALE_MEMORY_GB * 2**30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    out = subprocess.run([sys.executable, "-c", SCALE, str(bound)], cwd=checkout, env=env, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S, preexec_fn=cap_memory)
+    if out.returncode != 0:
+        last = out.stderr.strip().splitlines()[-1:] or [f"exit {out.returncode}"]
+        return {"failed": last[0]}
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def closure_scale_section(checkouts: dict) -> dict:
+    section = {
+        "note": "bounded_closure([('a', 'b')], N, cap=None): wall seconds (time.perf_counter) and peak RSS "
+        f"(ru_maxrss) of one run per side in a fresh interpreter, change first, address space capped at "
+        f"{SCALE_MEMORY_GB} GiB"
+    }
+    for bound in SCALE_BOUNDS:
+        section[str(bound)] = {}
+        for side in SIDES[::-1]:
+            section[str(bound)][side] = scale_run(checkouts[side], bound)
+            print(f"closure-scale bound {bound}: {side} done", file=sys.stderr)
+    return section
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=("pairs", "traced", "sweep", "check-cp"))
+    parser.add_argument("command", choices=("pairs", "traced", "sweep", "check-cp", "closure-scale"))
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True, help="BENCH file to create or update")
@@ -200,6 +245,8 @@ def main(argv=None) -> int:
         bench["traced"] = traced_section(checkouts, args.seed)
     elif args.command == "sweep":
         bench["selftest_sweep"] = sweep_section(checkouts)
+    elif args.command == "closure-scale":
+        bench["closure_scale"] = closure_scale_section(checkouts)
     else:
         bench["check_cp"] = check_cp_section(checkouts, args.pairs)
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
