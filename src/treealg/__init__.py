@@ -54,7 +54,6 @@ from .polynomials import (
     recolor_function,
     synthesize,
     table_function,
-    unused_letter_count,
 )
 from .trees import (
     Alphabet,
@@ -65,11 +64,9 @@ from .trees import (
     VARIABLE,
     catalan,
     encode,
-    enumerate_universe,
     erase_letters,
     erase_shapes,
     foliage,
-    is_skeleton,
     iter_polynomials,
     iter_universe,
     leaf_count,
@@ -78,7 +75,6 @@ from .trees import (
     random_tree,
     rebuild,
     skeleton,
-    star,
     universe_size,
 )
 from .words import (

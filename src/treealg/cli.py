@@ -24,8 +24,8 @@ from .trees import (
     DEFAULT_UNIVERSE_CAP,
     SHAPE_CHARS,
     UNICODE_SHAPES,
+    Universe,
     encode,
-    enumerate_universe,
     erase_letters,
     erase_shapes,
     foliage,
@@ -108,8 +108,8 @@ def _cmd_project(ns, alphabet, out) -> dict:
 
 
 def _cmd_enumerate(ns, alphabet, out) -> dict:
-    trees = enumerate_universe(ns.bound, alphabet, ns.cap)
-    return {"count": len(trees), "trees": [encode(t) for t in trees]}
+    universe = Universe(ns.bound, alphabet, ns.cap)
+    return {"count": len(universe), "trees": universe.words()}
 
 
 def _cmd_closure(ns, alphabet, out) -> dict:

@@ -55,10 +55,6 @@ class TreePartition:
     def related(self, t: Tree, t2: Tree) -> bool:
         return self._roots[_position(self.universe, t)] == self._roots[_position(self.universe, t2)]
 
-    def class_of(self, t: Tree) -> List[Tree]:
-        root = self._roots[_position(self.universe, t)]
-        return [u for u, r in zip(self.universe.trees, self._roots) if r == root]
-
     def classes(self, members: Optional[Sequence] = None) -> List[list]:
         """All classes in enumeration order, members in enumeration order.
 

@@ -10,8 +10,9 @@ congruence, which is how they are used throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .trees import Alphabet, DEFAULT_ALPHABET, SHAPE_CHARS, Tree, foliage
+from .trees import Alphabet, DEFAULT_ALPHABET, SHAPE_CHARS, Tree, _fold_deep, foliage
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,16 @@ def graft(g: Grafting, t: Tree) -> Tree:
     """Image of ``t`` under ``g``; unchanged subtrees are shared, not copied.
 
     A recursive fold, like the tree views; a tree deeper than the recursion
-    limit goes through the iterative walker instead.
+    limit goes through the iterative fold instead.
     """
     try:
         return _graft(g.source, g.replacement, t)
     except RecursionError:
-        return _graft_deep(g.source, g.replacement, t)
+        return _fold_deep(
+            t,
+            partial(_graft, g.source, g.replacement),
+            lambda node, left, right: node if left is node[0] and right is node[1] else (left, right),
+        )
 
 
 def _graft(source: str, replacement: Tree, t: Tree) -> Tree:
@@ -59,24 +64,6 @@ def _graft(source: str, replacement: Tree, t: Tree) -> Tree:
     if new_left is left and new_right is right:
         return t
     return (new_left, new_right)
-
-
-def _graft_deep(source: str, replacement: Tree, t: Tree) -> Tree:
-    """:func:`_graft` in post-order with an explicit stack, for trees of any depth."""
-    done = []  # images of the finished subtrees, left before right
-    stack = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, str):
-            done.append(replacement if node == source else node)
-        elif expanded:
-            new_right = done.pop()
-            new_left = done.pop()
-            left, right = node
-            done.append(node if new_left is left and new_right is right else (new_left, new_right))
-        else:
-            stack += ((node, True), (node[1], False), (node[0], False))
-    return done[0]
 
 
 def substitute(sub: WordSubstitution, word: str) -> str:

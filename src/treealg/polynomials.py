@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from random import Random
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -44,7 +44,6 @@ from .trees import (
     Universe,
     VARIABLE,
     encode,
-    enumerate_universe,
     erase_letters,
     erase_shapes,
     foliage,
@@ -66,11 +65,6 @@ def compile_poly(poly: Tree) -> Callable[[Tree], Tree]:
     left = compile_poly(poly[0])
     right = compile_poly(poly[1])
     return lambda t: (left(t), right(t))
-
-
-def unused_letter_count(t: Tree, alphabet: Alphabet = DEFAULT_ALPHABET) -> int:
-    """How many alphabet letters do not occur among the leaves of ``t``."""
-    return len(alphabet) - len(set(foliage(t)) & set(alphabet.symbols))
 
 
 @dataclass(frozen=True)
@@ -228,12 +222,7 @@ class EvidenceTest:
     witness: Optional[dict] = None
 
     def as_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checked": self.checked,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -342,8 +331,8 @@ def cp_evidence(
 
     # (c) grafting kernels over a fixed-plus-seeded sample of graftings
     rng = Random(seed)
-    small = enumerate_universe(2, alphabet, cap=None)
-    larger = enumerate_universe(4, alphabet, cap=None)
+    small = Universe(2, alphabet, cap=None).trees
+    larger = Universe(4, alphabet, cap=None).trees
     sample = [(a, t) for a in alphabet for t in small]
     sample += [(rng.choice(alphabet.symbols), rng.choice(larger)) for _ in range(100)]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from random import Random
 from typing import Callable, List, Optional, Tuple
 
@@ -31,8 +31,8 @@ from .polynomials import (
 )
 from .trees import (
     DEFAULT_ALPHABET,
+    Universe,
     encode,
-    enumerate_universe,
     erase_letters,
     erase_shapes,
     foliage,
@@ -71,12 +71,7 @@ class CriterionResult:
         return f"{self.number:>2} {status} {self.slug:<26} {self.detail}"
 
     def as_json(self) -> dict:
-        return {
-            "number": self.number,
-            "slug": self.slug,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 class _Context:
@@ -132,7 +127,7 @@ def criterion_figure_fixture(ctx: _Context) -> CriterionResult:
 
 def criterion_product_laws(ctx: _Context) -> CriterionResult:
     alphabet = ctx.alphabet
-    u4 = enumerate_universe(4, alphabet, cap=None)
+    u4 = Universe(4, alphabet, cap=None).trees
     shapes = [skeleton(t) for t in u4]
     leaves = [foliage(t) for t in u4]
     pair_count = 0
@@ -188,7 +183,7 @@ def criterion_rebuild_roundtrip(ctx: _Context) -> CriterionResult:
 
 def criterion_graft_foliage_diagram(ctx: _Context) -> CriterionResult:
     alphabet = ctx.alphabet
-    u3 = enumerate_universe(3, alphabet, cap=None)
+    u3 = Universe(3, alphabet, cap=None).trees
     checked = 0
     witness = None
     for a in alphabet:
@@ -210,7 +205,7 @@ def criterion_graft_foliage_diagram(ctx: _Context) -> CriterionResult:
 
 def criterion_idempotence(ctx: _Context) -> CriterionResult:
     alphabet = ctx.alphabet
-    u4 = enumerate_universe(4, alphabet, cap=None)
+    u4 = Universe(4, alphabet, cap=None).trees
     checked = 0
     witness = None
     for a in alphabet:
@@ -241,8 +236,8 @@ def criterion_idempotence(ctx: _Context) -> CriterionResult:
 
 def criterion_two_grafting_injectivity(ctx: _Context) -> CriterionResult:
     alphabet = ctx.alphabet
-    u4 = enumerate_universe(4, alphabet, cap=None)
-    u3 = enumerate_universe(3, alphabet, cap=None)
+    u4 = Universe(4, alphabet, cap=None).trees
+    u3 = Universe(3, alphabet, cap=None).trees
     combos = 0
     witness = None
     for a, b in itertools.combinations(alphabet.symbols, 2):
@@ -299,7 +294,7 @@ def criterion_closure_partition(ctx: _Context) -> CriterionResult:
     part3 = bounded_closure([("a", "b")], 3, alphabet)
     kernels: List[Tuple[str, Callable]] = [("skeleton", skeleton), ("foliage", foliage)]
     for c in alphabet:
-        for replacement in enumerate_universe(2, alphabet):
+        for replacement in Universe(2, alphabet).trees:
             g = Grafting(c, replacement)
             kernels.append((f"{c}->{encode(replacement)}", lambda t, g=g: graft(g, t)))
     sound = True
@@ -444,7 +439,7 @@ def criterion_cp_evidence(ctx: _Context) -> CriterionResult:
 def criterion_generator_agreement(ctx: _Context) -> CriterionResult:
     alphabet = ctx.alphabet
     rng = Random(ctx.seed)
-    u6 = enumerate_universe(6, alphabet, cap=None)
+    u6 = Universe(6, alphabet, cap=None).trees
     letters = alphabet.symbols + ("x",)
     witness = None
     for _ in range(200):

@@ -115,11 +115,6 @@ def _require_cover(table: Mapping[str, object], alphabet: Alphabet) -> None:
         )
 
 
-def star(t: Tree, t2: Tree) -> Tree:
-    """Pair two trees as the left and right children of a new root."""
-    return (t, t2)
-
-
 def leaf_count(t: Tree) -> int:
     return len(foliage(t))
 
@@ -211,23 +206,27 @@ def mirror(t: Tree) -> Tree:
     try:
         return _mirror(t)
     except RecursionError:
-        return _mirror_deep(t)
+        return _fold_deep(t, lambda a: a, lambda node, left, right: (right, left))
 
 
-def _mirror_deep(t: Tree) -> Tree:
-    """:func:`mirror` in post-order with an explicit stack, for trees of any depth."""
-    done = []  # mirrored subtrees, each right child's before its left child's
+def _fold_deep(t: Tree, leaf: Callable[[str], object], pair: Callable[[Tree, object, object], object]):
+    """Post-order fold with an explicit stack, for trees of any depth.
+
+    A leaf folds to ``leaf(letter)``, a pair ``node`` to ``pair(node, left,
+    right)`` with its children's folds, so ``pair`` can return ``node``
+    itself when nothing below it changed.
+    """
+    done = []  # folds of the finished subtrees, left before right
     stack = [(t, False)]
     while stack:
         node, expanded = stack.pop()
         if isinstance(node, str):
-            done.append(node)
+            done.append(leaf(node))
         elif expanded:
-            new_left = done.pop()
-            new_right = done.pop()
-            done.append((new_right, new_left))
+            right = done.pop()
+            done.append(pair(node, done.pop(), right))
         else:
-            stack += ((node, True), (node[0], False), (node[1], False))
+            stack += ((node, True), (node[1], False), (node[0], False))
     return done[0]
 
 
@@ -281,6 +280,8 @@ def _scan(text: str, letters, leaves: Iterator[str]) -> Tree:
 # so it can change no result and no error; they hold only shapes with at
 # most _MEMO_LEAVES leaves, 626 entries each; and under the GIL two threads
 # racing on one word can at worst compile the same builder twice.
+# iter_universe labels each shape of its sweep by the same compiled builders,
+# which _compile keeps per dotted word.
 _MEMO_LEAVES = 8
 _MEMO_TEXT = 4 * _MEMO_LEAVES - 3  # the longest word of such a tree
 _TO_TUPLE = str.maketrans(SHAPE_CHARS, "(,)")
@@ -288,6 +289,7 @@ _PARSED: Dict[str, Callable[[str], Tree]] = {}  # dotted word -> builder
 _REBUILT: Dict[str, Callable[[str], Tree]] = {}  # skeleton -> builder
 
 
+@lru_cache(maxsize=None)
 def _compile(dotted: str) -> Callable[[str], Tree]:
     """Builder taking the leaves of a dotted word in order to its tree."""
     parts = dotted.translate(_TO_TUPLE).split(".")
@@ -322,15 +324,6 @@ def parse_tree(text: str, alphabet: Alphabet = DEFAULT_ALPHABET, *, variable: bo
     return tree
 
 
-def is_skeleton(word: str) -> bool:
-    """True iff ``word`` is a well-formed shape word."""
-    try:
-        _scan(word, (), itertools.repeat(""))
-    except _ScanError:
-        return False
-    return True
-
-
 _SHAPE_SET = frozenset(SHAPE_CHARS)
 
 
@@ -361,8 +354,13 @@ def rebuild(u: str, s: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Tree:
         pos, reason = exc.args
         raise MalformedSkeleton(s, f"{reason} at index {pos}") from None
     if small:
-        _REBUILT[s] = _compile(s.replace("<*", "<.*").replace("*>", "*.>") or ".")
+        _REBUILT[s] = _compile(_slotted(s))
     return tree
+
+
+def _slotted(s: str) -> str:
+    """The dotted word of a skeleton: a ``.`` in each leaf slot."""
+    return s.replace("<*", "<.*").replace("*>", "*.>") or "."
 
 
 def catalan(n: int) -> int:
@@ -397,27 +395,13 @@ def _shape_key(shape) -> str:
     return encode(shape).translate(_XI_ORDER)
 
 
-@lru_cache(maxsize=None)
-def _shape_builders(n: int) -> tuple:
-    """One compiled labeling function per shape; labeling loops dominate."""
-    builders = []
-    for shape in _shapes(n):
-        counter = itertools.count()
-
-        def expr(sh) -> str:
-            if sh == "":
-                return f"L[{next(counter)}]"
-            return f"({expr(sh[0])},{expr(sh[1])})"
-
-        builders.append(eval(f"lambda L: {expr(shape)}"))  # noqa: S307
-    return tuple(builders)
-
-
 def iter_universe(max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Iterator[Tree]:
     """Stream every tree with at most ``max_leaves`` leaves, in canonical order.
 
     Order: leaf count, then skeleton (with ``<`` before ``*`` before ``>``),
     then foliage in alphabet order.  Uncapped; intended for linear sweeps.
+    ``Universe(max_leaves, alphabet).trees`` is the same list, materialized
+    after the universe's cap check.
     """
     return _iter_trees(max_leaves, alphabet.symbols)
 
@@ -431,25 +415,10 @@ def _iter_trees(max_leaves: int, symbols: Tuple[str, ...]) -> Iterator[Tree]:
     if max_leaves < 1:
         raise ValueError("max_leaves must be >= 1")
     for n in range(1, max_leaves + 1):
-        for build in _shape_builders(n):
+        for shape in _shapes(n):
+            build = _compile(_slotted(encode(shape)))
             for labels in itertools.product(symbols, repeat=n):
                 yield build(labels)
-
-
-def enumerate_universe(
-    max_leaves: int,
-    alphabet: Alphabet = DEFAULT_ALPHABET,
-    cap: Optional[int] = DEFAULT_UNIVERSE_CAP,
-) -> list:
-    """All trees with at most ``max_leaves`` leaves as a fresh list.
-
-    Raises :class:`UniverseTooLarge` when the predicted count exceeds
-    ``cap`` (pass ``cap=None`` to disable the check).
-    """
-    count = universe_size(max_leaves, len(alphabet))
-    if cap is not None and count > cap:
-        raise UniverseTooLarge(count, cap)
-    return list(iter_universe(max_leaves, alphabet))
 
 
 @contextmanager
@@ -502,7 +471,9 @@ class Universe:
     start, its size, its two subshapes and its leaf count: O(shapes), 626
     at bound 8, and no tree.  :meth:`position` ranks a tree by that
     formula, folded bottom-up.  ``trees``, ``children``, ``pair_at`` and
-    ``parents`` are built on first use, for the callers that need them.
+    ``parents`` are built on first use, for the callers that need them;
+    ``trees`` is the one materialized universe, and the constructor's
+    ``cap`` its one size check.
     """
 
     def __init__(
@@ -667,14 +638,7 @@ def random_tree(rng: Random, letters: Tuple[str, ...], max_leaves: int) -> Tree:
     n = rng.randint(1, max_leaves)
     shape = rng.choice(_shapes(n))
     labels = [rng.choice(letters) for _ in range(n)]
-    it = iter(labels)
-
-    def fill(sh) -> Tree:
-        if sh == "":
-            return next(it)
-        return (fill(sh[0]), fill(sh[1]))
-
-    return fill(shape)
+    return _scan(encode(shape), (), iter(labels))
 
 
 def read_lines(path: str) -> Iterator[Tuple[int, str]]:

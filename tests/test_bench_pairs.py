@@ -96,3 +96,24 @@ def test_closure_scale_runs_change_first_and_records_failures(monkeypatch):
     assert calls == [("change", "8"), ("parent", "8"), ("change", "9"), ("parent", "9")]
     assert section["8"]["parent"] == {"seconds": 1.5, "peak_rss_mb": 90}
     assert section["9"]["parent"] == {"failed": "MemoryError"}
+
+
+def test_traced_alternates_and_takes_medians(monkeypatch):
+    calls = []
+    figures = {"parent": [2.0, 1.0, 9.0], "change": [1.5, 0.5, 1.0]}
+
+    def run_bench(checkout, workload, seed, trace):
+        calls.append((checkout.name, workload, seed, trace))
+        value = figures[checkout.name][sum(1 for c in calls if c[0] == checkout.name) - 1]
+        return {"correct": True, "metrics": {"views.trees.encode.us_per_tree": {"value": value, "unit": "us"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "run_seconds", lambda _: 5)
+    checkouts = {side: ROOT / side for side in bench_pairs.SIDES}
+    section = bench_pairs.traced_section(checkouts, 7)
+
+    assert bench_pairs.TRACED_RUNS == 3
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert {c[1:] for c in calls} == {("views", 7, 1)}
+    assert section["views.trees.encode.us_per_tree"] == {"unit": "us", "parent": 2.0, "change": 1.0}
+    assert "3 runs per side" in section["note"] and "median" in section["note"]

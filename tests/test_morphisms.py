@@ -1,6 +1,7 @@
 """Graftings, substitutions, text projections, and their kernel congruences."""
 
 import itertools
+from functools import partial
 from random import Random
 
 import pytest
@@ -12,19 +13,19 @@ from treealg import (
     WordSubstitution,
     commute_check,
     encode,
-    enumerate_universe,
     erase_letters,
     erase_shapes,
     foliage,
     graft,
     is_idempotent,
+    iter_universe,
     parse_tree,
     recolor,
     skeleton,
-    star,
     substitute,
 )
-from treealg.morphisms import _graft_deep
+from treealg.morphisms import _graft
+from treealg.trees import _fold_deep
 
 letters = st.sampled_from("abc")
 trees = st.recursive(letters, lambda ch: st.tuples(ch, ch), max_leaves=15)
@@ -48,7 +49,7 @@ class TestGraft:
 
     @given(graftings, trees, trees)
     def test_commutes_with_pairing(self, g, t, t2):
-        assert graft(g, star(t, t2)) == star(graft(g, t), graft(g, t2))
+        assert graft(g, (t, t2)) == (graft(g, t), graft(g, t2))
 
     @given(graftings, trees)
     def test_word_level_rewrite_oracle(self, g, t):
@@ -74,6 +75,15 @@ def graft_reference(g, t):
     return (new_left, new_right)
 
 
+def graft_deep(g, t):
+    """:func:`graft` through the iterative fold it falls back to on deep trees."""
+    return _fold_deep(
+        t,
+        partial(_graft, g.source, g.replacement),
+        lambda node, left, right: node if left is node[0] and right is node[1] else (left, right),
+    )
+
+
 def comb(leaves, left):
     t = "a"
     for i in range(leaves - 1):
@@ -89,23 +99,24 @@ class TestGraftWalkers:
             g = Grafting(source, parse_tree(replacement))
             for t in trees_6:
                 expected = graft_reference(g, t)
-                for image in (graft(g, t), _graft_deep(g.source, g.replacement, t)):
+                for image in (graft(g, t), _graft(source, g.replacement, t), graft_deep(g, t)):
                     assert image == expected and (image is t) == (expected is t)
 
     @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
     def test_combs_past_the_recursion_limit(self, left):
         t = comb(100_000, left)
         word = encode(t)
-        assert encode(graft(Grafting("a", ("b", "c")), t)) == word.replace("a", "<b*c>")
-        # no leaf carries d, so the comb itself comes back
-        assert graft(Grafting("d", "a"), t) is t
+        for walk in (graft, graft_deep):
+            assert encode(walk(Grafting("a", ("b", "c")), t)) == word.replace("a", "<b*c>")
+            # no leaf carries d, so the comb itself comes back
+            assert walk(Grafting("d", "a"), t) is t
 
 
 class TestCommutingLaw:
     # grafting a -> r acts on encodings as replacing the letter a by the encoding of r
     def test_every_small_tree_and_replacement(self):
-        u4 = enumerate_universe(4)
-        for r in enumerate_universe(3):
+        u4 = Universe(4).trees
+        for r in iter_universe(3):
             word = encode(r)
             for t in u4:
                 for a in "abc":
@@ -168,7 +179,7 @@ class TestKernels:
 
     def test_kernels_are_compatible_on_u3(self):
         # image of a pairing depends only on the images of the parts
-        u3 = enumerate_universe(3)
+        u3 = Universe(3).trees
         g = Grafting("a", parse_tree("<b*c>"))
         kernels = [skeleton, foliage, lambda t: graft(g, t)]
         for h in kernels:
@@ -179,7 +190,7 @@ class TestKernels:
             for t in u3:
                 for t2 in u3:
                     key = (image_class[h(t)], image_class[h(t2)])
-                    value = h(star(t, t2))
+                    value = h((t, t2))
                     if key in seen:
                         assert seen[key] == value
                     else:
@@ -190,13 +201,13 @@ class TestKernels:
         first = [moved.get(i, i) for i in range(len(universe.trees))]
         seen = {}
         for t, t2 in itertools.product(u3, repeat=2):
-            pair = universe.position(star(t, t2))
+            pair = universe.position((t, t2))
             if pair is not None:
                 key = (first[universe.position(t)], first[universe.position(t2)])
                 assert seen.setdefault(key, first[pair]) == first[pair]
 
     def test_kernels_are_equivalences(self):
-        u5 = enumerate_universe(5, cap=None)
+        u5 = Universe(5, cap=None).trees
         for t in u5:
             assert skeleton(t) == skeleton(t)
         rng = Random(0)
@@ -219,7 +230,7 @@ class TestIdempotence:
         assert not is_idempotent(Grafting("a", "a"))
 
     def test_criterion_matches_behaviour_on_u3(self):
-        u3 = enumerate_universe(3)
+        u3 = Universe(3).trees
         for a in "abc":
             for replacement in u3:
                 if replacement == a:
@@ -244,7 +255,7 @@ class TestCommuteCheck:
         assert commute_check(Grafting("a", parse_tree("<b*c>")), "a")
 
     def test_exhaustive_small(self):
-        u2 = enumerate_universe(2)
+        u2 = Universe(2).trees
         for a in "abc":
             for replacement in u2:
                 g = Grafting(a, replacement)
@@ -261,8 +272,8 @@ class TestCommuteCheck:
 
 class TestTwoGraftingInjectivity:
     def test_small_exhaustive(self):
-        u3 = enumerate_universe(3)
-        u2 = enumerate_universe(2)
+        u3 = Universe(3).trees
+        u2 = Universe(2).trees
         for a, b in itertools.combinations("abc", 2):
             for replacement in u2:
                 ga, gb = Grafting(a, replacement), Grafting(b, replacement)

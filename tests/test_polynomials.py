@@ -17,13 +17,13 @@ from treealg import (
     HypothesesViolated,
     MalformedTable,
     NotCP,
+    Universe,
     check_hypotheses,
     compile_poly,
     constant_function,
     cp_evidence,
     cp_to_polynomial,
     encode,
-    enumerate_universe,
     foliage,
     function_from_spec,
     graft,
@@ -39,7 +39,6 @@ from treealg import (
     recolor_function,
     synthesize,
     table_function,
-    unused_letter_count,
 )
 from treealg import morphisms, polynomials
 
@@ -152,17 +151,6 @@ class TestSynthesize:
             synthesize({"a": "b", "b": "a"}, ab)
 
 
-class TestUnusedLetterCount:
-    def test_all_letters_used(self):
-        assert unused_letter_count(parse_tree("<<a*c>*b>")) == 0
-
-    def test_single_leaf(self):
-        assert unused_letter_count("a") == 2
-
-    def test_repeated_letter(self):
-        assert unused_letter_count(parse_tree("<a*a>")) == 2
-
-
 class TestCpEvidence:
     def test_identity_passes(self):
         report = cp_evidence(identity_function(), 4)
@@ -206,7 +194,7 @@ class TestCpEvidence:
             assert cp_evidence(func, 3).passed
 
     def test_partial_table_function_raises(self):
-        func = table_function({t: t for t in enumerate_universe(1)})
+        func = table_function({t: t for t in Universe(1).trees})
         with pytest.raises(EvaluationFailure):
             cp_evidence(func, 2)
 
@@ -280,7 +268,7 @@ class TestEvidenceAgreesWithSynthesis:
 class TestIdempotentGraftingIdentity:
     def test_holds_for_polynomial_functions(self):
         rng = Random(2)
-        u4 = enumerate_universe(4)
+        u4 = Universe(4).trees
         functions = [identity_function(), constant_function(parse_tree("<a*b>"))]
         functions += [
             poly_function(random_tree(rng, ("a", "b", "c", "x"), 4)) for _ in range(8)
@@ -321,7 +309,7 @@ class TestCpToPolynomial:
 
     def test_agreement_on_letters_forces_agreement_everywhere(self):
         rng = Random(3)
-        u4 = enumerate_universe(4)
+        u4 = Universe(4).trees
         for _ in range(20):
             first = random_tree(rng, ("a", "b", "c", "x"), 5)
             table = {a: compile_poly(first)(a) for a in "abc"}

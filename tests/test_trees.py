@@ -18,12 +18,10 @@ from treealg import (
     UniverseTooLarge,
     UnknownLetter,
     encode,
-    enumerate_universe,
     erase_letters,
     erase_shapes,
     foliage,
     graft,
-    is_skeleton,
     iter_universe,
     leaf_count,
     mirror,
@@ -31,11 +29,10 @@ from treealg import (
     random_tree,
     rebuild,
     skeleton,
-    star,
     universe_size,
 )
 from treealg import morphisms, trees as trees_module
-from treealg.trees import UNICODE_SHAPES, _encode_deep, _mirror_deep
+from treealg.trees import UNICODE_SHAPES, _encode_deep, _fold_deep, _mirror, _shapes
 
 ABC = Alphabet.from_string("abc")
 ODD = Alphabet(("'", "(", ",", " "))
@@ -139,6 +136,11 @@ def iterative_views(t):
     return word, erase_letters(word), erase_shapes(word)
 
 
+def mirror_deep(t):
+    """:func:`mirror` through the iterative fold it falls back to on deep trees."""
+    return _fold_deep(t, lambda a: a, lambda node, left, right: (right, left))
+
+
 def near_recursion_limit(fn, spare=20):
     """Call ``fn()`` from a stack about ``spare`` frames short of the recursion limit."""
 
@@ -152,6 +154,18 @@ def near_recursion_limit(fn, spare=20):
         return fn() if n == 0 else descend(n - 1)
 
     return descend(headroom(0) - spare)
+
+
+def random_tree_reference(rng, letters, max_leaves):
+    """Random tree drawn like :func:`random_tree`, its shape labeled by a recursive fill."""
+    n = rng.randint(1, max_leaves)
+    shape = rng.choice(_shapes(n))
+    labels = iter([rng.choice(letters) for _ in range(n)])
+
+    def fill(sh):
+        return next(labels) if sh == "" else (fill(sh[0]), fill(sh[1]))
+
+    return fill(shape)
 
 
 def count_oracle(n, k, _memo={}):
@@ -184,14 +198,15 @@ class TestFigureTrees:
 
 
 class TestStar:
+    # the pairing operation is the tuple (t, t2)
     def test_pair_of_leaves(self):
-        assert encode(star("a", "b")) == "<a*b>"
+        assert encode(("a", "b")) == "<a*b>"
 
     def test_left_nested(self):
-        assert encode(star(star("a", "c"), "b")) == "<<a*c>*b>"
+        assert encode((("a", "c"), "b")) == "<<a*c>*b>"
 
     def test_right_nested(self):
-        assert encode(star("a", star("c", "b"))) == "<a*<c*b>>"
+        assert encode(("a", ("c", "b"))) == "<a*<c*b>>"
 
 
 class TestParse:
@@ -233,7 +248,6 @@ class TestDeepTrees:
         assert (encode(t), skeleton(t), foliage(t)) == iterative_views(t) == expected
         assert encode(parse_tree(word)) == word
         assert encode(rebuild(foliage(t), skeleton(t))) == word
-        assert is_skeleton(skeleton(t))
 
     @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
     def test_mirror_accepts_any_depth(self, left):
@@ -241,7 +255,7 @@ class TestDeepTrees:
         t = comb(100_000, left)
         word = comb_word(100_000, left)
         mirrored = word[::-1].translate(str.maketrans("<>", "><"))
-        assert encode(mirror(t)) == encode(_mirror_deep(t)) == mirrored
+        assert encode(mirror(t)) == encode(mirror_deep(t)) == mirrored
         assert encode(mirror(mirror(t))) == word
 
 
@@ -252,6 +266,10 @@ class TestFastPath:
         for t in iter_universe(bound, alphabet):
             assert (encode(t), skeleton(t), foliage(t)) == iterative_views(t)
 
+    def test_fold_matches_recursive_mirror(self):
+        for t in iter_universe(6, ABC):
+            assert mirror_deep(t) == _mirror(t)
+
     def test_fallback_near_the_recursion_limit(self, monkeypatch):
         # with 20 frames to spare the folds overflow on 60-leaf combs and fall back
         fallbacks = []
@@ -260,14 +278,14 @@ class TestFastPath:
             walker = getattr(module, name)
 
             def wrapped(*args):
-                fallbacks.append(name)
+                fallbacks.append(f"{module.__name__}.{name}")
                 return walker(*args)
 
             monkeypatch.setattr(module, name, wrapped)
 
         spy(trees_module, "_encode_deep")
-        spy(morphisms, "_graft_deep")
-        spy(trees_module, "_mirror_deep")
+        spy(trees_module, "_fold_deep")  # mirror's
+        spy(morphisms, "_fold_deep")  # graft's
         samples = [comb(60, True), comb(60, False), *iter_universe(2)]
         g = Grafting("a", ("b", "c"))
 
@@ -277,7 +295,9 @@ class TestFastPath:
         limit = sys.getrecursionlimit()
         near_limit = near_recursion_limit(views)
         assert sys.getrecursionlimit() == limit
-        assert sorted(fallbacks) == ["_encode_deep"] * 6 + ["_graft_deep"] * 2 + ["_mirror_deep"] * 2
+        assert sorted(fallbacks) == (
+            ["treealg.morphisms._fold_deep"] * 2 + ["treealg.trees._encode_deep"] * 6 + ["treealg.trees._fold_deep"] * 2
+        )
         fallbacks.clear()
         assert near_limit == views() and not fallbacks
 
@@ -293,8 +313,8 @@ class TestProjections:
 
     @given(trees, trees)
     def test_pairing_laws(self, t, t2):
-        assert skeleton(star(t, t2)) == "<" + skeleton(t) + "*" + skeleton(t2) + ">"
-        assert foliage(star(t, t2)) == foliage(t) + foliage(t2)
+        assert skeleton((t, t2)) == "<" + skeleton(t) + "*" + skeleton(t2) + ">"
+        assert foliage((t, t2)) == foliage(t) + foliage(t2)
 
     @given(trees)
     def test_length_law(self, t):
@@ -306,7 +326,8 @@ class TestProjections:
 
     @given(trees)
     def test_skeleton_is_well_formed(self, t):
-        assert is_skeleton(skeleton(t))
+        # rebuild scans its skeleton, so it accepts exactly the well-formed ones
+        assert skeleton(rebuild("a" * leaf_count(t), skeleton(t))) == skeleton(t)
 
 
 class TestRebuild:
@@ -342,19 +363,17 @@ class TestRebuild:
             assert rebuild(u, s) == rebuild_oracle(u, s) == t
 
     def test_acceptance_matches_skeleton_set(self):
-        # exhaustive over all shape-character words up to length 12, against
-        # the skeletons of every tree with at most 5 leaves
+        # exhaustive over all shape-character words of a skeleton's length up
+        # to 12, against the skeletons of every tree with at most 5 leaves
         shapes = {skeleton(t) for t in iter_universe(5, Alphabet.from_string("a"))}
-        for length in range(13):
+        for length in range(0, 13, 3):
             for s in map("".join, itertools.product("<*>", repeat=length)):
-                assert is_skeleton(s) == (s in shapes), s
-                if length % 3 == 0:
-                    try:
-                        rebuild("a" * (length // 3 + 1), s)
-                        accepted = True
-                    except MalformedSkeleton:
-                        accepted = False
-                    assert accepted == (s in shapes), s
+                try:
+                    rebuild("a" * (length // 3 + 1), s)
+                    accepted = True
+                except MalformedSkeleton:
+                    accepted = False
+                assert accepted == (s in shapes), s
 
 
 def outcome(fn, *args, **kwargs):
@@ -441,7 +460,6 @@ class TestShapeMemo:
         assert "<<.*.>*.>" in memos[0]
         with pytest.raises(MalformedSkeleton, match="unexpected '.'"):
             rebuild("abab", "<<.*.>*.>")
-        assert not is_skeleton("<<.*.>*.>")
 
     def test_dot_as_letter_and_as_non_letter(self, memos):
         dotted = Alphabet.from_string("ab.")
@@ -464,7 +482,7 @@ class TestShapeMemo:
 
 class TestEnumeration:
     def test_one_leaf(self):
-        assert enumerate_universe(1) == ["a", "b", "c"]
+        assert Universe(1).trees == ["a", "b", "c"]
 
     def test_two_leaves_exact_order(self):
         expected = [
@@ -472,15 +490,15 @@ class TestEnumeration:
             "<a*a>", "<a*b>", "<a*c>", "<b*a>", "<b*b>", "<b*c>",
             "<c*a>", "<c*b>", "<c*c>",
         ]
-        assert [encode(t) for t in enumerate_universe(2)] == expected
+        assert [encode(t) for t in Universe(2).trees] == expected
 
     def test_three_leaf_count(self):
-        exactly_three = [t for t in enumerate_universe(3) if leaf_count(t) == 3]
+        exactly_three = [t for t in iter_universe(3) if leaf_count(t) == 3]
         assert len(exactly_three) == 54
 
     def test_three_leaf_shapes_ordered(self):
         shapes = []
-        for t in enumerate_universe(3):
+        for t in iter_universe(3):
             s = skeleton(t)
             if len(s) == 6 and s not in shapes:
                 shapes.append(s)
@@ -492,7 +510,8 @@ class TestEnumeration:
         for bound in range(1, 7):
             expected = sum(count_oracle(n, k) for n in range(1, bound + 1))
             assert universe_size(bound, k) == expected
-            assert len(enumerate_universe(bound, alphabet, cap=None)) == expected
+            assert len(Universe(bound, alphabet, cap=None).trees) == expected
+            assert sum(1 for _ in iter_universe(bound, alphabet)) == expected
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_formula_matches_oracle_up_to_eight(self, k):
@@ -501,9 +520,9 @@ class TestEnumeration:
 
     def test_cap_enforced(self):
         with pytest.raises(UniverseTooLarge):
-            enumerate_universe(3, cap=10)
+            Universe(3, cap=10)
         with pytest.raises(UniverseTooLarge):
-            enumerate_universe(8)  # default cap
+            Universe(8)  # default cap
 
     def test_order_is_sorted_by_documented_key(self):
         order = {"<": 0, "*": 1, ">": 2}
@@ -515,17 +534,17 @@ class TestEnumeration:
                 [ABC.index(c) for c in foliage(t)],
             )
 
-        u3 = enumerate_universe(3)
+        u3 = list(iter_universe(3))
         assert u3 == sorted(u3, key=key)
         assert len(set(u3)) == len(u3)
 
     def test_returns_independent_snapshot(self):
-        first = enumerate_universe(2)
+        first = Universe(2).trees
         first.append("junk")
-        assert "junk" not in enumerate_universe(2)
+        assert "junk" not in Universe(2).trees
 
     def test_iter_matches_enumerate(self):
-        assert list(iter_universe(4)) == enumerate_universe(4, cap=None)
+        assert list(iter_universe(4)) == Universe(4, cap=None).trees
 
 
 def partition_of(keys):
@@ -562,10 +581,10 @@ def sparse_of(ids):
 class TestUniverse:
     @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
     def test_index_and_children_agree_with_trees(self, bound):
-        # enumerate_universe streams iter_universe, independent of Universe's rank arithmetic
+        # iter_universe streams shape by shape, independent of Universe's rank arithmetic
         for letters in ["a", "ab", "abc", "abcd"]:
             alphabet = Alphabet.from_string(letters)
-            expected = enumerate_universe(bound, alphabet, cap=None)
+            expected = list(iter_universe(bound, alphabet))
             u = Universe(bound, alphabet, cap=None)
             assert u.max_leaves == bound and len(u) == len(expected)
             assert [u.position(t) for t in expected] == list(range(len(expected)))
@@ -616,7 +635,7 @@ class TestUniverse:
         # replacements with up to 3 leaves, larger than the universe at bounds 1 and 2
         u = Universe(bound)
         for a in "abc":
-            for replacement in enumerate_universe(3):
+            for replacement in iter_universe(3):
                 g = Grafting(a, replacement)
                 moved = u.kernel({b: replacement if b == a else b for b in "abc"})
                 expected = partition_of(graft(g, t) for t in u.trees)
@@ -704,8 +723,8 @@ class TestAlphabet:
 
     def test_non_default_alphabet_enumeration(self):
         pq = Alphabet.from_string("pq")
-        assert [encode(t) for t in enumerate_universe(1, pq)] == ["p", "q"]
-        assert len(enumerate_universe(3, pq)) == 2 + 4 + 16
+        assert [encode(t) for t in Universe(1, pq).trees] == ["p", "q"]
+        assert len(Universe(3, pq).trees) == 2 + 4 + 16
 
 
 class TestMisc:
@@ -724,8 +743,15 @@ class TestMisc:
         assert "<a*b>".translate(UNICODE_SHAPES) == "◂a•b▸"
 
     def test_random_tree_deterministic(self):
-        from random import Random
-
         first = [random_tree(Random(7), ("a", "b", "c"), 5) for _ in range(20)]
         second = [random_tree(Random(7), ("a", "b", "c"), 5) for _ in range(20)]
         assert first == second
+
+    @pytest.mark.parametrize("letters", ["abc", "abcx", "p"])
+    def test_random_tree_matches_recursive_fill(self, letters):
+        # same trees and the same draws as a recursive fill of the drawn shape
+        for seed in range(50):
+            rng, reference = Random(seed), Random(seed)
+            for _ in range(20):
+                assert random_tree(rng, tuple(letters), 9) == random_tree_reference(reference, tuple(letters), 9)
+            assert rng.getstate() == reference.getstate()

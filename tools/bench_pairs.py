@@ -11,7 +11,9 @@ PARENT and CHANGE are directories holding a checkout each (``src/`` and
 side for each pair, pair k with seed k, alternating which side runs first
 (the parent in odd pairs), and records medians, quartiles,
 ``change_vs_parent`` and ``change_better_in_pairs`` of every end-to-end
-metric.  ``traced`` records one ``--trace 1`` round per side, parent first.
+metric.  ``traced`` runs ``perfbench/run.py --trace 1`` ``TRACED_RUNS``
+times per side, alternating which side runs first (the parent in odd
+runs), and records each per-layer metric's median over a side's runs.
 Every run lasts the ``run_seconds`` its checkout's BENCHMARK.json declares.
 ``sweep`` times selftest's shared universe sweep once per side in a fresh
 interpreter, change first.  ``check-cp`` times ``cp_evidence`` at bound 6
@@ -39,6 +41,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACED_RUNS = 3  # one traced run cannot resolve a per-layer change under about 10%
 RUN_TIMEOUT_S = 900
 SWEEP = (
     "import time; from treealg.selftest import _Context; "
@@ -132,16 +135,22 @@ def pairs_section(checkouts: dict, workload: str, count: int) -> dict:
 
 
 def traced_section(checkouts: dict, seed: int) -> dict:
-    runs = {side: run_bench(checkouts[side], "views", seed, 1) for side in SIDES}
+    runs = {side: [] for side in SIDES}
+    for k in range(1, TRACED_RUNS + 1):
+        for side in SIDES if k % 2 else SIDES[::-1]:
+            runs[side].append(run_bench(checkouts[side], "views", seed, 1)["metrics"])
+            print(f"traced run {k}/{TRACED_RUNS}: {side} done", file=sys.stderr)
     seconds = run_seconds(checkouts["change"])
     section = {
         "note": f"python3 perfbench/run.py --workload views --seed {seed} --seconds {seconds} --trace 1, "
-        "parent first; one traced round of each workload per side, in fresh interpreters"
+        f"{TRACED_RUNS} runs per side, run k starting with the parent when k is odd; each run makes one "
+        "traced round of every workload, each in a fresh interpreter; a figure is the median of a "
+        "side's runs"
     }
-    for name in runs["change"]["metrics"]:
+    for name in runs["change"][0]:
         section[name] = {
-            "unit": runs["change"]["metrics"][name]["unit"],
-            **{side: round(runs[side]["metrics"][name]["value"], 4) for side in SIDES},
+            "unit": runs["change"][0][name]["unit"],
+            **{side: round(statistics.median(m[name]["value"] for m in runs[side]), 4) for side in SIDES},
         }
     return section
 
