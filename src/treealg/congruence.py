@@ -16,7 +16,7 @@ by :func:`principal_related` makes that explicit.
 from __future__ import annotations
 
 import enum
-import itertools
+import operator
 import time
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -93,10 +93,12 @@ def bounded_closure(
     each non-leaf tree once under the class pair of its children; a tree
     whose pair is already taken is merged with its owner.  When a merge
     drops a class, only its users registered so far are re-registered
-    (a worklist); later users see the final classes when the sweep
-    reaches them.  The smaller root is kept, so every root is its class's
-    enumeration-smallest member.  ``stats`` also holds the seconds spent
-    building the universe (``universe_s``) and in the sweep (``sweep_s``).
+    (a worklist), found from the class's members by the universe's rank
+    arithmetic, so no use list is stored; later users see the final
+    classes when the sweep reaches them.  The smaller root is kept, so
+    every root is its class's enumeration-smallest member.  ``stats`` also
+    holds the seconds spent building the universe (``universe_s``) and in
+    the sweep (``sweep_s``).
     """
     start = time.perf_counter()
     universe = Universe(max_leaves, alphabet, cap)
@@ -112,25 +114,25 @@ def _sweep(universe: Universe, pairs: Iterable[Tuple[Tree, Tree]]):
     """Roots and counters of the closure of ``pairs`` on ``universe``.
 
     Walks the pair blocks, whose trees have the children
-    ``product(lefts, rights)`` in position order; a re-queued tree finds its
-    children by :meth:`Universe.children_of`.  All tables are ``array('i')``.
-    The users of a root are a linked list of child slots, slot
-    ``2 * i + side`` being tree ``i``'s use of its left (0) or right (1)
-    child's class: ``link`` holds each slot's successor (-1 ends a list),
-    then one head cell per root, and ``tail`` each root's last cell, its
-    head cell while the list is empty.  A merge re-queues the dropped
-    root's users in list order and splices its list onto the kept root's.
+    ``product(lefts, rights)`` in position order, reading the roots of a
+    block's right children once per block and of each left child once per
+    row.  Both tables are ``array('i')``: ``parent``, and ``ring``, which
+    links each class's members into one cycle, so that a merge splices two
+    classes by swapping two cells.  No use list is kept: a merge inside the
+    sweep walks the dropped class's cycle and re-queues the trees
+    registered so far that have a member as a child, found by
+    :meth:`Universe.parents_of`; a re-queued tree finds its children by
+    :meth:`Universe.children_of`.
     """
     n = len(universe)
     first_pair = len(universe.alphabet)
     stats = {"universe_size": n, "registrations": n - first_pair, "requeued": 0, "merges": 0}
+    parents_of, children_of = universe.parents_of, universe.children_of
 
     # parent[x] <= x throughout: a merge links the larger root under the
     # smaller, and path halving only points a node at an ancestor
     parent = array("i", range(n))
-    heads = 2 * n  # link[heads + r] is the first slot of root r's list
-    link = array("i", [-1]) * (3 * n)
-    tail = array("i", range(heads, heads + n))
+    ring = array("i", range(n))  # ring[x] is the next member of x's class, round a cycle
 
     def find(x: int) -> int:
         p = parent[x]
@@ -144,55 +146,59 @@ def _sweep(universe: Universe, pairs: Iterable[Tuple[Tree, Tree]]):
 
     work: List[int] = []
 
-    def merge(x: int, y: int) -> None:
+    def merge(x: int, y: int, upto: int) -> None:
+        # joins the classes of x and y, re-queueing the dropped class's users up to position upto
         rx, ry = find(x), find(y)
         if rx == ry:
             return
         keep, drop = (rx, ry) if rx < ry else (ry, rx)
         parent[drop] = keep
-        slot = link[heads + drop]
-        if slot >= 0:
-            link[tail[keep]] = slot
-            tail[keep] = tail[drop]
-            link[heads + drop], tail[drop] = -1, heads + drop
-            while slot >= 0:
-                work.append(slot >> 1)
-                slot = link[slot]
+        ring[keep], ring[drop] = ring[drop], ring[keep]
+        users: List[int] = []
+        member = keep
+        while member != drop:  # the dropped class now runs from ring[keep] round to drop
+            member = ring[member]
+            users += parents_of(member, upto)
+        users.sort()  # position order; a tree with both children in the class comes twice
+        work.extend(users)
 
-    for t, u in pairs:
-        merge(_position(universe, t), _position(universe, u))
+    for t, u in pairs:  # before the sweep no tree is registered, so none is re-queued
+        merge(_position(universe, t), _position(universe, u), first_pair - 1)
 
     signature: Dict[int, int] = {}  # the class pair (l, r) of a registered tree, keyed l * n + r
+    setdefault = signature.setdefault
     i = first_pair
     for lefts, rights in universe.pair_blocks():
-        for left, right in itertools.product(lefts, rights):
-            left, right = find(left), find(right)
-            slot = 2 * i
-            link[tail[left]] = slot
-            tail[left] = slot
-            link[tail[right]] = slot + 1
-            tail[right] = slot + 1
-            other = signature.setdefault(left * n + right, i)
-            if other != i:
-                if parent[i] == i:
-                    # i is its class's smallest member, so no registered tree uses the class yet
-                    parent[i] = find(other)
-                else:
-                    merge(i, other)
-            while work:
-                j = work.pop()
-                stats["requeued"] += 1
-                left, right = universe.children_of(j)
-                other = signature.setdefault(find(left) * n + find(right), j)
-                if other != j:
-                    merge(j, other)
-            i += 1
+        right_roots = list(map(find, rights))
+        for left in lefts:
+            row = find(left) * n
+            for right in right_roots:
+                other = setdefault(row + right, i)
+                if other != i:
+                    if parent[i] == i:
+                        # i is its class's smallest member, so no registered tree uses the
+                        # class yet; i goes under other, which find later halves to the root
+                        parent[i] = other
+                        ring[i], ring[other] = ring[other], ring[i]
+                    else:
+                        merge(i, other, i)
+                        while work:
+                            j = work.pop()
+                            stats["requeued"] += 1
+                            l, r = children_of(j)
+                            other = setdefault(find(l) * n + find(r), j)
+                            if other != j:
+                                merge(j, other, i)
+                        # these merges may have dropped the root of a child still to come
+                        right_roots[:] = map(find, rights)
+                        row = find(left) * n
+                i += 1
 
     stats["registrations"] += stats["requeued"]
     stats["signature_size"] = len(signature)
     for x in range(n):  # parent[parent[x]] is a root by the time x is reached
         parent[x] = parent[parent[x]]
-    stats["merges"] = n - sum(map(int.__eq__, parent, range(n)))  # each merge ended one root
+    stats["merges"] = sum(map(operator.ne, parent, range(n)))  # each merge ended one root
     return parent, stats
 
 

@@ -445,15 +445,32 @@ def _ranker(letter: Dict[str, int], shape_at: Dict[Tuple[int, int], int], size: 
         if isinstance(t, str):
             i = letter.get(t)
             return None if i is None else (0, i)
+        return rank_pair(t, budget)
+
+    def rank_pair(t, budget: int) -> Optional[Tuple[int, int]]:
+        # as rank, for anything but a string; a letter child is ranked here, not by a call
         if not isinstance(t, tuple) or len(t) != 2 or budget < 2:
             return None
-        left = rank(t[0], budget - 1)
-        if left is None:
-            return None
-        right = rank(t[1], budget - leaves[left[0]])
-        if right is None:
-            return None
-        return shape_at[left[0], right[0]], left[1] * size[right[0]] + right[1]
+        left, right = t
+        if isinstance(left, str):
+            left_shape, left_offset = 0, letter.get(left)
+            if left_offset is None:
+                return None
+        else:
+            found = rank_pair(left, budget - 1)
+            if found is None:
+                return None
+            left_shape, left_offset = found
+        if isinstance(right, str):
+            right_shape, right_offset = 0, letter.get(right)
+            if right_offset is None:
+                return None
+        else:
+            found = rank_pair(right, budget - leaves[left_shape])
+            if found is None:
+                return None
+            right_shape, right_offset = found
+        return shape_at[left_shape, right_shape], left_offset * size[right_shape] + right_offset
 
     return rank
 
@@ -470,7 +487,9 @@ class Universe:
     ``start[(L, R)] + l * size[R] + r``.  The table holds per shape its
     start, its size, its two subshapes and its leaf count: O(shapes), 626
     at bound 8, and no tree.  :meth:`position` ranks a tree by that
-    formula, folded bottom-up.  ``trees``, ``children``, ``pair_at`` and
+    formula, folded bottom-up, and :meth:`children_of` and
+    :meth:`parents_of` read a tree's children and users off it.
+    ``trees``, ``children``, ``pair_at`` and
     ``parents`` are built on first use, for the callers that need them;
     ``trees`` is the one materialized universe, and the constructor's
     ``cap`` its one size check.
@@ -492,6 +511,9 @@ class Universe:
         self._count = count
         # per shape, in position order; shape 0 is the leaf
         self._start, self._size, self._left, self._right = [0], [len(alphabet)], [0], [0]
+        # per shape, the pair shapes that have it as left (right) subshape, ascending
+        self._as_left: List[List[int]] = [[]]
+        self._as_right: List[List[int]] = [[]]
         leaves = [1]
         shape_at: Dict[Tuple[int, int], int] = {}  # (left shape, right shape) -> shape
         shape_id = {"": 0}
@@ -499,6 +521,10 @@ class Universe:
             for shape in _shapes(n):
                 left, right = shape_id[shape[0]], shape_id[shape[1]]
                 shape_id[shape] = shape_at[left, right] = len(self._start)
+                self._as_left[left].append(len(self._start))
+                self._as_right[right].append(len(self._start))
+                self._as_left.append([])
+                self._as_right.append([])
                 self._start.append(self._start[-1] + self._size[-1])
                 self._size.append(self._size[left] * self._size[right])
                 self._left.append(left)
@@ -533,6 +559,33 @@ class Universe:
         shape = bisect_right(self._start, i) - 1
         left, right = divmod(i - self._start[shape], self._size[self._right[shape]])
         return self._start[self._left[shape]] + left, self._start[self._right[shape]] + right
+
+    def parents_of(self, i: int, upto: int) -> List[int]:
+        """Positions up to ``upto`` of the pair trees with the tree at ``i`` as a child.
+
+        First those with it as left child, then those with it as right
+        child, each ascending; a tree with it as both children is listed
+        twice.  In a block ``(L, R)`` the former are the row
+        ``start + l * size[R] + k`` and the latter the column
+        ``start + k * size[R] + r``, so no table is read but the blocks'.
+        """
+        shape = bisect_right(self._start, i) - 1
+        offset = i - self._start[shape]
+        stop = upto + 1
+        found: List[int] = []
+        for s in self._as_left[shape]:
+            start = self._start[s]
+            if start >= stop:
+                break
+            width = self._size[self._right[s]]
+            found.extend(range(start + offset * width, min(start + (offset + 1) * width, stop)))
+        width = self._size[shape]
+        for s in self._as_right[shape]:
+            start = self._start[s]
+            if start >= stop:
+                break
+            found.extend(range(start + offset, min(start + self._size[s], stop), width))
+        return found
 
     @cached_property
     def trees(self) -> List[Tree]:

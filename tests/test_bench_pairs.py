@@ -79,23 +79,47 @@ def test_check_cp_alternates_and_takes_medians(monkeypatch):
     assert section["mirror"]["change_vs_parent"] == -0.8
 
 
-def test_closure_scale_runs_change_first_and_records_failures(monkeypatch):
+def test_closure_scale_alternates_and_records_failures(monkeypatch):
     calls = []
+    seconds = {"parent": [6.0, 5.0, 8.0], "change": [3.0, 3.5, 3.2]}
 
     def run(argv, **kwargs):
         side, bound = Path(kwargs["cwd"]).name, argv[-1]
         calls.append((side, bound))
-        if (side, bound) == ("parent", "9"):
+        k = sum(1 for c in calls if c == (side, bound)) - 1
+        if (side, bound, k) in {("parent", "9", 0), ("parent", "9", 2), ("change", "9", 1)}:
             return subprocess.CompletedProcess(argv, 1, stdout="", stderr="Traceback ...\nMemoryError\n")
-        return subprocess.CompletedProcess(argv, 0, stdout='{"seconds": 1.5, "peak_rss_mb": 90}\n', stderr="")
+        figures = {"seconds": seconds[side][k], "peak_rss_mb": 90 if side == "parent" else 50 + k}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(figures) + "\n", stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
     checkouts = {side: ROOT / side for side in bench_pairs.SIDES}
-    section = bench_pairs.closure_scale_section(checkouts)
+    section = bench_pairs.closure_scale_section(checkouts, 3)
 
-    assert calls == [("change", "8"), ("parent", "8"), ("change", "9"), ("parent", "9")]
-    assert section["8"]["parent"] == {"seconds": 1.5, "peak_rss_mb": 90}
-    assert section["9"]["parent"] == {"failed": "MemoryError"}
+    assert calls == [("parent", "8"), ("change", "8"), ("change", "8"), ("parent", "8"), ("parent", "8"),
+                     ("change", "8"), ("parent", "9"), ("change", "9"), ("change", "9"), ("parent", "9"),
+                     ("parent", "9"), ("change", "9")]
+    assert section["8"]["parent"]["runs"][1] == {"seconds": 5.0, "peak_rss_mb": 90}
+    assert section["8"]["parent"]["seconds"] == {"median": 6.0, "q1": 5.5, "q3": 7.0}
+    assert section["8"]["change"]["peak_rss_mb"] == {"median": 51, "q1": 50.5, "q3": 51.5}
+    # failed runs stay in the record and out of the quartiles
+    assert section["9"]["parent"] == {
+        "runs": [{"failed": "MemoryError"}, {"seconds": 5.0, "peak_rss_mb": 90}, {"failed": "MemoryError"}],
+        "seconds": {"median": 5.0, "q1": 5.0, "q3": 5.0},
+        "peak_rss_mb": {"median": 90, "q1": 90, "q3": 90},
+    }
+    assert section["9"]["change"]["seconds"] == {"median": 3.1, "q1": 3.05, "q3": 3.15}
+    assert "3 runs per side" in section["note"]
+
+
+def test_closure_scale_leaves_out_quartiles_when_every_run_failed(monkeypatch):
+    def run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 1, stdout="", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    checkouts = {side: ROOT / side for side in bench_pairs.SIDES}
+    section = bench_pairs.closure_scale_section(checkouts, 2)
+    assert section["8"]["change"] == {"runs": [{"failed": "exit 1"}, {"failed": "exit 1"}]}
 
 
 def test_traced_alternates_and_takes_medians(monkeypatch):

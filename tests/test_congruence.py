@@ -191,31 +191,66 @@ def worklist_oracle(pairs, max_leaves, alphabet):
 REQUEUEING_SEEDS = [
     (["a~<a*b>", "c~<b*b>", "b~a"], 2),
     (["<c*a>~a", "<<c*a>*b>~b"], 3),
+    # <c*b> merges the classes of a and c, re-queueing four trees, while <c*c> still reads c's root
+    (["b~a", "<c*a>~c", "<c*b>~b"], 2),
+    # the dropped class holds trees that joined it at their own registration;
+    # re-queueing their users shows only in the counters
+    (["<a*b>~c", "a~c", "<a*b>~<<c*b>*c>"], 3),
 ]
+
+# registrations, requeued, merges and signature_size of each set over abc at
+# its bound and the two bounds above it, as the sweep that kept a use list per
+# class counted them
+REQUEUEING_STATS = {
+    "a~<a*b>": [(10, 1, 11, 2), (64, 1, 65, 2), (469, 1, 470, 2)],
+    "<c*a>~a": [(66, 3, 14, 54), (471, 3, 118, 355), (3873, 3, 1126, 2749)],
+    "b~a": [(13, 4, 11, 3), (67, 4, 65, 3), (472, 4, 470, 3)],
+    "<a*b>~c": [(72, 9, 54, 14), (477, 9, 423, 50), (3879, 9, 3649, 226)],
+}
+STAT_NAMES = ("registrations", "requeued", "merges", "signature_size")
 
 
 def seed_pairs(texts):
     return [tuple(parse_tree(side) for side in text.split("~")) for text in texts]
 
 
+def check_against_worklist_loop(data, bound):
+    alphabet = Alphabet.from_string(data.draw(st.sampled_from(["ab", "abc"])))
+    # leaf count first, so that letter seeds, whose consequences cascade, are common
+    tree = st.integers(1, bound).flatmap(lambda n: st.sampled_from(list(iter_universe(n, alphabet))))
+    pairs = data.draw(st.lists(st.tuples(tree, tree), max_size=3))
+    assert tuple(bounded_closure(pairs, bound, alphabet)._roots) == worklist_oracle(pairs, bound, alphabet)
+
+
 class TestWorklistOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_roots_match_worklist_loop(self, data):
-        alphabet = Alphabet.from_string(data.draw(st.sampled_from(["ab", "abc"])))
-        bound = data.draw(st.integers(1, 4))
-        # leaf count first, so that letter seeds, whose consequences cascade, are common
-        tree = st.integers(1, bound).flatmap(lambda n: st.sampled_from(list(iter_universe(n, alphabet))))
-        pairs = data.draw(st.lists(st.tuples(tree, tree), max_size=3))
-        assert tuple(bounded_closure(pairs, bound, alphabet)._roots) == worklist_oracle(pairs, bound, alphabet)
+        check_against_worklist_loop(data, data.draw(st.integers(1, 4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_roots_match_worklist_loop_at_bound_five(self, data):
+        check_against_worklist_loop(data, 5)
 
     @pytest.mark.parametrize("texts, bound", REQUEUEING_SEEDS)
     def test_requeueing_seed_sets(self, texts, bound):
         pairs = seed_pairs(texts)
         abc = Alphabet.from_string("abc")
-        partition = bounded_closure(pairs, bound, abc)
-        assert tuple(partition._roots) == worklist_oracle(pairs, bound, abc)
-        assert partition.stats["requeued"] > 0
+        for k, expected in enumerate(REQUEUEING_STATS[texts[0]]):
+            partition = bounded_closure(pairs, bound + k, abc)
+            assert tuple(partition._roots) == worklist_oracle(pairs, bound + k, abc)
+            assert tuple(partition.stats[name] for name in STAT_NAMES) == expected
+
+    def test_merge_without_requeue_refreshes_the_block_roots(self):
+        # <a*b> registers after its seed merged it with b: the merge drops the
+        # class of c, which no registered tree uses yet but <a*c> and <b*c> still read
+        pairs = seed_pairs(["c~<a*a>", "b~a", "b~<a*b>"])
+        abc = Alphabet.from_string("abc")
+        for bound in (2, 3):
+            partition = bounded_closure(pairs, bound, abc)
+            assert tuple(partition._roots) == worklist_oracle(pairs, bound, abc)
+            assert partition.stats["requeued"] == 0
 
 
 class TestStats:
@@ -239,14 +274,16 @@ class TestStats:
 
 class TestKernelTables:
     def test_closure_builds_no_parent_tables(self):
-        # the closure reads only the block table; classes() adds the trees, and
-        # pair_at and parents serve Universe.kernel only
+        # the closure reads only the block table, re-queueing included; classes()
+        # adds the trees, and pair_at and parents serve Universe.kernel only
         tables = {"trees", "children", "pair_at", "parents"}
-        partition = bounded_closure(seed_pairs(["a~b", "<a*b>~<b*a>"]), 4)
-        partition.related("a", parse_tree("<a*b>"))
-        assert not tables & set(vars(partition.universe))
-        partition.classes()
-        assert tables & set(vars(partition.universe)) == {"trees"}
+        for texts, bound in [(["a~b", "<a*b>~<b*a>"], 4), *REQUEUEING_SEEDS]:
+            partition = bounded_closure(seed_pairs(texts), bound)
+            assert (partition.stats["requeued"] > 0) is (texts[0] in REQUEUEING_STATS)
+            partition.related("a", parse_tree("<a*b>"))
+            assert not tables & set(vars(partition.universe))
+            partition.classes()
+            assert tables & set(vars(partition.universe)) == {"trees"}
 
 
 class TestGcState:

@@ -599,6 +599,20 @@ class TestUniverse:
                     # each subtree is the universe's own object, not an equal copy
                     assert t[0] is u.trees[pair[0]] and t[1] is u.trees[pair[1]]
 
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+    def test_parents_of_agrees_with_children(self, bound):
+        for letters in ["a", "ab", "abc"]:
+            u = Universe(bound, Alphabet.from_string(letters), cap=None)
+            as_left, as_right = [[] for _ in range(len(u))], [[] for _ in range(len(u))]
+            for i, pair in enumerate(u.children):
+                if pair is not None:
+                    as_left[pair[0]].append(i)
+                    as_right[pair[1]].append(i)
+            for upto in sorted({0, len(u) // 3, len(u) - 1}):
+                for i in range(len(u)):
+                    expected = [j for j in as_left[i] + as_right[i] if j <= upto]
+                    assert u.parents_of(i, upto) == expected, (letters, i, upto)
+
     @pytest.mark.parametrize(
         "value",
         [

@@ -4,7 +4,7 @@
     python3 tools/bench_pairs.py traced PARENT CHANGE --out BENCH_4.json
     python3 tools/bench_pairs.py sweep PARENT CHANGE --out BENCH_4.json
     python3 tools/bench_pairs.py check-cp PARENT CHANGE --pairs 3 --out BENCH_5.json
-    python3 tools/bench_pairs.py closure-scale PARENT CHANGE --out BENCH_6.json
+    python3 tools/bench_pairs.py closure-scale PARENT CHANGE --pairs 3 --out BENCH_8.json
 
 PARENT and CHANGE are directories holding a checkout each (``src/`` and
 ``perfbench/``).  ``pairs`` runs ``perfbench/run.py --trace 0`` once per
@@ -20,10 +20,12 @@ interpreter, change first.  ``check-cp`` times ``cp_evidence`` at bound 6
 (what ``treealg check-cp --bound 6`` runs) for ``identity`` and ``mirror``,
 ``--pairs`` times per side, each run in a fresh interpreter, alternating
 which side runs first.  ``closure-scale`` times
-``bounded_closure([("a", "b")], N, cap=None)`` for N = 8 and 9 once per
-side, change first, each run in a fresh interpreter whose address space
-is capped at ``SCALE_MEMORY_GB``, and records its peak RSS (``ru_maxrss``);
-a run that hits the cap is recorded as failed.  Each command merges its
+``bounded_closure([("a", "b")], N, cap=None)`` for N = 8 and 9 ``--pairs``
+times per side, each run in a fresh interpreter whose address space is
+capped at ``SCALE_MEMORY_GB``, alternating which side runs first, and
+records each run's seconds and peak RSS (``ru_maxrss``) with their
+medians and quartiles; a run that hits the cap is recorded as failed and
+left out of the quartiles.  Each command merges its
 section into ``--out`` and leaves the other sections as they are.  Stdlib
 only.
 """
@@ -100,6 +102,8 @@ def end_to_end_metrics(checkout: Path) -> dict:
 
 
 def quartiles(values: list) -> dict:
+    if len(values) == 1:  # statistics.quantiles needs two values
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
@@ -209,17 +213,26 @@ def scale_run(checkout: Path, bound: int) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def closure_scale_section(checkouts: dict) -> dict:
+def closure_scale_section(checkouts: dict, count: int) -> dict:
     section = {
         "note": "bounded_closure([('a', 'b')], N, cap=None): wall seconds (time.perf_counter) and peak RSS "
-        f"(ru_maxrss) of one run per side in a fresh interpreter, change first, address space capped at "
-        f"{SCALE_MEMORY_GB} GiB"
+        f"(ru_maxrss) of {count} runs per side, each in a fresh interpreter with its address space capped at "
+        f"{SCALE_MEMORY_GB} GiB, run k starting with the parent when k is odd; medians and quartiles "
+        "leave failed runs out"
     }
     for bound in SCALE_BOUNDS:
+        runs = {side: [] for side in SIDES}
+        for k in range(1, count + 1):
+            for side in SIDES if k % 2 else SIDES[::-1]:
+                runs[side].append(scale_run(checkouts[side], bound))
+                print(f"closure-scale bound {bound} run {k}/{count}: {side} done", file=sys.stderr)
         section[str(bound)] = {}
-        for side in SIDES[::-1]:
-            section[str(bound)][side] = scale_run(checkouts[side], bound)
-            print(f"closure-scale bound {bound}: {side} done", file=sys.stderr)
+        for side in SIDES:
+            done = [run for run in runs[side] if "failed" not in run]
+            section[str(bound)][side] = {
+                "runs": runs[side],
+                **{key: quartiles([run[key] for run in done]) for key in ("seconds", "peak_rss_mb") if done},
+            }
     return section
 
 
@@ -230,7 +243,8 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True, help="BENCH file to create or update")
     parser.add_argument("--workload", default="views", help="workload for pairs (default views)")
-    parser.add_argument("--pairs", type=int, default=10, help="pair count, or runs per side of check-cp (default 10)")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pair count, or runs per side of check-cp and closure-scale (default 10)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the traced round (default 1)")
     parser.add_argument("--parent-name", help="how the file names the parent, such as its commit")
     parser.add_argument("--change-name", help="how the file names the change")
@@ -255,7 +269,7 @@ def main(argv=None) -> int:
     elif args.command == "sweep":
         bench["selftest_sweep"] = sweep_section(checkouts)
     elif args.command == "closure-scale":
-        bench["closure_scale"] = closure_scale_section(checkouts)
+        bench["closure_scale"] = closure_scale_section(checkouts, args.pairs)
     else:
         bench["check_cp"] = check_cp_section(checkouts, args.pairs)
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
