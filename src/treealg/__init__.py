@@ -6,7 +6,6 @@ evidence, and polynomial synthesis from generator values.
 """
 
 from .congruence import (
-    Relatedness,
     TreePartition,
     bounded_closure,
     principal_related,

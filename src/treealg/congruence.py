@@ -6,19 +6,18 @@ set of seed pairs and is closed under compatibility: whenever t1 ~ t1'
 and t2 ~ t2' and both pairings stay inside the universe, the pairings
 are related too.
 
-The result under-approximates the congruence generated on the full
-(infinite) algebra: two small trees may be relatable only through
-intermediate trees larger than the bound.  A negative answer therefore
-means "unknown at this bound", never a definitive no; the enum returned
-by :func:`principal_related` makes that explicit.
+The universe is closed under subterms, so the result is exactly the
+restriction to it of the congruence that the seeds generate on the whole
+(infinite) algebra (Nelson & Oppen, JACM 1980): a negative answer is as
+definitive as a positive one.
 """
 
 from __future__ import annotations
 
-import enum
 import operator
 import time
 from array import array
+from contextlib import suppress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PairOutOfUniverse
@@ -30,12 +29,8 @@ from .trees import (
     Universe,
     _gc_paused,
     encode,
+    leaf_count,
 )
-
-
-class Relatedness(enum.Enum):
-    RELATED = "related"
-    UNKNOWN_AT_BOUND = "unknown-at-bound"
 
 
 class TreePartition:
@@ -117,12 +112,14 @@ def _sweep(universe: Universe, pairs: Iterable[Tuple[Tree, Tree]]):
     ``product(lefts, rights)`` in position order, reading the roots of a
     block's right children once per block and of each left child once per
     row.  Both tables are ``array('i')``: ``parent``, and ``ring``, which
-    links each class's members into one cycle, so that a merge splices two
+    links a class's members into one cycle, so that a merge splices two
     classes by swapping two cells.  No use list is kept: a merge inside the
     sweep walks the dropped class's cycle and re-queues the trees
     registered so far that have a member as a child, found by
     :meth:`Universe.parents_of`; a re-queued tree finds its children by
-    :meth:`Universe.children_of`.
+    :meth:`Universe.children_of`.  A tree that joins a class at its own
+    registration stays out of the cycle: each of its users shares its
+    class with the same-keyed, earlier user of the tree it joined.
     """
     n = len(universe)
     first_pair = len(universe.alphabet)
@@ -179,7 +176,6 @@ def _sweep(universe: Universe, pairs: Iterable[Tuple[Tree, Tree]]):
                         # i is its class's smallest member, so no registered tree uses the
                         # class yet; i goes under other, which find later halves to the root
                         parent[i] = other
-                        ring[i], ring[other] = ring[other], ring[i]
                     else:
                         merge(i, other, i)
                         while work:
@@ -207,16 +203,16 @@ def principal_related(
     t2: Tree,
     u: Tree,
     v: Tree,
-    max_leaves: int,
     alphabet: Alphabet = DEFAULT_ALPHABET,
     cap: Optional[int] = DEFAULT_UNIVERSE_CAP,
-) -> Relatedness:
+) -> bool:
     """Are ``u`` and ``v`` related by the congruence generated by ``(t, t2)``?
 
-    Decided inside the bounded universe only; RELATED is definitive and
-    monotone in the bound, UNKNOWN_AT_BOUND is not a negative answer.
+    Decided exactly by the closure on the smallest universe holding the four
+    trees; a value that is not a tree of the alphabet raises :class:`PairOutOfUniverse`.
     """
-    partition = bounded_closure([(t, t2)], max_leaves, alphabet, cap)
-    if partition.related(u, v):
-        return Relatedness.RELATED
-    return Relatedness.UNKNOWN_AT_BOUND
+    bound = 1
+    for tree in (t, t2, u, v):
+        with suppress(TypeError, ValueError):  # a value that is not a tree is left to the closure
+            bound = max(bound, leaf_count(tree))
+    return bounded_closure([(t, t2)], bound, alphabet, cap).related(u, v)

@@ -60,10 +60,11 @@ class UnknownLetter(TreeAlgebraError):
 
 
 class UniverseTooLarge(TreeAlgebraError):
-    def __init__(self, required: int, cap: int):
+    def __init__(self, required: int, cap: int, exact: bool = True):
+        # with exact=False, required is a count the universe passes, for a bound too large to count
         super().__init__(
-            f"universe would hold {required} trees, cap is {cap}",
-            {"required": required, "cap": cap},
+            f"universe would hold {'' if exact else 'more than '}{required} trees, cap is {cap}",
+            {"required": required, "cap": cap, **({} if exact else {"exact": False})},
         )
 
 

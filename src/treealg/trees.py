@@ -485,14 +485,11 @@ class Universe:
     with the left child most significant, so the tree with children at
     offsets ``l`` and ``r`` of their blocks sits at
     ``start[(L, R)] + l * size[R] + r``.  The table holds per shape its
-    start, its size, its two subshapes and its leaf count: O(shapes), 626
-    at bound 8, and no tree.  :meth:`position` ranks a tree by that
-    formula, folded bottom-up, and :meth:`children_of` and
-    :meth:`parents_of` read a tree's children and users off it.
-    ``trees``, ``children``, ``pair_at`` and
-    ``parents`` are built on first use, for the callers that need them;
-    ``trees`` is the one materialized universe, and the constructor's
-    ``cap`` its one size check.
+    start, size, subshapes and leaf count, and the shape of each pair of
+    subshapes: O(shapes), 626 at bound 8, and no tree.  :meth:`position`,
+    :meth:`children_of`, :meth:`parents_of` and :meth:`kernel` all work
+    by that formula.  ``trees``, built on first use, is the one
+    materialized universe, and the constructor's ``cap`` its size check.
     """
 
     def __init__(
@@ -503,7 +500,11 @@ class Universe:
     ):
         if max_leaves < 1:
             raise ValueError("max_leaves must be >= 1")
-        count = universe_size(max_leaves, len(alphabet))
+        count = 0
+        for n in range(1, max_leaves + 1):  # no universe past 2**63 trees can be built: stop at a lower bound
+            if cap is not None and count > max(cap, 2**63):
+                raise UniverseTooLarge(count, cap, exact=False)
+            count += catalan(n - 1) * len(alphabet) ** n
         if cap is not None and count > cap:
             raise UniverseTooLarge(count, cap)
         self.max_leaves = max_leaves
@@ -511,16 +512,16 @@ class Universe:
         self._count = count
         # per shape, in position order; shape 0 is the leaf
         self._start, self._size, self._left, self._right = [0], [len(alphabet)], [0], [0]
+        self._leaves = [1]
         # per shape, the pair shapes that have it as left (right) subshape, ascending
         self._as_left: List[List[int]] = [[]]
         self._as_right: List[List[int]] = [[]]
-        leaves = [1]
-        shape_at: Dict[Tuple[int, int], int] = {}  # (left shape, right shape) -> shape
+        self._shape_at: Dict[Tuple[int, int], int] = {}  # (left shape, right shape) -> shape
         shape_id = {"": 0}
         for n in range(2, max_leaves + 1):
             for shape in _shapes(n):
                 left, right = shape_id[shape[0]], shape_id[shape[1]]
-                shape_id[shape] = shape_at[left, right] = len(self._start)
+                shape_id[shape] = self._shape_at[left, right] = len(self._start)
                 self._as_left[left].append(len(self._start))
                 self._as_right[right].append(len(self._start))
                 self._as_left.append([])
@@ -529,9 +530,9 @@ class Universe:
                 self._size.append(self._size[left] * self._size[right])
                 self._left.append(left)
                 self._right.append(right)
-                leaves.append(n)
+                self._leaves.append(n)
         letter = {a: i for i, a in enumerate(alphabet.symbols)}
-        self._rank = _ranker(letter, shape_at, self._size, leaves)
+        self._rank = _ranker(letter, self._shape_at, self._size, self._leaves)
 
     def __len__(self) -> int:
         return self._count
@@ -554,10 +555,15 @@ class Universe:
         found = self._rank(t, self.max_leaves)
         return None if found is None else self._start[found[0]] + found[1]
 
+    def _locate(self, i: int) -> Tuple[int, int]:
+        """The shape of the tree at position ``i`` and its offset in the shape's block."""
+        shape = bisect_right(self._start, i) - 1
+        return shape, i - self._start[shape]
+
     def children_of(self, i: int) -> Tuple[int, int]:
         """Positions of the two children of the pair tree at position ``i``."""
-        shape = bisect_right(self._start, i) - 1
-        left, right = divmod(i - self._start[shape], self._size[self._right[shape]])
+        shape, offset = self._locate(i)
+        left, right = divmod(offset, self._size[self._right[shape]])
         return self._start[self._left[shape]] + left, self._start[self._right[shape]] + right
 
     def parents_of(self, i: int, upto: int) -> List[int]:
@@ -569,8 +575,7 @@ class Universe:
         ``start + l * size[R] + k`` and the latter the column
         ``start + k * size[R] + r``, so no table is read but the blocks'.
         """
-        shape = bisect_right(self._start, i) - 1
-        offset = i - self._start[shape]
+        shape, offset = self._locate(i)
         stop = upto + 1
         found: List[int] = []
         for s in self._as_left[shape]:
@@ -596,15 +601,6 @@ class Universe:
                 trees.extend(itertools.product(trees[left.start:left.stop], trees[right.start:right.stop]))
         return trees
 
-    @cached_property
-    def children(self) -> List[Optional[Tuple[int, int]]]:
-        """The child positions of each tree, ``None`` for a leaf."""
-        with _gc_paused():
-            children: List[Optional[Tuple[int, int]]] = [None] * len(self.alphabet)
-            for left, right in self.pair_blocks():
-                children.extend(itertools.product(left, right))
-        return children
-
     def words(self) -> List[str]:
         """The encoding of every tree in position order, each composed from its children's."""
         words = list(self.alphabet.symbols)
@@ -614,75 +610,78 @@ class Universe:
             )
         return words
 
-    # pair_at and parents are built on first use, by the first kernel call
-    @cached_property
-    def pair_at(self) -> Dict[Tuple[int, int], int]:
-        """Position of each pair tree, keyed by its children's positions."""
-        k = len(self.alphabet)
-        with _gc_paused():
-            return dict(zip(self.children[k:], range(k, len(self))))
-
-    @cached_property
-    def parents(self) -> List[List[int]]:
-        """Positions of the pair trees that have each tree as a child, ascending."""
-        parents: List[List[int]] = [[] for _ in range(len(self))]
-        with _gc_paused():
-            for i in range(len(self.alphabet), len(self)):
-                left, right = self.children[i]
-                parents[left].append(i)
-                if right != left:
-                    parents[right].append(i)
-        return parents
-
     def kernel(self, leaf_image: Mapping[str, Tree]) -> Dict[int, int]:
-        """Sparse kernel of the homomorphism extending ``leaf_image``.
+        """Sparse kernel of the homomorphism extending ``leaf_image``: each tree
+        that is not first in its class (equal images) to the first's position.
 
-        Maps each tree that is not first in its class (equal images) to the
-        position of the first, leaving the other trees out.  The first tree
-        with a pair image ``(L, R)`` is the first leaf with that image, else
-        the pair of the first trees with images ``L`` and ``R``; so only
-        leaves repeating a leaf's image and pairs whose image is a leaf's
-        move on their own, and the rest is their upward closure through
-        :attr:`parents`, walked in position order.
+        The first tree with a pair image is the first leaf with it, else the
+        pair of the first trees with its halves' images.  So a pair tree moves
+        on its own only as a *seed*: the pair of the first trees with the
+        halves of a leaf's image moves to that leaf.  Every other pair tree
+        that moves has a moved child.  In a block, the trees with a moved left
+        (right) child form rows (columns), each one ``dict.update`` over two
+        ranges; cells where both children moved are rewritten per row.
+        O(moved + shapes) memory; nothing is stored on the universe.
         """
-        pair_at, parents, children = self.pair_at, self.parents, self.children
+        start, size, left_of, right_of, shape_at = self._start, self._size, self._left, self._right, self._shape_at
+        letters = self.alphabet.symbols
         moved: Dict[int, int] = {}
         first_leaf: Dict[Tree, int] = {}
-        for i, a in enumerate(self.alphabet.symbols):
+        for i, a in enumerate(letters):
             first = first_leaf.setdefault(leaf_image[a], i)
             if first != i:
                 moved[i] = first
+        # per shape: (offset, first's shape, first's offset) of each moved tree, filled under the bound
+        firsts: List[List[Tuple[int, int, int]]] = [[(i, 0, first) for i, first in moved.items()]]
+        firsts += [[] for _ in range(1, len(start))]
 
-        def first_with_image(t: Tree) -> Optional[int]:
+        def first_tree(t: Tree, depth: int) -> Optional[Tree]:
+            # the first tree with image t, looked for at most depth pair levels down
             i = first_leaf.get(t)
-            if i is None and not isinstance(t, str):
-                i = pair_at.get((first_with_image(t[0]), first_with_image(t[1])))
-            return i
+            if i is None and depth > 0 and not isinstance(t, str):
+                return first_tree(t[0], depth - 1), first_tree(t[1], depth - 1)
+            return None if i is None else letters[i]
 
-        # a pair-shaped leaf image's key: the first trees with its two halves' images
-        leaf_at: Dict[Tuple[int, int], int] = {}
+        seeds: Dict[int, int] = {}  # seed position -> its leaf
         for image, i in first_leaf.items():
             if not isinstance(image, str):
-                key = (first_with_image(image[0]), first_with_image(image[1]))
-                if None not in key:
-                    leaf_at[key] = i
-                    if key in pair_at:
-                        moved[pair_at[key]] = i
+                seed = self.position((first_tree(image[0], self.max_leaves), first_tree(image[1], self.max_leaves)))
+                if seed is not None:
+                    seeds[seed] = moved[seed] = i
+                    shape, offset = self._locate(seed)
+                    firsts[shape].append((offset, 0, i))
 
-        pending = bytearray(len(children))  # 1 marks a parent of a moved tree, still to visit
-        for i in moved:
-            for p in parents[i]:
-                pending[p] = 1
-        p = pending.find(1)
-        while p >= 0:
-            left, right = children[p]
-            key = (moved.get(left, left), moved.get(right, right))
-            first = leaf_at[key] if key in leaf_at else pair_at[key]
-            if first != p:
-                moved[p] = first
-                for q in parents[p]:
-                    pending[q] = 1
-            p = pending.find(1, p + 1)
+        update = moved.update
+        for s in range(1, len(start)):
+            left_shape, right_shape = left_of[s], right_of[s]
+            rows, columns = firsts[left_shape], firsts[right_shape]
+            if not rows and not columns:
+                continue
+            base, width, height = start[s], size[right_shape], size[left_shape]
+            for l, shape, offset in rows:  # left child moved: to (first, right child)
+                row, target = base + l * width, start[shape_at[shape, right_shape]] + offset * width
+                update(zip(range(row, row + width), range(target, target + width)))
+            by_shape: Dict[int, List[Tuple[int, int]]] = {}
+            for r, shape, offset in columns:  # right child moved: to (left child, first)
+                step, target = size[shape], start[shape_at[left_shape, shape]] + offset
+                update(zip(range(base + r, base + height * width, width), range(target, target + height * step, step)))
+                by_shape.setdefault(shape, []).append((r, offset))
+            for l, left_first, left_offset in rows:  # both moved: to (first, first)
+                row = base + l * width
+                for shape, cells in by_shape.items():
+                    target = start[shape_at[left_first, shape]] + left_offset * size[shape]
+                    update([(row + r, target + offset) for r, offset in cells])
+            if self._leaves[s] < self.max_leaves:  # the first trees of this block's moved trees, read through the seeds
+                moved_rows = {l for l, _, _ in rows}
+                block = [l * width + r for l in moved_rows for r in range(width)]
+                block += [l * width + r for r, _, _ in columns for l in range(height) if l not in moved_rows]
+                for offset in block:
+                    first = moved[base + offset]
+                    first = seeds.get(first, first)
+                    shape = bisect_right(start, first) - 1
+                    firsts[s].append((offset, shape, first - start[shape]))
+        if seeds:  # a tree whose pair of first trees is a seed moves to the seed's leaf
+            update([(i, seeds[first]) for i, first in moved.items() if first in seeds])
         return moved
 
 

@@ -63,20 +63,37 @@ def test_check_cp_alternates_and_takes_medians(monkeypatch):
     calls = []
     seconds = {"parent": [5.0, 4.0, 6.0], "change": [1.0, 1.2, 0.8]}
 
-    def timed_seconds(checkout, code, spec, bound):
+    def last_line(checkout, code, spec, bound):
         calls.append((checkout.name, spec, bound))
-        return seconds[checkout.name][sum(1 for c in calls if c[:2] == (checkout.name, spec)) - 1]
+        k = sum(1 for c in calls if c[:2] == (checkout.name, spec)) - 1
+        return json.dumps({"seconds": seconds[checkout.name][k], "peak_rss_mb": 40.0 + k})
 
-    monkeypatch.setattr(bench_pairs, "timed_seconds", timed_seconds)
+    monkeypatch.setattr(bench_pairs, "last_line", last_line)
     checkouts = {side: ROOT / side for side in bench_pairs.SIDES}
     section = bench_pairs.check_cp_section(checkouts, 3)
 
     assert calls[:6] == [("parent", "identity", "6"), ("change", "identity", "6"), ("change", "identity", "6"),
                          ("parent", "identity", "6"), ("parent", "identity", "6"), ("change", "identity", "6")]
     assert len(calls) == 12 and {c[1] for c in calls[6:]} == {"mirror"}
-    assert section["identity"]["parent"] == {"runs": [5.0, 4.0, 6.0], "median": 5.0}
-    assert section["mirror"]["change"]["median"] == 1.0
+    assert section["identity"]["parent"]["seconds"] == {"median": 5.0, "q1": 4.5, "q3": 5.5}
+    assert section["mirror"]["change"]["seconds"]["median"] == 1.0
     assert section["mirror"]["change_vs_parent"] == -0.8
+
+
+def test_check_cp_records_peak_rss_beside_seconds(monkeypatch):
+    figures = iter([{"seconds": 0.7, "peak_rss_mb": 44.1}, {"seconds": 0.8, "peak_rss_mb": 36.2}] * 2)
+    monkeypatch.setattr(bench_pairs, "last_line", lambda *args: json.dumps(next(figures)))
+    monkeypatch.setattr(bench_pairs, "CHECK_CP_SPECS", ("identity",))
+    checkouts = {side: ROOT / side for side in bench_pairs.SIDES}
+    section = bench_pairs.check_cp_section(checkouts, 2)
+
+    # pair 1 runs the parent first, pair 2 the change
+    assert section["identity"]["parent"]["runs"] == [{"seconds": 0.7, "peak_rss_mb": 44.1},
+                                                     {"seconds": 0.8, "peak_rss_mb": 36.2}]
+    assert section["identity"]["change"]["peak_rss_mb"] == {"median": 40.15, "q1": 38.175, "q3": 42.125}
+    assert "peak RSS" in section["note"] and "2 runs per side" in section["note"]
+    code = bench_pairs.CHECK_CP
+    assert "ru_maxrss" in code and "'peak_rss_mb'" in code
 
 
 def test_closure_scale_alternates_and_records_failures(monkeypatch):

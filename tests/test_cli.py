@@ -190,6 +190,25 @@ class TestErrorsAndExitCodes:
         ["enumerate"],
         ["check-cp", "--function", "mirror"],
     ])
+    @pytest.mark.parametrize("bound", ["22", "4100", "100000"])
+    def test_huge_bound_is_universe_too_large(self, tmp_path, command, bound):
+        # counting stops past 2**63 trees, so no bound is slow, and the count never nears 4,300 digits
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("a b\n")
+        argv = [arg.format(pairs=pairs) for arg in command]
+        code, out, err = invoke(*argv, "--bound", bound, "--json")
+        payload = json.loads(out)
+        assert (code, err, payload["error"]) == (1, "", "UniverseTooLarge")
+        assert payload["witness"]["exact"] is False and payload["witness"]["required"] > 2**63
+        assert "would hold more than" in payload["detail"]
+        code, out, err = invoke(*argv, "--bound", bound)
+        assert code == 1 and out == "" and err.startswith("error: UniverseTooLarge: universe would hold more than ")
+
+    @pytest.mark.parametrize("command", [
+        ["closure", "--pairs", "{pairs}"],
+        ["enumerate"],
+        ["check-cp", "--function", "mirror"],
+    ])
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_bound_zero_is_usage_error(self, tmp_path, command, flags):
         pairs = tmp_path / "pairs.txt"

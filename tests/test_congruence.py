@@ -10,7 +10,6 @@ from treealg import (
     Alphabet,
     Grafting,
     PairOutOfUniverse,
-    Relatedness,
     Universe,
     UniverseTooLarge,
     bounded_closure,
@@ -193,19 +192,20 @@ REQUEUEING_SEEDS = [
     (["<c*a>~a", "<<c*a>*b>~b"], 3),
     # <c*b> merges the classes of a and c, re-queueing four trees, while <c*c> still reads c's root
     (["b~a", "<c*a>~c", "<c*b>~b"], 2),
-    # the dropped class holds trees that joined it at their own registration;
-    # re-queueing their users shows only in the counters
+    # the dropped class holds trees that joined it at their own registration,
+    # whose users are not re-queued
     (["<a*b>~c", "a~c", "<a*b>~<<c*b>*c>"], 3),
 ]
 
 # registrations, requeued, merges and signature_size of each set over abc at
-# its bound and the two bounds above it, as the sweep that kept a use list per
-# class counted them
+# its bound and the two bounds above it.  The users of a tree that joined a
+# class at its own registration are not re-queued when the class is dropped,
+# so the last set re-queues only 3.
 REQUEUEING_STATS = {
     "a~<a*b>": [(10, 1, 11, 2), (64, 1, 65, 2), (469, 1, 470, 2)],
     "<c*a>~a": [(66, 3, 14, 54), (471, 3, 118, 355), (3873, 3, 1126, 2749)],
     "b~a": [(13, 4, 11, 3), (67, 4, 65, 3), (472, 4, 470, 3)],
-    "<a*b>~c": [(72, 9, 54, 14), (477, 9, 423, 50), (3879, 9, 3649, 226)],
+    "<a*b>~c": [(66, 3, 54, 14), (471, 3, 423, 50), (3873, 3, 3649, 226)],
 }
 STAT_NAMES = ("registrations", "requeued", "merges", "signature_size")
 
@@ -275,15 +275,15 @@ class TestStats:
 class TestKernelTables:
     def test_closure_builds_no_parent_tables(self):
         # the closure reads only the block table, re-queueing included; classes()
-        # adds the trees, and pair_at and parents serve Universe.kernel only
-        tables = {"trees", "children", "pair_at", "parents"}
+        # adds the trees, the one table a universe builds
         for texts, bound in [(["a~b", "<a*b>~<b*a>"], 4), *REQUEUEING_SEEDS]:
             partition = bounded_closure(seed_pairs(texts), bound)
             assert (partition.stats["requeued"] > 0) is (texts[0] in REQUEUEING_STATS)
             partition.related("a", parse_tree("<a*b>"))
-            assert not tables & set(vars(partition.universe))
+            before = set(vars(partition.universe))
+            assert "trees" not in before
             partition.classes()
-            assert tables & set(vars(partition.universe)) == {"trees"}
+            assert set(vars(partition.universe)) - before == {"trees"}
 
 
 class TestGcState:
@@ -351,23 +351,54 @@ class TestRelated:
 
 class TestPrincipalRelated:
     def test_generator_pair(self):
-        assert principal_related("a", "b", "a", "b", 1) is Relatedness.RELATED
+        assert principal_related("a", "b", "a", "b") is True
 
     def test_reflexive_generator_relates_nothing(self):
-        for bound in range(1, 5):
-            assert (
-                principal_related("a", "a", "a", "b", bound)
-                is Relatedness.UNKNOWN_AT_BOUND
-            )
+        assert principal_related("a", "a", "a", "b") is False
 
     def test_derived_product_pair(self):
         u, v = parse_tree("<a*c>"), parse_tree("<b*c>")
-        assert principal_related("a", "b", u, v, 2) is Relatedness.RELATED
+        assert principal_related("a", "b", u, v) is True
 
     def test_monotone_in_bound(self):
         u, v = parse_tree("<a*c>"), parse_tree("<b*c>")
+        assert principal_related("a", "b", u, v) is True
         for bound in (2, 3, 4):
-            assert principal_related("a", "b", u, v, bound) is Relatedness.RELATED
+            assert bounded_closure([("a", "b")], bound).related(u, v)
+
+    def test_negative_answer_is_exact(self):
+        u, v = parse_tree("<a*c>"), parse_tree("<c*a>")
+        assert principal_related("a", "b", u, v) is False
+        for bound in (3, 4, 5):  # no larger universe relates them either
+            assert not bounded_closure([("a", "b")], bound).related(u, v)
+
+    def test_bound_is_the_largest_leaf_count(self):
+        # a~<a*a> relates a to the three-leaf <<a*a>*a>, which sets the bound
+        assert principal_related("a", parse_tree("<a*a>"), "a", parse_tree("<<a*a>*a>")) is True
+        assert principal_related("a", parse_tree("<a*a>"), "b", parse_tree("<<a*a>*b>")) is False
+
+    @pytest.mark.parametrize("value", ["d", "ab", None, 5, ("a", 5), ("a", "b", "c")])
+    def test_non_trees_are_out_of_universe(self, value):
+        with pytest.raises(PairOutOfUniverse):
+            principal_related("a", value, "a", "b")
+        with pytest.raises(PairOutOfUniverse):
+            principal_related("a", "b", "a", value)
+
+
+class TestExactRestriction:
+    """U_N is closed under subterms, so the closure on U_N is the restriction
+    of the closure on any larger universe."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_closure_at_two_bounds_more_restricts_to_the_closure(self, data):
+        alphabet = Alphabet.from_string(data.draw(st.sampled_from(["ab", "abc"])))
+        bound = data.draw(st.integers(1, 3))
+        tree = st.integers(1, bound).flatmap(lambda n: st.sampled_from(list(iter_universe(n, alphabet))))
+        pairs = data.draw(st.lists(st.tuples(tree, tree), max_size=3))
+        small = bounded_closure(pairs, bound, alphabet)
+        # U_N's positions are the first ones of U_(N+2), and a root is its class's smallest member
+        assert bounded_closure(pairs, bound + 2, alphabet)._roots[: small.universe_size] == small._roots
 
 
 class TestSoundnessAgainstKernels:

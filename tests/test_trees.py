@@ -17,11 +17,13 @@ from treealg import (
     Universe,
     UniverseTooLarge,
     UnknownLetter,
+    cp_evidence,
     encode,
     erase_letters,
     erase_shapes,
     foliage,
     graft,
+    identity_function,
     iter_universe,
     leaf_count,
     mirror,
@@ -524,6 +526,23 @@ class TestEnumeration:
         with pytest.raises(UniverseTooLarge):
             Universe(8)  # default cap
 
+    @pytest.mark.parametrize("k, bound", [(1, 36), (3, 20), (3, 21), (3, 22), (3, 10_000), (1, 100_000), (4, 4100)])
+    def test_too_large_count_stops_past_the_ceiling(self, k, bound):
+        # the count is exact up to the leaf count where it passes 2**63 trees, else a lower bound found at once
+        alphabet = Alphabet.from_string("abcd"[:k])
+        with pytest.raises(UniverseTooLarge) as caught:
+            Universe(bound, alphabet)
+        witness = caught.value.witness
+        if "exact" in witness:
+            assert witness["exact"] is False and 2**63 < witness["required"] < 2**67
+            assert str(caught.value).startswith("universe would hold more than")
+            if bound < 100:
+                assert witness["required"] < universe_size(bound, k)
+        else:
+            assert witness == {"required": universe_size(bound, k), "cap": 200_000}
+            assert str(caught.value) == f"universe would hold {universe_size(bound, k)} trees, cap is 200000"
+        assert ("exact" in witness) is (bound > {1: 37, 3: 21, 4: 18}[k])
+
     def test_order_is_sorted_by_documented_key(self):
         order = {"<": 0, "*": 1, ">": 2}
 
@@ -558,7 +577,12 @@ def first_members(u, moved):
     return [moved.get(i, i) for i in range(len(u.trees))]
 
 
-def dense_kernel(u, leaf_image):
+def child_positions(u):
+    """The child positions of each pair tree of ``u``, read off its trees by ``position``."""
+    return [(u.position(t[0]), u.position(t[1])) for t in u.trees[len(u.alphabet):]]
+
+
+def dense_kernel(u, leaf_image, children=None):
     """Class number per tree, hash-consing images bottom-up over the whole universe."""
     table = {}
 
@@ -567,7 +591,7 @@ def dense_kernel(u, leaf_image):
         return table.setdefault(key, len(table))
 
     ids = [intern(leaf_image[a]) for a in u.alphabet]
-    for left, right in u.children[len(ids):]:
+    for left, right in child_positions(u) if children is None else children:
         ids.append(table.setdefault((ids[left], ids[right]), len(table)))
     return ids
 
@@ -590,12 +614,11 @@ class TestUniverse:
             assert [u.position(t) for t in expected] == list(range(len(expected)))
             assert u.words() == [encode(t) for t in expected]
             assert u.trees == expected
-            for i, (t, pair) in enumerate(zip(u.trees, u.children)):
-                if isinstance(t, str):
-                    assert pair is None
-                else:
-                    assert pair == u.children_of(i)
-                    assert (u.trees[pair[0]], u.trees[pair[1]]) == t
+            index = {t: i for i, t in enumerate(expected)}
+            for i, t in enumerate(u.trees):
+                if not isinstance(t, str):
+                    pair = u.children_of(i)
+                    assert pair == (index[t[0]], index[t[1]])
                     # each subtree is the universe's own object, not an equal copy
                     assert t[0] is u.trees[pair[0]] and t[1] is u.trees[pair[1]]
 
@@ -604,10 +627,10 @@ class TestUniverse:
         for letters in ["a", "ab", "abc"]:
             u = Universe(bound, Alphabet.from_string(letters), cap=None)
             as_left, as_right = [[] for _ in range(len(u))], [[] for _ in range(len(u))]
-            for i, pair in enumerate(u.children):
-                if pair is not None:
-                    as_left[pair[0]].append(i)
-                    as_right[pair[1]].append(i)
+            for i, t in enumerate(u.trees):
+                if not isinstance(t, str):
+                    as_left[u.position(t[0])].append(i)
+                    as_right[u.position(t[1])].append(i)
             for upto in sorted({0, len(u) // 3, len(u) - 1}):
                 for i in range(len(u)):
                     expected = [j for j in as_left[i] + as_right[i] if j <= upto]
@@ -669,14 +692,12 @@ class TestUniverse:
         assert partition_of(first_members(u, moved)) == partition_of(map(skeleton, u.trees))
 
     @pytest.mark.parametrize("bound", [1, 3, 5])
-    def test_pair_tables_invert_children(self, bound):
+    def test_kernel_stores_nothing_on_the_universe(self, bound):
         u = Universe(bound)
-        assert "pair_at" not in vars(u) and "parents" not in vars(u)
+        before = dict(vars(u))
         u.kernel(dict.fromkeys("abc", "a"))
-        assert "pair_at" in vars(u) and "parents" in vars(u)
-        assert u.pair_at == {pair: i for i, pair in enumerate(u.children) if pair is not None}
-        for i, ps in enumerate(u.parents):
-            assert ps == [p for p, pair in enumerate(u.children) if pair is not None and i in pair]
+        u.kernel({"a": parse_tree("<b*c>"), "b": "b", "c": "c"})
+        assert vars(u) == before
 
     def test_cap_enforced(self):
         with pytest.raises(UniverseTooLarge):
@@ -691,10 +712,11 @@ class TestSparseKernel:
         # every leaf map sending one letter into U_3 and the others to themselves
         alphabet = Alphabet.from_string(letters)
         u = Universe(bound, alphabet, cap=None)
+        children = child_positions(u)
         for a in letters:
             for replacement in iter_universe(3, alphabet):
                 leaf_image = {b: replacement if b == a else b for b in letters}
-                assert u.kernel(leaf_image) == sparse_of(dense_kernel(u, leaf_image)), (a, encode(replacement))
+                assert u.kernel(leaf_image) == sparse_of(dense_kernel(u, leaf_image, children)), (a, encode(replacement))
 
     @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
     @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
@@ -703,9 +725,23 @@ class TestSparseKernel:
         rng = Random(bound * 10 + len(letters))
         alphabet = Alphabet.from_string(letters)
         u = Universe(bound, alphabet, cap=None)
+        children = child_positions(u)
         for _ in range(30):
             leaf_image = {b: random_tree(rng, alphabet.symbols, 3) for b in letters}
-            assert u.kernel(leaf_image) == sparse_of(dense_kernel(u, leaf_image)), leaf_image
+            assert u.kernel(leaf_image) == sparse_of(dense_kernel(u, leaf_image, children)), leaf_image
+
+    @pytest.mark.parametrize("bound", [5, 6])
+    def test_cp_evidence_leaf_maps_match_dense_pass(self, bound, monkeypatch):
+        # the skeleton map and every sampled grafting, as cp_evidence builds them for seed 0
+        leaf_maps = []
+        kernel = Universe.kernel
+        monkeypatch.setattr(Universe, "kernel", lambda u, leaf_image: leaf_maps.append(leaf_image) or kernel(u, leaf_image))
+        cp_evidence(identity_function(), bound, seed=0)
+        assert len(leaf_maps) == 1 + 3 * 12 + 100
+        u = Universe(bound)
+        children = child_positions(u)
+        for leaf_image in leaf_maps:
+            assert kernel(u, leaf_image) == sparse_of(dense_kernel(u, leaf_image, children)), leaf_image
 
     def test_images_outside_the_alphabet_and_larger_than_the_universe(self):
         u = Universe(3)

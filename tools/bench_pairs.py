@@ -19,7 +19,8 @@ Every run lasts the ``run_seconds`` its checkout's BENCHMARK.json declares.
 interpreter, change first.  ``check-cp`` times ``cp_evidence`` at bound 6
 (what ``treealg check-cp --bound 6`` runs) for ``identity`` and ``mirror``,
 ``--pairs`` times per side, each run in a fresh interpreter, alternating
-which side runs first.  ``closure-scale`` times
+which side runs first, and records each run's seconds and peak RSS
+(``ru_maxrss``) with their medians and quartiles.  ``closure-scale`` times
 ``bounded_closure([("a", "b")], N, cap=None)`` for N = 8 and 9 ``--pairs``
 times per side, each run in a fresh interpreter whose address space is
 capped at ``SCALE_MEMORY_GB``, alternating which side runs first, and
@@ -50,9 +51,11 @@ SWEEP = (
     "start = time.perf_counter(); _Context(0).sweep(); print(time.perf_counter() - start)"
 )
 CHECK_CP = (
-    "import sys, time; from treealg import cp_evidence, function_from_spec; "
+    "import json, resource, sys, time; from treealg import cp_evidence, function_from_spec; "
     "func = function_from_spec(sys.argv[1]); start = time.perf_counter(); "
-    "cp_evidence(func, int(sys.argv[2])); print(time.perf_counter() - start)"
+    "cp_evidence(func, int(sys.argv[2])); seconds = time.perf_counter() - start; "
+    "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+    "print(json.dumps({'seconds': round(seconds, 3), 'peak_rss_mb': round(peak / 1024, 1)}))"
 )
 CHECK_CP_BOUND = 6
 CHECK_CP_SPECS = ("identity", "mirror")
@@ -159,16 +162,16 @@ def traced_section(checkouts: dict, seed: int) -> dict:
     return section
 
 
-def timed_seconds(checkout: Path, code: str, *args: str) -> float:
-    """The seconds that ``code``, run with ``args`` in a fresh interpreter on a checkout, prints last."""
+def last_line(checkout: Path, code: str, *args: str) -> str:
+    """The last line that ``code``, run with ``args`` in a fresh interpreter on a checkout, prints."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = subprocess.run([sys.executable, "-c", code, *args], cwd=checkout, env=env, stdout=subprocess.PIPE,
                          text=True, check=True, timeout=RUN_TIMEOUT_S)
-    return float(out.stdout.split()[-1])
+    return out.stdout.splitlines()[-1]
 
 
 def sweep_section(checkouts: dict) -> dict:
-    seconds = {side: round(timed_seconds(checkouts[side], SWEEP), 1) for side in SIDES[::-1]}
+    seconds = {side: round(float(last_line(checkouts[side], SWEEP)), 1) for side in SIDES[::-1]}
     return {
         "note": "wall seconds (time.perf_counter) of _Context(0).sweep(), the encode/erase/rebuild/"
         "parse_tree sweep over all 3,137,844 trees with at most 8 leaves that selftest criteria "
@@ -179,21 +182,24 @@ def sweep_section(checkouts: dict) -> dict:
 
 def check_cp_section(checkouts: dict, count: int) -> dict:
     section = {
-        "note": f"wall seconds (time.perf_counter) of cp_evidence(function_from_spec(SPEC), {CHECK_CP_BOUND}), "
-        f"the work of treealg check-cp --bound {CHECK_CP_BOUND}; {count} runs per side, each in a fresh "
-        "interpreter, run k starting with the parent when k is odd"
+        "note": f"wall seconds (time.perf_counter) and peak RSS (ru_maxrss) of "
+        f"cp_evidence(function_from_spec(SPEC), {CHECK_CP_BOUND}), the work of treealg check-cp --bound "
+        f"{CHECK_CP_BOUND}; {count} runs per side, each in a fresh interpreter, run k starting with the "
+        "parent when k is odd; change_vs_parent compares the median seconds"
     }
     for spec in CHECK_CP_SPECS:
-        seconds = {side: [] for side in SIDES}
+        runs = {side: [] for side in SIDES}
         for k in range(1, count + 1):
             for side in SIDES if k % 2 else SIDES[::-1]:
-                seconds[side].append(round(timed_seconds(checkouts[side], CHECK_CP, spec, str(CHECK_CP_BOUND)), 3))
+                runs[side].append(json.loads(last_line(checkouts[side], CHECK_CP, spec, str(CHECK_CP_BOUND))))
                 print(f"check-cp {spec} run {k}/{count}: {side} done", file=sys.stderr)
-        medians = {side: statistics.median(seconds[side]) for side in SIDES}
         section[spec] = {
-            **{side: {"runs": seconds[side], "median": medians[side]} for side in SIDES},
-            "change_vs_parent": round(medians["change"] / medians["parent"] - 1, 4),
+            side: {"runs": runs[side], **{key: quartiles([run[key] for run in runs[side]])
+                                          for key in ("seconds", "peak_rss_mb")}}
+            for side in SIDES
         }
+        medians = {side: section[spec][side]["seconds"]["median"] for side in SIDES}
+        section[spec]["change_vs_parent"] = round(medians["change"] / medians["parent"] - 1, 4)
     return section
 
 
