@@ -22,7 +22,6 @@ from .errors import (
     NotCP,
     PairOutOfUniverse,
     TreeAlgebraError,
-    TreeTooDeep,
     UniverseTooLarge,
     UnknownLetter,
     UnreadableFile,

@@ -15,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from typing import Optional
 
 from .congruence import bounded_closure
-from .errors import NotCP, TreeAlgebraError, TreeTooDeep, UnknownLetter
+from .errors import NotCP, TreeAlgebraError, UnknownLetter
 from .morphisms import Grafting, WordSubstitution, graft, substitute
 from .polynomials import cp_evidence, cp_to_polynomial, function_from_spec, synthesize
 from .selftest import run_selftest
@@ -254,9 +254,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return 3
     except TreeAlgebraError as exc:
         _report_error(exc, ns, out, err)
-        return 1
-    except RecursionError:
-        _report_error(TreeTooDeep(ns.command), ns, out, err)
         return 1
     except ValueError as exc:
         err.write(f"usage error: {exc}\n")

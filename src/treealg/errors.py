@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every error carries enough structured data to reproduce the failure; the
-CLI serializes it through :meth:`TreeAlgebraError.payload`.
+CLI serializes it through :meth:`TreeAlgebraError.payload`.  Each names a
+fault of the input, never the depth of a tree: no operation is bounded by
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -86,13 +88,6 @@ class UnreadableFile(TreeAlgebraError):
 
     def __init__(self, path: str, reason: str):
         super().__init__(f"cannot read {path}: {reason}", {"path": path})
-
-
-class TreeTooDeep(TreeAlgebraError):
-    """A tree is nested too deeply for an operation that recurses per level."""
-
-    def __init__(self, command: str):
-        super().__init__(f"a tree is nested too deeply for {command}", {"command": command})
 
 
 class EmptyWordImage(TreeAlgebraError):

@@ -725,14 +725,18 @@ def read_table(
 
     ``parse_key`` returns ``None`` for a key of the wrong form, and the line is
     then reported as not matching ``expected`` (such as ``LETTER VALUE``).
+    A key has one spelling, so repeats are found on the key's text, and
+    keys are never compared as trees, which recurses once per level.
     """
     table = {}
+    seen = set()
     for number, line in read_lines(path):
         fields = line.split()
         key = parse_key(fields[0]) if len(fields) == 2 else None
         if key is None:
             raise MalformedTable(f"{path}:{number}: expected '{expected}'")
-        if key in table:
+        if fields[0] in seen:
             raise MalformedTable(f"{path}:{number}: duplicate entry for {fields[0]!r}")
+        seen.add(fields[0])
         table[key] = parse_value(fields[1])
     return table

@@ -5,13 +5,14 @@ it induces the function substituting its argument for every ``x``.  A
 table of nonempty, equal-length images that passes a pairwise
 substitution test decomposes position by position: each position is
 either the identity on letters (emit ``x``) or a single constant letter.
+Tree synthesis runs the same check and dichotomy on the foliages of its images.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from .errors import EmptyWordImage, HypothesesViolated, UnknownLetter
 from .morphisms import WordSubstitution, substitute
@@ -48,6 +49,27 @@ class WordHypothesisCheck:
             "pair": list(self.pair),
             "position": self.position,
         }
+
+
+def _leaves(words: Mapping[str, str], symbols: Tuple[str, ...], violation: Callable) -> List[str]:
+    """The polynomial's leaf at each position of the letters' equal-length words.
+
+    Every letter maps to itself there (the variable), or the first that does
+    not, the anchor, maps to a constant that all letters map to; the first
+    offender raises on ``violation(position, anchor, offender, constant)``.
+    """
+    leaves = []
+    for i, column in enumerate(zip(*(words[a] for a in symbols))):
+        for anchor, constant in zip(symbols, column):
+            if constant != anchor:
+                offender = next((b for b, image in zip(symbols, column) if image != constant), None)
+                if offender is not None:
+                    raise HypothesesViolated(violation(i, anchor, offender, constant))
+                leaves.append(constant)
+                break
+        else:
+            leaves.append(VARIABLE)
+    return leaves
 
 
 def check_word_hypotheses(
@@ -92,26 +114,5 @@ def synthesize_word(table: Mapping[str, str], alphabet: Alphabet = DEFAULT_ALPHA
     check = check_word_hypotheses(table, alphabet)
     if not check.ok:
         raise HypothesesViolated(check)
-    out = []
-    for i in range(check.image_length):
-        column = {a: table[a][i] for a in alphabet}
-        constant = None
-        for a in alphabet:
-            if column[a] != a:
-                constant = column[a]
-                break
-        if constant is None:
-            out.append(VARIABLE)
-            continue
-        offender = next((b for b in alphabet if column[b] != constant), None)
-        if offender is not None:
-            raise HypothesesViolated(
-                WordHypothesisCheck(
-                    False,
-                    failure="basis-dichotomy",
-                    pair=(offender, constant),
-                    position=i,
-                )
-            )
-        out.append(constant)
-    return "".join(out)
+    return "".join(_leaves(table, alphabet.symbols, lambda i, anchor, offender, constant: WordHypothesisCheck(
+        False, failure="basis-dichotomy", pair=(offender, constant), position=i)))

@@ -158,3 +158,30 @@ def test_traced_alternates_and_takes_medians(monkeypatch):
     assert {c[1:] for c in calls} == {("views", 7, 1)}
     assert section["views.trees.encode.us_per_tree"] == {"unit": "us", "parent": 2.0, "change": 1.0}
     assert "3 runs per side" in section["note"] and "median" in section["note"]
+
+
+def test_criteria_alternate_skip_the_sweep_and_take_medians(monkeypatch):
+    calls = []
+    seconds = {"parent": [2.4, 2.8, 2.6], "change": [1.0, 1.4, 1.2]}
+
+    def last_line(checkout, code, number):
+        calls.append((checkout.name, number))
+        k = sum(1 for c in calls if c == (checkout.name, number)) - 1
+        return json.dumps({"seconds": seconds[checkout.name][k], "passed": True})
+
+    monkeypatch.setattr(bench_pairs, "last_line", last_line)
+    checkouts = {side: ROOT / side for side in bench_pairs.SIDES}
+    section = bench_pairs.criteria_section(checkouts, 3)
+
+    # one fresh interpreter per run, pair k starting with the parent when k is odd
+    assert calls[:6] == [("parent", "1"), ("change", "1"), ("change", "1"),
+                         ("parent", "1"), ("parent", "1"), ("change", "1")]
+    assert [c[1] for c in calls[::6]] == ["1", "4", "5", "6", "7", "8", "9", "10", "11", "12"]
+    assert "2" not in section and "3" not in section
+    assert section["8"]["parent"] == {"runs": [2.4, 2.8, 2.6], "passed": True,
+                                      "seconds": {"median": 2.6, "q1": 2.5, "q3": 2.7}}
+    assert section["8"]["change"]["seconds"]["median"] == 1.2
+    assert section["8"]["change_vs_parent"] == round(1.2 / 2.6 - 1, 4)
+    assert "3 runs per side" in section["note"]
+    code = bench_pairs.CRITERION
+    assert "CRITERIA[int(sys.argv[1]) - 1]" in code and "perf_counter" in code

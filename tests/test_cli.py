@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, deterministic output."""
 
+import functools
 import io
 import json
 import os
@@ -20,11 +21,65 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def comb(leaves, left=True):
-    t = "a"
+def comb(leaves, left=True, bottom="a"):
+    t = bottom
     for i in range(leaves - 1):
         t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
     return t
+
+
+# Deep inputs for every command that reads a tree, a table or a function
+# spec: argv, files, exit code, stdout where it is short to state, and
+# whether the row also runs on combs of 100,000 leaves.  "{tree}" is a comb,
+# "{poly}" the same comb with the variable as its deepest leaf, "{a}", "{b}"
+# and "{c}" the comb with that letter there, so the images of "{poly}";
+# "{foliage}" and "{skeleton}" are the comb's two words.
+DEEP_RUNS = [
+    (("parse", "{tree}"), {}, 0, "{tree}", False),
+    (("skeleton", "{tree}"), {}, 0, "{skeleton}", False),
+    (("foliage", "{tree}"), {}, 0, "{foliage}", False),
+    (("rebuild", "--foliage", "{foliage}", "--skeleton", "{skeleton}"), {}, 0, "{tree}", False),
+    (("project", "--sigma", "{tree}"), {}, 0, "{skeleton}", False),
+    (("graft", "a->{tree}", "<b*c>"), {}, 0, "<b*c>", False),
+    (("graft", "b-><b*c>", "{tree}"), {}, 0, None, False),
+    (("closure", "--pairs", "{tmp}/pairs.txt", "--bound", "2"), {"pairs.txt": "{tree} a\n"}, 1, None, False),
+    (("synthesize", "--table", "{tmp}/t.txt"), {"t.txt": "a {a}\nb {b}\nc {c}\n"}, 0, "{poly}", True),
+    (("synthesize", "--table", "{tmp}/t.txt"), {"t.txt": "a {tree}\nb {tree}\nc {tree}\n"}, 0, "{tree}", False),
+    (("synthesize", "--table", "{tmp}/t.txt"), {"t.txt": "a {a}\nb {a}\nc {c}\n"}, 1, None, False),
+    (("word-synthesize", "--table", "{tmp}/t.txt"), {"t.txt": "a {foliage}\nb {foliage}\nc {foliage}\n"}, 0,
+     "{foliage}", False),
+    (("check-cp", "--function", "const:{tree}", "--bound", "1"), {}, 0, None, True),
+    (("check-cp", "--function", "poly:{poly}", "--bound", "1"), {}, 0, None, True),
+    (("check-cp", "--function", "table:{tmp}/fn.txt", "--bound", "1"), {"fn.txt": "a {a}\nb {b}\nc {c}\n"}, 0, None,
+     False),
+    (("check-cp", "--function", "table:{tmp}/fn.txt", "--bound", "1"), {"fn.txt": "a {a}\nb {c}\nc {b}\n"}, 3, None,
+     False),
+    (("to-poly", "--function", "const:{tree}", "--verify-bound", "1"), {}, 0, "{tree}", True),
+    (("to-poly", "--function", "poly:{poly}", "--verify-bound", "1"), {}, 0, "{poly}", True),
+    (("to-poly", "--function", "table:{tmp}/fn.txt", "--verify-bound", "1"), {"fn.txt": "a {a}\nb {b}\nc {c}\n"},
+     0, "{poly}", False),
+    (("to-poly", "--function", "table:{tmp}/fn.txt", "--verify-bound", "2"), {"fn.txt": "a {a}\nb {b}\nc {c}\n"},
+     1, None, False),
+    (("to-poly", "--function", "table:{tmp}/fn.txt", "--verify-bound", "1"), {"fn.txt": "a {b}\nb {a}\nc {c}\n"},
+     3, None, False),
+]
+DEEP_CASES = [
+    pytest.param(leaves, left, argv, files, code, stdout, id=f"{argv[0]}#{i}-{'left' if left else 'right'}-{leaves}")
+    for leaves in (1_200, 100_000)
+    for left in (True, False)
+    for i, (argv, files, code, stdout, huge) in enumerate(DEEP_RUNS)
+    if huge or leaves == 1_200
+]
+
+
+@functools.lru_cache(maxsize=1)
+def deep_words(leaves, left):
+    """The words that fill the placeholders of DEEP_RUNS, for one comb."""
+    tree = comb(leaves, left)
+    words = {"tree": encode(tree), "foliage": foliage(tree), "skeleton": skeleton(tree)}
+    for bottom, name in (("x", "poly"), ("a", "a"), ("b", "b"), ("c", "c")):
+        words[name] = encode(comb(leaves, left, bottom))
+    return words
 
 
 # One CLI run per row: argv, input files, exit code, stdout and stderr, for the
@@ -118,26 +173,26 @@ class TestDeepTrees:
         word = encode(comb(100_000, left))
         assert invoke("graft", "a-><b*c>", word) == (0, word.replace("a", "<b*c>") + "\n", "")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("to-poly", "--function", "const:{const}"),
-            ("check-cp", "--function", "poly:{poly}", "--bound", "2"),
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_recursive_commands_report_tree_too_deep(self, argv):
-        # check_hypotheses compares trees and compile_poly recurses, once per level each;
-        # a 1,200-deep comb (with the variable at the bottom, for the polynomial) is a domain error
-        word = encode(comb(1_200))
-        args = [arg.format(const=word, poly=word.replace("a", "x")) for arg in argv]
-        command = argv[0]
-        detail = f"a tree is nested too deeply for {command}"
-        assert invoke(*args) == (1, "", f"error: TreeTooDeep: {detail}\n")
-        code, out, err = invoke(*args, "--json")
-        assert code == 1 and err == ""
-        assert json.loads(out) == {"error": "TreeTooDeep", "detail": detail, "witness": {"command": command}}
+    @pytest.mark.parametrize("leaves, left, argv, files, code, stdout", DEEP_CASES)
+    def test_deep_inputs(self, tmp_path, leaves, left, argv, files, code, stdout):
+        # every run ends in an exit code, and no exception leaves run
+        fills = dict(deep_words(leaves, left), tmp=str(tmp_path))
+        for name, content in files.items():
+            (tmp_path / name).write_text(content.format(**fills))
+        result = invoke(*(arg.format(**fills) for arg in argv))
+        assert result[0] == code in (0, 1, 3)
+        if stdout is not None:
+            assert result[1:] == (stdout.format(**fills) + "\n", "")
 
+    @pytest.mark.parametrize("command", ["check-cp", "to-poly"])
+    def test_repeated_deep_key_is_malformed(self, tmp_path, command):
+        # a key has one spelling, so a repeat is found on its text and no trees are compared
+        word = encode(comb(1_200))
+        table = tmp_path / "fn.txt"
+        table.write_text(f"a b\n{word} a\n{word} b\n")
+        code, out, err = invoke(command, "--function", f"table:{table}", "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": "MalformedTable", "detail": f"{table}:3: duplicate entry for {word!r}"}
 
     def test_check_cp_of_a_deep_constant(self):
         # the evidence checks compare encodings, so no step recurses once per level

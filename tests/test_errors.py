@@ -67,12 +67,6 @@ CASES = [
         "cannot read nope.txt: No such file or directory",
     ),
     (
-        E.TreeTooDeep("graft"),
-        '{"error":"TreeTooDeep","detail":"a tree is nested too deeply for graft",'
-        '"witness":{"command":"graft"}}',
-        "a tree is nested too deeply for graft",
-    ),
-    (
         E.EmptyWordImage("b"),
         '{"error":"EmptyWordImage","detail":"image of \'b\' is empty"}',
         "image of 'b' is empty",

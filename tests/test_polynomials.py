@@ -1,7 +1,9 @@
 """Polynomial evaluation, synthesis, and congruence-preservation checks."""
 
+import inspect
 import itertools
 import json
+import sys
 from pathlib import Path
 from random import Random
 
@@ -15,8 +17,10 @@ from treealg import (
     EvaluationFailure,
     Grafting,
     HypothesesViolated,
+    HypothesisCheck,
     MalformedTable,
     NotCP,
+    TreeAlgebraError,
     Universe,
     check_hypotheses,
     compile_poly,
@@ -37,10 +41,13 @@ from treealg import (
     poly_function,
     random_tree,
     recolor_function,
+    skeleton,
     synthesize,
     table_function,
 )
 from treealg import morphisms, polynomials
+from treealg.errors import UnknownLetter
+from treealg.trees import VARIABLE, _require_cover, _scan
 
 poly_letters = st.sampled_from("abcx")
 polys = st.recursive(poly_letters, lambda ch: st.tuples(ch, ch), max_leaves=10)
@@ -78,6 +85,44 @@ class TestEvalPoly:
     @given(polys, plain_trees)
     def test_no_residual_variable(self, poly, t):
         assert "x" not in foliage(compile_poly(poly)(t))
+
+    @pytest.mark.parametrize("depth", [199, 200, 201, 1_200])
+    @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
+    def test_deep_polynomial(self, depth, left):
+        # past the parser's 200 nested parentheses the function grafts instead
+        poly = comb(depth + 1, left, bottom="x")
+        t = parse_tree("<a*<b*c>>")
+        assert encode(compile_poly(poly)(t)) == encode(poly).replace("x", "<a*<b*c>>")
+
+    def test_letter_literals(self):
+        # every leaf but the variable is the literal of its letter, quotes and backslashes too
+        poly = parse_tree("<<'*x>*<\\*t>>", Alphabet.from_string("'\\t"), variable=True)
+        assert compile_poly(poly)("t") == (("'", "t"), ("\\", "t"))
+
+    def test_near_recursion_limit(self):
+        # the compiled function builds its image in one frame, however deep the polynomial
+        poly = comb(151, bottom="x")
+        evaluate = compile_poly(poly)
+        image = near_recursion_limit(lambda: evaluate(("a", "b")))
+        assert encode(image) == encode(poly).replace("x", "<a*b>")
+
+
+def comb(leaves, left=True, bottom="a"):
+    """A comb with ``bottom`` as its deepest leaf and the letters cycling above it."""
+    t = bottom
+    for i in range(leaves - 1):
+        t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
+    return t
+
+
+def near_recursion_limit(call, headroom=50):
+    """``call()`` with only ``headroom`` frames left below the recursion limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + headroom)
+    try:
+        return call()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestIterPolynomials:
@@ -149,6 +194,154 @@ class TestSynthesize:
         assert check_hypotheses({"a": "b", "b": "a"}, ab).ok
         with pytest.raises(HypothesesViolated):
             synthesize({"a": "b", "b": "a"}, ab)
+
+    def test_three_letters_resolve_every_compatible_table(self):
+        # every table with images in U_2 that passes the hypotheses over abc synthesizes
+        u2 = Universe(2).trees
+        passed = 0
+        for images in itertools.product(u2, repeat=3):
+            table = dict(zip("abc", images))
+            if check_hypotheses(table).ok:
+                passed += 1
+                poly = synthesize(table)
+                assert all(compile_poly(poly)(a) == table[a] for a in "abc")
+        assert passed == sum(1 for _ in iter_polynomials(2))  # one table per polynomial
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
+    def test_deep_tables(self, left):
+        # no step compares or rebuilds trees once per level
+        poly = comb(100_000, left, bottom="x")
+        table = {a: graft(Grafting("x", a), poly) for a in "abc"}
+        assert encode(synthesize(table)) == encode(poly)
+        constant = {a: table["c"] for a in "abc"}
+        assert synthesize(constant) is table["c"]
+        table["b"] = comb(100_000, left, bottom="c")
+        assert check_hypotheses(table).pair == ("a", "b")
+
+
+# The recursive synthesizer and closure compiler that the word-based ones
+# replaced, kept as differential oracles.
+
+
+def oracle_compile_poly(poly):
+    if poly == VARIABLE:
+        return lambda t: t
+    if isinstance(poly, str) or VARIABLE not in foliage(poly):
+        return lambda t: poly
+    left = oracle_compile_poly(poly[0])
+    right = oracle_compile_poly(poly[1])
+    return lambda t: (left(t), right(t))
+
+
+def oracle_check_hypotheses(table, alphabet):
+    _require_cover(table, alphabet)
+    for a in alphabet:
+        for ch in foliage(table[a]):
+            if ch not in alphabet:
+                raise UnknownLetter(ch, f"image of {a!r}")
+    symbols = alphabet.symbols
+    first = symbols[0]
+    shape = skeleton(table[first])
+    for a in symbols[1:]:
+        if skeleton(table[a]) != shape:
+            return HypothesisCheck(False, failure="skeleton-mismatch", pair=(first, a))
+    for a, b in itertools.combinations(symbols, 2):
+        g = Grafting(a, b)
+        if graft(g, table[a]) != graft(g, table[b]):
+            return HypothesisCheck(False, failure="grafting-compatibility", pair=(a, b))
+    return HypothesisCheck(True, common_skeleton=shape)
+
+
+def oracle_synthesize(table, alphabet):
+    check = oracle_check_hypotheses(table, alphabet)
+    if not check.ok:
+        raise HypothesesViolated(check)
+    if check.common_skeleton == "":
+        anchor = constant = None
+        for a in alphabet:
+            if table[a] != a:
+                anchor, constant = a, table[a]
+                break
+        if constant is None:
+            return VARIABLE
+        offender = next((b for b in alphabet if table[b] != constant), None)
+        if offender is not None:
+            raise HypothesesViolated(
+                HypothesisCheck(False, failure="basis-dichotomy", pair=(anchor, offender))
+            )
+        return constant
+    left = oracle_synthesize({a: table[a][0] for a in alphabet}, alphabet)
+    right = oracle_synthesize({a: table[a][1] for a in alphabet}, alphabet)
+    return (left, right)
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the class and payload of the error it raises."""
+    try:
+        value = fn(*args)
+    except TreeAlgebraError as exc:
+        return type(exc).__name__, exc.payload()
+    return "value", value.as_json() if isinstance(value, HypothesisCheck) else value
+
+
+def perturbed(table, alphabet, rng):
+    """``table`` with one change: a leaf relabeled, an image replaced, or two images swapped."""
+    table = dict(table)
+    symbols = alphabet.symbols
+    a = rng.choice(symbols)
+    kind = rng.randrange(3)
+    if kind == 0:  # relabel a leaf, now and then with a letter outside the alphabet
+        leaves = list(foliage(table[a]))
+        leaves[rng.randrange(len(leaves))] = rng.choice(symbols + ("d", "x") if rng.random() < 0.1 else symbols)
+        table[a] = _scan(skeleton(table[a]), (), iter(leaves))
+    elif kind == 1:
+        table[a] = random_tree(rng, symbols, 4)
+    else:
+        b = rng.choice(symbols)
+        table[a], table[b] = table[b], table[a]
+    return table
+
+
+class TestAgainstRecursiveOracle:
+    """check_hypotheses, synthesize and compile_poly against the recursive versions."""
+
+    def assert_agree(self, table, alphabet):
+        assert outcome(check_hypotheses, table, alphabet) == outcome(oracle_check_hypotheses, table, alphabet)
+        assert outcome(synthesize, table, alphabet) == outcome(oracle_synthesize, table, alphabet)
+
+    def test_every_polynomial_table(self):
+        abc = Alphabet.from_string("abc")
+        rng = Random(0)
+        samples = Universe(3).trees
+        for poly in iter_polynomials(4):
+            oracle = oracle_compile_poly(poly)
+            evaluate = compile_poly(poly)
+            assert all(evaluate(t) == oracle(t) for t in rng.sample(samples, 5))
+            table = {a: oracle(a) for a in "abc"}
+            self.assert_agree(table, abc)
+            self.assert_agree(perturbed(table, abc, rng), abc)
+
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
+    def test_random_tables(self, letters):
+        alphabet = Alphabet.from_string(letters)
+        symbols = alphabet.symbols
+        rng = Random(len(letters))
+        for _ in range(2_000):
+            poly = random_tree(rng, symbols + ("x",), 5)
+            table = {a: oracle_compile_poly(poly)(a) for a in symbols}
+            self.assert_agree(table, alphabet)
+            self.assert_agree(perturbed(table, alphabet, rng), alphabet)
+            # images on one random skeleton with random foliages: compatibility and dichotomy
+            shape = skeleton(random_tree(rng, symbols, 4))
+            width = len(shape) // 3 + 1
+            table = {a: _scan(shape, (), iter(rng.choices(symbols, k=width))) for a in symbols}
+            self.assert_agree(table, alphabet)
+
+    @pytest.mark.parametrize("table", [{"a": "a"}, {"a": "a", "b": "b", "c": "c", "d": "d"}])
+    def test_tables_not_covering_the_alphabet(self, table):
+        abc = Alphabet.from_string("abc")
+        assert outcome(check_hypotheses, table, abc)[0] == "MalformedTable"
+        self.assert_agree(table, abc)
 
 
 class TestCpEvidence:
@@ -306,6 +499,17 @@ class TestCpToPolynomial:
     def test_needs_three_letters(self):
         with pytest.raises(AlphabetTooSmall):
             cp_to_polynomial(identity_function(), 3, Alphabet.from_string("ab"))
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
+    def test_deep_polynomial_verifies(self, left):
+        # the images are too deep to compare as tuples, so their encodings are compared
+        poly = comb(1_200, left, bottom="x")
+        assert encode(cp_to_polynomial(poly_function(poly), 2)) == encode(poly)
+        # agrees with the polynomial on the letters, but not on <a*b>, deep down in the image
+        evaluate = compile_poly(poly)
+        with pytest.raises(NotCP) as info:
+            cp_to_polynomial(CandidateFunction("mirrored", lambda t: evaluate(mirror(t))), 2)
+        assert info.value.stage == "verification" and encode(info.value.at_input) == "<a*b>"
 
     def test_agreement_on_letters_forces_agreement_everywhere(self):
         rng = Random(3)

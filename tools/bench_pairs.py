@@ -5,6 +5,7 @@
     python3 tools/bench_pairs.py sweep PARENT CHANGE --out BENCH_4.json
     python3 tools/bench_pairs.py check-cp PARENT CHANGE --pairs 3 --out BENCH_5.json
     python3 tools/bench_pairs.py closure-scale PARENT CHANGE --pairs 3 --out BENCH_8.json
+    python3 tools/bench_pairs.py criteria PARENT CHANGE --pairs 5 --out BENCH_10.json
 
 PARENT and CHANGE are directories holding a checkout each (``src/`` and
 ``perfbench/``).  ``pairs`` runs ``perfbench/run.py --trace 0`` once per
@@ -26,9 +27,12 @@ times per side, each run in a fresh interpreter whose address space is
 capped at ``SCALE_MEMORY_GB``, alternating which side runs first, and
 records each run's seconds and peak RSS (``ru_maxrss``) with their
 medians and quartiles; a run that hits the cap is recorded as failed and
-left out of the quartiles.  Each command merges its
-section into ``--out`` and leaves the other sections as they are.  Stdlib
-only.
+left out of the quartiles.  ``criteria`` times each selftest criterion
+that skips the shared sweep (all but 2 and 3) ``--pairs`` times per side,
+each run in a fresh interpreter, alternating which side runs first, and
+records each run's seconds with their medians and quartiles.  Each
+command merges its section into ``--out`` and leaves the other sections
+as they are.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 SIDES = ("parent", "change")
 TRACED_RUNS = 3  # one traced run cannot resolve a per-layer change under about 10%
@@ -67,6 +72,13 @@ SCALE = (
 )
 SCALE_BOUNDS = (8, 9)
 SCALE_MEMORY_GB = 2  # address space per run, so that a universe too large for the box fails fast
+CRITERION = (
+    "import json, sys, time; from treealg.selftest import CRITERIA, _Context; "
+    "criterion = CRITERIA[int(sys.argv[1]) - 1]; start = time.perf_counter(); "
+    "passed = criterion(_Context(0)).passed; seconds = time.perf_counter() - start; "
+    "print(json.dumps({'seconds': round(seconds, 6), 'passed': passed}))"
+)
+TIMED_CRITERIA = (1, 4, 5, 6, 7, 8, 9, 10, 11, 12)  # 2 and 3 share the universe sweep that `sweep` times
 
 
 def machine() -> str:
@@ -111,13 +123,18 @@ def quartiles(values: list) -> dict:
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
-def pairs_section(checkouts: dict, workload: str, count: int) -> dict:
-    results = {side: [] for side in SIDES}
+def alternate(checkouts: dict, count: int, run: Callable[[Path, int], dict], label: str) -> dict:
+    """Side -> ``[run(checkout, k) for k in 1..count]``, run k starting with the parent when k is odd."""
+    runs = {side: [] for side in SIDES}
     for k in range(1, count + 1):
-        order = SIDES if k % 2 else SIDES[::-1]
-        for side in order:
-            results[side].append(run_bench(checkouts[side], workload, k, 0))
-            print(f"{workload} pair {k}/{count}: {side} done", file=sys.stderr)
+        for side in SIDES if k % 2 else SIDES[::-1]:
+            runs[side].append(run(checkouts[side], k))
+            print(f"{label} run {k}/{count}: {side} done", file=sys.stderr)
+    return runs
+
+
+def pairs_section(checkouts: dict, workload: str, count: int) -> dict:
+    results = alternate(checkouts, count, lambda checkout, k: run_bench(checkout, workload, k, 0), workload)
     metrics = {}
     for name, better in end_to_end_metrics(checkouts["change"]).items():
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
@@ -142,11 +159,8 @@ def pairs_section(checkouts: dict, workload: str, count: int) -> dict:
 
 
 def traced_section(checkouts: dict, seed: int) -> dict:
-    runs = {side: [] for side in SIDES}
-    for k in range(1, TRACED_RUNS + 1):
-        for side in SIDES if k % 2 else SIDES[::-1]:
-            runs[side].append(run_bench(checkouts[side], "views", seed, 1)["metrics"])
-            print(f"traced run {k}/{TRACED_RUNS}: {side} done", file=sys.stderr)
+    runs = alternate(checkouts, TRACED_RUNS, lambda checkout, k: run_bench(checkout, "views", seed, 1)["metrics"],
+                     "traced")
     seconds = run_seconds(checkouts["change"])
     section = {
         "note": f"python3 perfbench/run.py --workload views --seed {seed} --seconds {seconds} --trace 1, "
@@ -188,11 +202,8 @@ def check_cp_section(checkouts: dict, count: int) -> dict:
         "parent when k is odd; change_vs_parent compares the median seconds"
     }
     for spec in CHECK_CP_SPECS:
-        runs = {side: [] for side in SIDES}
-        for k in range(1, count + 1):
-            for side in SIDES if k % 2 else SIDES[::-1]:
-                runs[side].append(json.loads(last_line(checkouts[side], CHECK_CP, spec, str(CHECK_CP_BOUND))))
-                print(f"check-cp {spec} run {k}/{count}: {side} done", file=sys.stderr)
+        runs = alternate(checkouts, count, lambda checkout, k: json.loads(
+            last_line(checkout, CHECK_CP, spec, str(CHECK_CP_BOUND))), f"check-cp {spec}")
         section[spec] = {
             side: {"runs": runs[side], **{key: quartiles([run[key] for run in runs[side]])
                                           for key in ("seconds", "peak_rss_mb")}}
@@ -227,11 +238,8 @@ def closure_scale_section(checkouts: dict, count: int) -> dict:
         "leave failed runs out"
     }
     for bound in SCALE_BOUNDS:
-        runs = {side: [] for side in SIDES}
-        for k in range(1, count + 1):
-            for side in SIDES if k % 2 else SIDES[::-1]:
-                runs[side].append(scale_run(checkouts[side], bound))
-                print(f"closure-scale bound {bound} run {k}/{count}: {side} done", file=sys.stderr)
+        runs = alternate(checkouts, count, lambda checkout, k: scale_run(checkout, bound),
+                         f"closure-scale bound {bound}")
         section[str(bound)] = {}
         for side in SIDES:
             done = [run for run in runs[side] if "failed" not in run]
@@ -242,15 +250,35 @@ def closure_scale_section(checkouts: dict, count: int) -> dict:
     return section
 
 
+def criteria_section(checkouts: dict, count: int) -> dict:
+    section = {
+        "note": "wall seconds (time.perf_counter) of CRITERIA[N - 1](_Context(0)), selftest criterion N, for "
+        f"the criteria that skip the shared universe sweep; {count} runs per side, each in a fresh "
+        "interpreter, run k starting with the parent when k is odd; change_vs_parent compares the medians"
+    }
+    for number in TIMED_CRITERIA:
+        runs = alternate(checkouts, count, lambda checkout, k: json.loads(
+            last_line(checkout, CRITERION, str(number))), f"criterion {number}")
+        section[str(number)] = {
+            side: {"runs": [run["seconds"] for run in runs[side]],
+                   "passed": all(run["passed"] for run in runs[side]),
+                   "seconds": quartiles([run["seconds"] for run in runs[side]])}
+            for side in SIDES
+        }
+        medians = {side: section[str(number)][side]["seconds"]["median"] for side in SIDES}
+        section[str(number)]["change_vs_parent"] = round(medians["change"] / medians["parent"] - 1, 4)
+    return section
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=("pairs", "traced", "sweep", "check-cp", "closure-scale"))
+    parser.add_argument("command", choices=("pairs", "traced", "sweep", "check-cp", "closure-scale", "criteria"))
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True, help="BENCH file to create or update")
     parser.add_argument("--workload", default="views", help="workload for pairs (default views)")
     parser.add_argument("--pairs", type=int, default=10,
-                        help="pair count, or runs per side of check-cp and closure-scale (default 10)")
+                        help="pair count, or runs per side of check-cp, closure-scale and criteria (default 10)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the traced round (default 1)")
     parser.add_argument("--parent-name", help="how the file names the parent, such as its commit")
     parser.add_argument("--change-name", help="how the file names the change")
@@ -276,6 +304,8 @@ def main(argv=None) -> int:
         bench["selftest_sweep"] = sweep_section(checkouts)
     elif args.command == "closure-scale":
         bench["closure_scale"] = closure_scale_section(checkouts, args.pairs)
+    elif args.command == "criteria":
+        bench["selftest_criteria"] = criteria_section(checkouts, args.pairs)
     else:
         bench["check_cp"] = check_cp_section(checkouts, args.pairs)
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
