@@ -8,6 +8,7 @@ evidence, and polynomial synthesis from generator values.
 from .congruence import (
     TreePartition,
     bounded_closure,
+    congruent,
     principal_related,
 )
 from .errors import (

@@ -136,7 +136,7 @@ def _cmd_check_cp(ns, alphabet, out) -> int:
 
 
 def _cmd_to_poly(ns, alphabet, out) -> dict:
-    poly = cp_to_polynomial(function_from_spec(ns.function, alphabet), ns.verify_bound, alphabet)
+    poly = cp_to_polynomial(function_from_spec(ns.function, alphabet), ns.verify_bound, alphabet, ns.cap)
     return {"verdict": "polynomial", "polynomial": encode(poly)}
 
 
@@ -211,6 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 three_letters=True)
     p.add_argument("--function", required=True)
     p.add_argument("--verify-bound", type=int, default=6)
+    p.add_argument("--cap", type=int, default=DEFAULT_UNIVERSE_CAP)
 
     command("selftest", _cmd_selftest, "run the full verification suite (fixed reference alphabet abc)")
 

@@ -1,4 +1,4 @@
-"""Bounded congruence closure on finite tree universes.
+"""Bounded congruence closure on finite tree universes, by normal forms.
 
 The closure engine computes, inside the universe of all trees with at
 most N leaves, the smallest equivalence relation that contains a given
@@ -6,19 +6,27 @@ set of seed pairs and is closed under compatibility: whenever t1 ~ t1'
 and t2 ~ t2' and both pairings stay inside the universe, the pairings
 are related too.
 
-The universe is closed under subterms, so the result is exactly the
-restriction to it of the congruence that the seeds generate on the whole
-(infinite) algebra (Nelson & Oppen, JACM 1980): a negative answer is as
-definitive as a positive one.
+Congruence closure on the hash-consed DAG of the seeds' subterms turns
+the seeds into a convergent, flat ground rewrite system: each letter of
+the DAG, and each pair of DAG classes, rewrites to its class.  Two trees
+are congruent iff their bottom-up normal forms are equal (Downey, Sethi &
+Tarjan, JACM 1980; Kapur, RTA 1997).  The universe lists children before
+parents, so one pass over it gives every tree its normal form from its
+children's.  The universe is closed under subterms, so the result is
+exactly the restriction to it of the congruence that the seeds generate
+on the whole (infinite) algebra: a negative answer is as definitive as a
+positive one, and :func:`congruent` decides the same relation on any two
+trees without a universe.
 """
 
 from __future__ import annotations
 
 import operator
+import reprlib
 import time
 from array import array
-from contextlib import suppress
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, count, repeat
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PairOutOfUniverse
 from .trees import (
@@ -30,6 +38,7 @@ from .trees import (
     _gc_paused,
     encode,
     leaf_count,
+    universe_size,
 )
 
 
@@ -63,16 +72,107 @@ class TreePartition:
             return [buckets[root] for root in sorted(buckets)]
 
 
+def _out_of_universe(t, max_leaves: int) -> PairOutOfUniverse:
+    try:
+        word = encode(t)
+    except (TypeError, ValueError):  # not a tree at all; reprlib stops at a few levels
+        word = reprlib.repr(t)
+    return PairOutOfUniverse(word, max_leaves)
+
+
 def _position(universe: Universe, t: Tree) -> int:
     """Position of ``t`` in ``universe``; :class:`PairOutOfUniverse` if it has none."""
     i = universe.position(t)
     if i is None:
-        try:
-            word = encode(t)
-        except (TypeError, ValueError):  # not a tree at all
-            word = repr(t)
-        raise PairOutOfUniverse(word, universe.max_leaves)
+        raise _out_of_universe(t, universe.max_leaves)
     return i
+
+
+_JOIN = object()  # on a walk's stack: the pair whose two halves were folded last
+
+
+def _walk(t, leaf: Callable[[str], Optional[int]], pair: Callable[[int, int], int]) -> Optional[int]:
+    """Bottom-up fold of ``t`` with an explicit stack, for trees of any depth.
+
+    A letter folds to ``leaf(letter)`` and a pair to ``pair(left, right)`` of
+    its halves' folds.  ``None`` if ``t`` is not a tree or ``leaf`` gives
+    ``None``: unlike :func:`trees._fold_deep`, which folds trees already
+    known to be trees, this walk also checks values from callers.
+    """
+    done: List[int] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is _JOIN:
+            right = done.pop()
+            done.append(pair(done.pop(), right))
+        elif isinstance(node, str):
+            key = leaf(node)
+            if key is None:
+                return None
+            done.append(key)
+        elif isinstance(node, tuple) and len(node) == 2:
+            stack += (_JOIN, node[1], node[0])
+        else:
+            return None
+    return done[0]
+
+
+def _dag_rules(pairs: Sequence[Tuple[Tree, Tree]]) -> Tuple[Dict[str, int], Dict[int, Dict[int, int]], int]:
+    """Congruence closure on the hash-consed DAG of the seeds' subterms, as rewrite rules.
+
+    Each subterm of a seed is one node.  The seed pairs are united, then a
+    signature pass ``(find(left), find(right))`` over the pair nodes unites
+    the nodes that share one, until a pass unites nothing; the DAG has
+    O(|seeds|) nodes, so the plain fixpoint is cheap.  The m classes are
+    keyed -1 ... -m.  Returns the key of each letter in the DAG, the pair
+    rules as ``rows[left key][right key] = key``, and m.  The trees must be
+    trees over the alphabet.
+    """
+    nodes: Dict[object, int] = {}  # a letter, or the nodes of a pair's halves, to its node
+
+    def intern(t: Tree) -> int:
+        return _walk(t, lambda a: nodes.setdefault(a, len(nodes)), lambda l, r: nodes.setdefault((l, r), len(nodes)))
+
+    seeds = [(intern(t), intern(u)) for t, u in pairs]
+    parent = list(range(len(nodes)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:  # path halving
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(x: int, y: int) -> bool:
+        x, y = find(x), find(y)
+        parent[max(x, y)] = min(x, y)
+        return x != y
+
+    for x, y in seeds:
+        union(x, y)
+    halves = [(key, node) for key, node in nodes.items() if isinstance(key, tuple)]
+    merged = True
+    while merged:
+        signature: Dict[Tuple[int, int], int] = {}
+        merged = False
+        for (l, r), node in halves:
+            merged |= union(node, signature.setdefault((find(l), find(r)), node))
+
+    key_of: Dict[int, int] = {}
+    class_key = [key_of.setdefault(find(x), -1 - len(key_of)) for x in range(len(parent))]
+    rows: Dict[int, Dict[int, int]] = {}
+    for (l, r), node in halves:
+        rows.setdefault(class_key[l], {})[class_key[r]] = class_key[node]
+    letters = {a: class_key[node] for a, node in nodes.items() if isinstance(a, str)}
+    return letters, rows, len(key_of)
+
+
+def _settle(keys: array, rows: Dict[int, Dict[int, int]], dag_classes: int):
+    """``keys`` and ``rows`` with each DAG class's key replaced by its root,
+    the first position that holds the key."""
+    fix = {c: keys.index(c) for c in range(-1, -dag_classes - 1, -1)}
+    keys = array("i", map(fix.get, keys, keys))
+    rows = {fix.get(l, l): {fix.get(r, r): fix.get(k, k) for r, k in row.items()} for l, row in rows.items()}
+    return keys, rows
 
 
 def bounded_closure(
@@ -83,136 +183,95 @@ def bounded_closure(
 ) -> TreePartition:
     """Least in-universe equivalence containing ``pairs``, compatible with pairing.
 
-    Union-find over universe positions, the seed pairs merged first.  One
-    sweep in enumeration order, children before parents, then registers
-    each non-leaf tree once under the class pair of its children; a tree
-    whose pair is already taken is merged with its owner.  When a merge
-    drops a class, only its users registered so far are re-registered
-    (a worklist), found from the class's members by the universe's rank
-    arithmetic, so no use list is stored; later users see the final
-    classes when the sweep reaches them.  The smaller root is kept, so
-    every root is its class's enumeration-smallest member.  ``stats`` also
-    holds the seconds spent building the universe (``universe_s``) and in
-    the sweep (``sweep_s``).
+    Each seed must lie in the universe.  The rules of :func:`_dag_rules`
+    seed the signature table ``rows``; then one pass over the pair blocks,
+    children before parents, gives each tree a key, its normal form: a
+    letter's DAG key, or its own position.  A block reads its right
+    children's keys once and its left children's rows of ``rows`` once,
+    and gives all its keys in one ``map`` of ``dict.setdefault`` over the
+    rows, the right keys and the block's positions, so a signature new to
+    the table takes the tree's own position.  Every key that is a position
+    is thus its class's enumeration-smallest member.  A DAG class's root is
+    its first tree, which has no more leaves than the largest seed, so once
+    the pass has keyed those trees each DAG key is replaced by its root, in
+    the keys so far and in ``rows``, and the keys are the roots.  ``stats``
+    counts the universe size, the trees keyed by a signature
+    (``registrations``), the trees whose class has an earlier member
+    (``merges``) and the signatures the table ends with, the DAG's rules
+    among them (``signature_size``), and times building the universe
+    (``universe_s``) and the rest (``sweep_s``).
     """
     start = time.perf_counter()
     universe = Universe(max_leaves, alphabet, cap)
     built = time.perf_counter()
+    pairs = list(pairs)
+    for t, u in pairs:
+        _position(universe, t)
+        _position(universe, u)
+    letter_keys, rows, dag_classes = _dag_rules(pairs)
+    settled = universe_size(max((leaf_count(t) for pair in pairs for t in pair), default=1), len(alphabet))
     with _gc_paused():
-        roots, stats = _sweep(universe, pairs)
-    stats["universe_s"] = built - start
-    stats["sweep_s"] = time.perf_counter() - built
-    return TreePartition(universe, roots, stats)
+        keys = array("i", (letter_keys.get(a, i) for i, a in enumerate(alphabet.symbols)))
+        for lefts, rights in universe.pair_blocks():
+            if len(keys) == settled:
+                keys, rows = _settle(keys, rows, dag_classes)
+            right_keys = keys[rights.start:rights.stop]
+            left_rows = map(rows.setdefault, keys[lefts.start:lefts.stop], iter(dict, None))  # a new row is {}
+            i = len(keys)
+            keys.extend(map(
+                dict.setdefault,
+                chain.from_iterable(map(repeat, left_rows, repeat(len(right_keys)))),
+                chain.from_iterable(repeat(right_keys, len(lefts))),
+                range(i, i + len(lefts) * len(right_keys)),
+            ))
+        if len(keys) == settled:  # the largest seed has max_leaves leaves, and no block reads rows again
+            keys = _settle(keys, {}, dag_classes)[0]
+    n = len(keys)
+    stats = {
+        "universe_size": n,
+        "registrations": n - len(alphabet),
+        "merges": n - sum(map(operator.eq, keys, range(n))),
+        "signature_size": sum(map(len, rows.values())),
+        "universe_s": built - start,
+        "sweep_s": time.perf_counter() - built,
+    }
+    return TreePartition(universe, keys, stats)
 
 
-def _sweep(universe: Universe, pairs: Iterable[Tuple[Tree, Tree]]):
-    """Roots and counters of the closure of ``pairs`` on ``universe``.
-
-    Walks the pair blocks, whose trees have the children
-    ``product(lefts, rights)`` in position order, reading the roots of a
-    block's right children once per block and of each left child once per
-    row.  Both tables are ``array('i')``: ``parent``, and ``ring``, which
-    links a class's members into one cycle, so that a merge splices two
-    classes by swapping two cells.  No use list is kept: a merge inside the
-    sweep walks the dropped class's cycle and re-queues the trees
-    registered so far that have a member as a child, found by
-    :meth:`Universe.parents_of`; a re-queued tree finds its children by
-    :meth:`Universe.children_of`.  A tree that joins a class at its own
-    registration stays out of the cycle: each of its users shares its
-    class with the same-keyed, earlier user of the tree it joined.
-    """
-    n = len(universe)
-    first_pair = len(universe.alphabet)
-    stats = {"universe_size": n, "registrations": n - first_pair, "requeued": 0, "merges": 0}
-    parents_of, children_of = universe.parents_of, universe.children_of
-
-    # parent[x] <= x throughout: a merge links the larger root under the
-    # smaller, and path halving only points a node at an ancestor
-    parent = array("i", range(n))
-    ring = array("i", range(n))  # ring[x] is the next member of x's class, round a cycle
-
-    def find(x: int) -> int:
-        p = parent[x]
-        while p != x:  # path halving
-            grand = parent[p]
-            if grand == p:
-                return p
-            parent[x] = x = grand
-            p = parent[x]
-        return x
-
-    work: List[int] = []
-
-    def merge(x: int, y: int, upto: int) -> None:
-        # joins the classes of x and y, re-queueing the dropped class's users up to position upto
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        keep, drop = (rx, ry) if rx < ry else (ry, rx)
-        parent[drop] = keep
-        ring[keep], ring[drop] = ring[drop], ring[keep]
-        users: List[int] = []
-        member = keep
-        while member != drop:  # the dropped class now runs from ring[keep] round to drop
-            member = ring[member]
-            users += parents_of(member, upto)
-        users.sort()  # position order; a tree with both children in the class comes twice
-        work.extend(users)
-
-    for t, u in pairs:  # before the sweep no tree is registered, so none is re-queued
-        merge(_position(universe, t), _position(universe, u), first_pair - 1)
-
-    signature: Dict[int, int] = {}  # the class pair (l, r) of a registered tree, keyed l * n + r
-    setdefault = signature.setdefault
-    i = first_pair
-    for lefts, rights in universe.pair_blocks():
-        right_roots = list(map(find, rights))
-        for left in lefts:
-            row = find(left) * n
-            for right in right_roots:
-                other = setdefault(row + right, i)
-                if other != i:
-                    if parent[i] == i:
-                        # i is its class's smallest member, so no registered tree uses the
-                        # class yet; i goes under other, which find later halves to the root
-                        parent[i] = other
-                    else:
-                        merge(i, other, i)
-                        while work:
-                            j = work.pop()
-                            stats["requeued"] += 1
-                            l, r = children_of(j)
-                            other = setdefault(find(l) * n + find(r), j)
-                            if other != j:
-                                merge(j, other, i)
-                        # these merges may have dropped the root of a child still to come
-                        right_roots[:] = map(find, rights)
-                        row = find(left) * n
-                i += 1
-
-    stats["registrations"] += stats["requeued"]
-    stats["signature_size"] = len(signature)
-    for x in range(n):  # parent[parent[x]] is a root by the time x is reached
-        parent[x] = parent[parent[x]]
-    stats["merges"] = sum(map(operator.ne, parent, range(n)))  # each merge ended one root
-    return parent, stats
-
-
-def principal_related(
-    t: Tree,
-    t2: Tree,
+def congruent(
+    pairs: Iterable[Tuple[Tree, Tree]],
     u: Tree,
     v: Tree,
     alphabet: Alphabet = DEFAULT_ALPHABET,
-    cap: Optional[int] = DEFAULT_UNIVERSE_CAP,
 ) -> bool:
+    """Are ``u`` and ``v`` related by the congruence that ``pairs`` generate?
+
+    Exact, on the whole algebra: the normal forms of ``u`` and ``v`` under
+    the rules of :func:`_dag_rules` are equal, each found by one iterative
+    walk, in O(|seeds| + |u| + |v|) and with no universe.  A value that is
+    not a tree of the alphabet raises :class:`PairOutOfUniverse`, naming the
+    smallest universe that holds the trees given.
+    """
+    pairs = list(pairs)
+    trees = [t for pair in pairs for t in pair] + [u, v]
+    one_leaf = dict.fromkeys(alphabet.symbols, 1).get
+    sizes = [_walk(t, one_leaf, operator.add) for t in trees]  # leaf counts, None for a non-tree
+    if None in sizes:
+        raise _out_of_universe(trees[sizes.index(None)], max(filter(None, sizes), default=1))
+    letter_keys, rows, _ = _dag_rules(pairs)
+    keys = {a: letter_keys.get(a, i) for i, a in enumerate(alphabet.symbols)}
+    fresh = count(len(alphabet))  # a key for each signature new to the rules
+
+    def normal_form(t: Tree) -> int:
+        return _walk(t, keys.get, lambda l, r: rows.setdefault(l, {}).setdefault(r, next(fresh)))
+
+    return normal_form(u) == normal_form(v)
+
+
+def principal_related(t: Tree, t2: Tree, u: Tree, v: Tree, alphabet: Alphabet = DEFAULT_ALPHABET) -> bool:
     """Are ``u`` and ``v`` related by the congruence generated by ``(t, t2)``?
 
-    Decided exactly by the closure on the smallest universe holding the four
-    trees; a value that is not a tree of the alphabet raises :class:`PairOutOfUniverse`.
+    Decided exactly by :func:`congruent`; a value that is not a tree of the
+    alphabet raises :class:`PairOutOfUniverse`.
     """
-    bound = 1
-    for tree in (t, t2, u, v):
-        with suppress(TypeError, ValueError):  # a value that is not a tree is left to the closure
-            bound = max(bound, leaf_count(tree))
-    return bounded_closure([(t, t2)], bound, alphabet, cap).related(u, v)
+    return congruent([(t, t2)], u, v, alphabet)

@@ -48,11 +48,16 @@ def graft(g: Grafting, t: Tree) -> Tree:
     try:
         return _graft(g.source, g.replacement, t)
     except RecursionError:
-        return _fold_deep(
-            t,
-            partial(_graft, g.source, g.replacement),
-            lambda node, left, right: node if left is node[0] and right is node[1] else (left, right),
-        )
+        return _graft_deep(g.source, g.replacement, t)
+
+
+def _graft_deep(source: str, replacement: Tree, t: Tree) -> Tree:
+    """:func:`graft` by the iterative fold, for trees of any depth."""
+    return _fold_deep(
+        t,
+        partial(_graft, source, replacement),
+        lambda node, left, right: node if left is node[0] and right is node[1] else (left, right),
+    )
 
 
 def _graft(source: str, replacement: Tree, t: Tree) -> Tree:

@@ -36,7 +36,7 @@ from .errors import (
     NotCP,
     UnknownLetter,
 )
-from .morphisms import Grafting, graft, recolor
+from .morphisms import _graft_deep, recolor
 from .trees import (
     Alphabet,
     DEFAULT_ALPHABET,
@@ -44,10 +44,12 @@ from .trees import (
     Tree,
     Universe,
     VARIABLE,
+    _encode_deep,
     encode,
     erase_letters,
     erase_shapes,
     iter_universe,
+    leaf_count,
     mirror,
     parse_tree,
     read_table,
@@ -63,7 +65,8 @@ def compile_poly(poly: Tree) -> Callable[[Tree], Tree]:
 
     Compiled from the word like :func:`parse_tree`'s builders, with ``t`` for
     the variable and a literal for each letter, so a call is one frame.  Past
-    the parser's nesting limit (about 200 levels) the function grafts.
+    the parser's nesting limit (about 200 levels) the function is the
+    iterative fold, which no recursion limit stops.
     """
     word = encode(poly)
     if VARIABLE not in word:
@@ -73,7 +76,7 @@ def compile_poly(poly: Tree) -> Callable[[Tree], Tree]:
     try:
         return eval(f"lambda t: {source}")  # noqa: S307
     except (SyntaxError, MemoryError):  # too many nested parentheses; the parser's stack overflowed
-        return lambda t: graft(Grafting(VARIABLE, t), poly)
+        return lambda t: _graft_deep(VARIABLE, t, poly)
 
 
 @dataclass(frozen=True)
@@ -368,6 +371,7 @@ def cp_to_polynomial(
     func: CandidateFunction,
     verify_bound: int = 6,
     alphabet: Alphabet = DEFAULT_ALPHABET,
+    cap: Optional[int] = DEFAULT_UNIVERSE_CAP,
 ) -> Tree:
     """Polynomial representing ``func``, or :class:`NotCP` with a witness.
 
@@ -375,10 +379,12 @@ def cp_to_polynomial(
     unique polynomial agreeing there, then verifies agreement on every
     tree with at most ``verify_bound`` leaves.  Any failure along the way
     shows the function preserves no congruence structure of the required
-    kind, i.e. it is not congruence preserving.
+    kind, i.e. it is not congruence preserving.  A universe larger than
+    ``cap`` raises :class:`UniverseTooLarge` before any tree is built.
     """
     if len(alphabet) < 3:
         raise AlphabetTooSmall(3, len(alphabet))
+    Universe(verify_bound, alphabet, cap)  # the count check, before any tree is built
     table = {a: func(a) for a in alphabet}
     try:
         poly = synthesize(table, alphabet)
@@ -386,13 +392,14 @@ def cp_to_polynomial(
         a, b = exc.check.pair
         raise NotCP(f"generator-hypotheses:{exc.check.failure}", (table[a], table[b])) from None
     evaluate = compile_poly(poly)
+    # an image nests at most the polynomial's leaves plus verify_bound deep, and
+    # comparing tuples recurses once per level: past a few hundred, compare words
+    by_word = leaf_count(poly) > 200
     for t in iter_universe(verify_bound, alphabet):
         expected = evaluate(t)
         actual = func(t)
-        try:
-            differ = expected != actual
-        except RecursionError:  # trees too deep for the recursive comparison
-            differ = encode(expected) != encode(actual)
-        if differ:
+        if expected is actual:  # a constant's one image
+            continue
+        if (_encode_deep(expected) != _encode_deep(actual)) if by_word else expected != actual:
             raise NotCP("verification", (expected, actual), at_input=t)
     return poly

@@ -486,10 +486,10 @@ class Universe:
     offsets ``l`` and ``r`` of their blocks sits at
     ``start[(L, R)] + l * size[R] + r``.  The table holds per shape its
     start, size, subshapes and leaf count, and the shape of each pair of
-    subshapes: O(shapes), 626 at bound 8, and no tree.  :meth:`position`,
-    :meth:`children_of`, :meth:`parents_of` and :meth:`kernel` all work
-    by that formula.  ``trees``, built on first use, is the one
-    materialized universe, and the constructor's ``cap`` its size check.
+    subshapes: O(shapes), 626 at bound 8, and no tree.  :meth:`position`
+    and :meth:`kernel` work by that formula.  ``trees``, built on first
+    use, is the one materialized universe, and the constructor's ``cap``
+    its size check.
     """
 
     def __init__(
@@ -513,19 +513,12 @@ class Universe:
         # per shape, in position order; shape 0 is the leaf
         self._start, self._size, self._left, self._right = [0], [len(alphabet)], [0], [0]
         self._leaves = [1]
-        # per shape, the pair shapes that have it as left (right) subshape, ascending
-        self._as_left: List[List[int]] = [[]]
-        self._as_right: List[List[int]] = [[]]
         self._shape_at: Dict[Tuple[int, int], int] = {}  # (left shape, right shape) -> shape
         shape_id = {"": 0}
         for n in range(2, max_leaves + 1):
             for shape in _shapes(n):
                 left, right = shape_id[shape[0]], shape_id[shape[1]]
                 shape_id[shape] = self._shape_at[left, right] = len(self._start)
-                self._as_left[left].append(len(self._start))
-                self._as_right[right].append(len(self._start))
-                self._as_left.append([])
-                self._as_right.append([])
                 self._start.append(self._start[-1] + self._size[-1])
                 self._size.append(self._size[left] * self._size[right])
                 self._left.append(left)
@@ -559,38 +552,6 @@ class Universe:
         """The shape of the tree at position ``i`` and its offset in the shape's block."""
         shape = bisect_right(self._start, i) - 1
         return shape, i - self._start[shape]
-
-    def children_of(self, i: int) -> Tuple[int, int]:
-        """Positions of the two children of the pair tree at position ``i``."""
-        shape, offset = self._locate(i)
-        left, right = divmod(offset, self._size[self._right[shape]])
-        return self._start[self._left[shape]] + left, self._start[self._right[shape]] + right
-
-    def parents_of(self, i: int, upto: int) -> List[int]:
-        """Positions up to ``upto`` of the pair trees with the tree at ``i`` as a child.
-
-        First those with it as left child, then those with it as right
-        child, each ascending; a tree with it as both children is listed
-        twice.  In a block ``(L, R)`` the former are the row
-        ``start + l * size[R] + k`` and the latter the column
-        ``start + k * size[R] + r``, so no table is read but the blocks'.
-        """
-        shape, offset = self._locate(i)
-        stop = upto + 1
-        found: List[int] = []
-        for s in self._as_left[shape]:
-            start = self._start[s]
-            if start >= stop:
-                break
-            width = self._size[self._right[s]]
-            found.extend(range(start + offset * width, min(start + (offset + 1) * width, stop)))
-        width = self._size[shape]
-        for s in self._as_right[shape]:
-            start = self._start[s]
-            if start >= stop:
-                break
-            found.extend(range(start + offset, min(start + self._size[s], stop), width))
-        return found
 
     @cached_property
     def trees(self) -> List[Tree]:

@@ -22,6 +22,7 @@ from treealg import (
     NotCP,
     TreeAlgebraError,
     Universe,
+    UniverseTooLarge,
     check_hypotheses,
     compile_poly,
     constant_function,
@@ -414,7 +415,7 @@ class TestCpEvidence:
             raise AssertionError("graft called")
 
         monkeypatch.setattr(morphisms, "graft", refuse)
-        monkeypatch.setattr(polynomials, "graft", refuse)
+        monkeypatch.setattr(polynomials, "_graft_deep", refuse)
         for spec in ("identity", "mirror"):
             line = json.dumps(cp_evidence(function_from_spec(spec), 3).as_json(), separators=(",", ":"))
             assert line == PINNED_REPORTS[spec, 3, 0]
@@ -510,6 +511,52 @@ class TestCpToPolynomial:
         with pytest.raises(NotCP) as info:
             cp_to_polynomial(CandidateFunction("mirrored", lambda t: evaluate(mirror(t))), 2)
         assert info.value.stage == "verification" and encode(info.value.at_input) == "<a*b>"
+
+    def test_deep_polynomial_recursion_does_not_grow_with_the_trees(self):
+        # past the parser's nesting limit the polynomial is folded iteratively and its
+        # images are compared by their words, so no step of the verification recurses
+        # once per level, which past the recursion limit fails and starts over; only
+        # synthesis encodes the letters' images, once.  The limit is raised so that
+        # nothing fails and the trace counts every call more than 200 frames deep.
+        poly = comb(1_200, bottom="x")
+        func = poly_function(poly)
+
+        def deep_calls(bound):
+            depth, deep = [0], [0]
+
+            def trace(frame, event, arg):
+                if event == "call":
+                    frame.f_trace_lines = False
+                    depth[0] += 1
+                    deep[0] += depth[0] > 200
+                elif event == "return":
+                    depth[0] -= 1
+                return trace
+
+            before, limit = sys.gettrace(), sys.getrecursionlimit()
+            sys.setrecursionlimit(10_000)
+            sys.settrace(trace)
+            try:
+                assert encode(cp_to_polynomial(func, bound)) == encode(poly)
+            finally:
+                sys.settrace(before)
+                sys.setrecursionlimit(limit)
+            return deep[0]
+
+        assert deep_calls(1) == deep_calls(3)  # 3 trees and 66 trees
+
+    def test_deep_constant_copies_verify(self):
+        # equal deep images that are distinct objects are compared as words
+        copies = {a: comb(1_200) for a in "abc"}
+        func = table_function({a: copies[a] for a in "abc"})
+        assert encode(cp_to_polynomial(func, 1)) == encode(comb(1_200))
+
+    @pytest.mark.parametrize("bound, cap", [(16, 200_000), (4100, 200_000), (3, 10)])
+    def test_verify_bound_is_capped(self, bound, cap):
+        # the count is checked before the first tree, so no bound is slow
+        with pytest.raises(UniverseTooLarge):
+            cp_to_polynomial(identity_function(), bound, cap=cap)
+        assert cp_to_polynomial(identity_function(), 3, cap=66) == "x"
 
     def test_agreement_on_letters_forces_agreement_everywhere(self):
         rng = Random(3)

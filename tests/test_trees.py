@@ -614,27 +614,10 @@ class TestUniverse:
             assert [u.position(t) for t in expected] == list(range(len(expected)))
             assert u.words() == [encode(t) for t in expected]
             assert u.trees == expected
-            index = {t: i for i, t in enumerate(expected)}
-            for i, t in enumerate(u.trees):
+            for t in u.trees:
                 if not isinstance(t, str):
-                    pair = u.children_of(i)
-                    assert pair == (index[t[0]], index[t[1]])
                     # each subtree is the universe's own object, not an equal copy
-                    assert t[0] is u.trees[pair[0]] and t[1] is u.trees[pair[1]]
-
-    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
-    def test_parents_of_agrees_with_children(self, bound):
-        for letters in ["a", "ab", "abc"]:
-            u = Universe(bound, Alphabet.from_string(letters), cap=None)
-            as_left, as_right = [[] for _ in range(len(u))], [[] for _ in range(len(u))]
-            for i, t in enumerate(u.trees):
-                if not isinstance(t, str):
-                    as_left[u.position(t[0])].append(i)
-                    as_right[u.position(t[1])].append(i)
-            for upto in sorted({0, len(u) // 3, len(u) - 1}):
-                for i in range(len(u)):
-                    expected = [j for j in as_left[i] + as_right[i] if j <= upto]
-                    assert u.parents_of(i, upto) == expected, (letters, i, upto)
+                    assert t[0] is u.trees[u.position(t[0])] and t[1] is u.trees[u.position(t[1])]
 
     @pytest.mark.parametrize(
         "value",
