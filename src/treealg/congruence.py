@@ -26,7 +26,7 @@ import reprlib
 import time
 from array import array
 from itertools import chain, count, repeat
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PairOutOfUniverse
 from .trees import (
@@ -35,6 +35,7 @@ from .trees import (
     DEFAULT_UNIVERSE_CAP,
     Tree,
     Universe,
+    _fold_deep,
     _gc_paused,
     encode,
     leaf_count,
@@ -88,36 +89,6 @@ def _position(universe: Universe, t: Tree) -> int:
     return i
 
 
-_JOIN = object()  # on a walk's stack: the pair whose two halves were folded last
-
-
-def _walk(t, leaf: Callable[[str], Optional[int]], pair: Callable[[int, int], int]) -> Optional[int]:
-    """Bottom-up fold of ``t`` with an explicit stack, for trees of any depth.
-
-    A letter folds to ``leaf(letter)`` and a pair to ``pair(left, right)`` of
-    its halves' folds.  ``None`` if ``t`` is not a tree or ``leaf`` gives
-    ``None``: unlike :func:`trees._fold_deep`, which folds trees already
-    known to be trees, this walk also checks values from callers.
-    """
-    done: List[int] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node is _JOIN:
-            right = done.pop()
-            done.append(pair(done.pop(), right))
-        elif isinstance(node, str):
-            key = leaf(node)
-            if key is None:
-                return None
-            done.append(key)
-        elif isinstance(node, tuple) and len(node) == 2:
-            stack += (_JOIN, node[1], node[0])
-        else:
-            return None
-    return done[0]
-
-
 def _dag_rules(pairs: Sequence[Tuple[Tree, Tree]]) -> Tuple[Dict[str, int], Dict[int, Dict[int, int]], int]:
     """Congruence closure on the hash-consed DAG of the seeds' subterms, as rewrite rules.
 
@@ -132,7 +103,9 @@ def _dag_rules(pairs: Sequence[Tuple[Tree, Tree]]) -> Tuple[Dict[str, int], Dict
     nodes: Dict[object, int] = {}  # a letter, or the nodes of a pair's halves, to its node
 
     def intern(t: Tree) -> int:
-        return _walk(t, lambda a: nodes.setdefault(a, len(nodes)), lambda l, r: nodes.setdefault((l, r), len(nodes)))
+        return _fold_deep(
+            t, lambda a: nodes.setdefault(a, len(nodes)), lambda _, l, r: nodes.setdefault((l, r), len(nodes))
+        )
 
     seeds = [(intern(t), intern(u)) for t, u in pairs]
     parent = list(range(len(nodes)))
@@ -248,14 +221,14 @@ def congruent(
 
     Exact, on the whole algebra: the normal forms of ``u`` and ``v`` under
     the rules of :func:`_dag_rules` are equal, each found by one iterative
-    walk, in O(|seeds| + |u| + |v|) and with no universe.  A value that is
+    fold, in O(|seeds| + |u| + |v|) and with no universe.  A value that is
     not a tree of the alphabet raises :class:`PairOutOfUniverse`, naming the
     smallest universe that holds the trees given.
     """
     pairs = list(pairs)
     trees = [t for pair in pairs for t in pair] + [u, v]
     one_leaf = dict.fromkeys(alphabet.symbols, 1).get
-    sizes = [_walk(t, one_leaf, operator.add) for t in trees]  # leaf counts, None for a non-tree
+    sizes = [_fold_deep(t, one_leaf, lambda _, l, r: l + r) for t in trees]  # leaf counts, None for a non-tree
     if None in sizes:
         raise _out_of_universe(trees[sizes.index(None)], max(filter(None, sizes), default=1))
     letter_keys, rows, _ = _dag_rules(pairs)
@@ -263,7 +236,7 @@ def congruent(
     fresh = count(len(alphabet))  # a key for each signature new to the rules
 
     def normal_form(t: Tree) -> int:
-        return _walk(t, keys.get, lambda l, r: rows.setdefault(l, {}).setdefault(r, next(fresh)))
+        return _fold_deep(t, keys.get, lambda _, l, r: rows.setdefault(l, {}).setdefault(r, next(fresh)))
 
     return normal_form(u) == normal_form(v)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .trees import Alphabet, DEFAULT_ALPHABET, SHAPE_CHARS, Tree, _fold_deep, foliage
+from .trees import Alphabet, DEFAULT_ALPHABET, SHAPE_CHARS, Tree, _fold_deep, _tree_or_raise, foliage
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,11 @@ def graft(g: Grafting, t: Tree) -> Tree:
 
 def _graft_deep(source: str, replacement: Tree, t: Tree) -> Tree:
     """:func:`graft` by the iterative fold, for trees of any depth."""
-    return _fold_deep(
+    return _tree_or_raise(_fold_deep(
         t,
         partial(_graft, source, replacement),
         lambda node, left, right: node if left is node[0] and right is node[1] else (left, right),
-    )
+    ))
 
 
 def _graft(source: str, replacement: Tree, t: Tree) -> Tree:

@@ -392,14 +392,16 @@ def cp_to_polynomial(
         a, b = exc.check.pair
         raise NotCP(f"generator-hypotheses:{exc.check.failure}", (table[a], table[b])) from None
     evaluate = compile_poly(poly)
+    word = encode(poly)
+    constant = VARIABLE not in word
     # an image nests at most the polynomial's leaves plus verify_bound deep, and
-    # comparing tuples recurses once per level: past a few hundred, compare words
+    # comparing tuples recurses once per level: past a few hundred, compare the
+    # image's word with the polynomial's, the tree's word in place of the variable
     by_word = leaf_count(poly) > 200
     for t in iter_universe(verify_bound, alphabet):
-        expected = evaluate(t)
         actual = func(t)
-        if expected is actual:  # a constant's one image
+        if constant and actual is poly:  # a constant's one image
             continue
-        if (_encode_deep(expected) != _encode_deep(actual)) if by_word else expected != actual:
-            raise NotCP("verification", (expected, actual), at_input=t)
+        if (_encode_deep(actual) != word.replace(VARIABLE, encode(t))) if by_word else evaluate(t) != actual:
+            raise NotCP("verification", (evaluate(t), actual), at_input=t)
     return poly

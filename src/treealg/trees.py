@@ -206,28 +206,45 @@ def mirror(t: Tree) -> Tree:
     try:
         return _mirror(t)
     except RecursionError:
-        return _fold_deep(t, lambda a: a, lambda node, left, right: (right, left))
+        return _tree_or_raise(_fold_deep(t, lambda a: a, lambda node, left, right: (right, left)))
 
 
-def _fold_deep(t: Tree, leaf: Callable[[str], object], pair: Callable[[Tree, object, object], object]):
+_JOIN = object()  # on a fold's stack, above a pair: its two halves were folded last
+
+
+def _fold_deep(t, leaf: Callable[[str], object], pair: Callable[[Tree, object, object], object]):
     """Post-order fold with an explicit stack, for trees of any depth.
 
-    A leaf folds to ``leaf(letter)``, a pair ``node`` to ``pair(node, left,
-    right)`` with its children's folds, so ``pair`` can return ``node``
-    itself when nothing below it changed.
+    A letter folds to ``leaf(letter)``, a pair ``node`` to ``pair(node, left,
+    right)`` with its halves' folds, so ``pair`` can return ``node`` itself
+    when nothing below it changed.  ``None`` if ``t`` is not a tree, or at the
+    first ``None`` that ``leaf`` or ``pair`` returns.
     """
     done = []  # folds of the finished subtrees, left before right
-    stack = [(t, False)]
+    stack = [t]
     while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, str):
-            done.append(leaf(node))
-        elif expanded:
+        node = stack.pop()
+        if node is _JOIN:
             right = done.pop()
-            done.append(pair(node, done.pop(), right))
+            value = pair(stack.pop(), done.pop(), right)
+        elif isinstance(node, str):
+            value = leaf(node)
+        elif isinstance(node, tuple) and len(node) == 2:
+            stack += (node, _JOIN, node[1], node[0])
+            continue
         else:
-            stack += ((node, True), (node[1], False), (node[0], False))
+            return None
+        if value is None:
+            return None
+        done.append(value)
     return done[0]
+
+
+def _tree_or_raise(image: Optional[Tree]) -> Tree:
+    """The tree a fold into trees gave; its ``None`` for a non-tree input raises :class:`TypeError`."""
+    if image is None:
+        raise TypeError("not a tree")
+    return image
 
 
 class _ScanError(Exception):

@@ -35,6 +35,7 @@ from treealg import (
     identity_function,
     is_idempotent,
     iter_polynomials,
+    iter_universe,
     leaf_count,
     mirror,
     mirror_function,
@@ -517,7 +518,9 @@ class TestCpToPolynomial:
         # images are compared by their words, so no step of the verification recurses
         # once per level, which past the recursion limit fails and starts over; only
         # synthesis encodes the letters' images, once.  The limit is raised so that
-        # nothing fails and the trace counts every call more than 200 frames deep.
+        # nothing fails and the trace counts every treealg call more than 200 frames
+        # deep (not a gc callback that another library hooked in, which a collection
+        # during a deep encode would run).
         poly = comb(1_200, bottom="x")
         func = poly_function(poly)
 
@@ -528,7 +531,7 @@ class TestCpToPolynomial:
                 if event == "call":
                     frame.f_trace_lines = False
                     depth[0] += 1
-                    deep[0] += depth[0] > 200
+                    deep[0] += depth[0] > 200 and frame.f_globals["__name__"].startswith("treealg")
                 elif event == "return":
                     depth[0] -= 1
                 return trace
@@ -544,6 +547,21 @@ class TestCpToPolynomial:
             return deep[0]
 
         assert deep_calls(1) == deep_calls(3)  # 3 trees and 66 trees
+
+    def test_deep_polynomial_verifies_without_evaluating_it(self, monkeypatch):
+        # each image is checked by its word against the polynomial's word with the
+        # tree's word for x, so only the candidate grafts: 3 letters, then 66 trees
+        poly = comb(1_200, bottom="x")
+        calls = []
+        graft_deep = polynomials._graft_deep
+
+        def spy(*args):
+            calls.append(args[1])
+            return graft_deep(*args)
+
+        monkeypatch.setattr(polynomials, "_graft_deep", spy)
+        assert encode(cp_to_polynomial(poly_function(poly), 3)) == encode(poly)
+        assert calls == list("abc") + list(iter_universe(3))
 
     def test_deep_constant_copies_verify(self):
         # equal deep images that are distinct objects are compared as words

@@ -260,6 +260,35 @@ class TestDeepTrees:
         assert encode(mirror(t)) == encode(mirror_deep(t)) == mirrored
         assert encode(mirror(mirror(t))) == word
 
+    @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
+    @pytest.mark.parametrize("bad", [7, ["a", "b"], ("a", "b", "c")], ids=["int", "list", "triple"])
+    def test_non_tree_deep_down(self, left, bad):
+        # the fold gives None; mirror and graft, past their recursion, raise TypeError
+        t = bad
+        for i in range(100_000):
+            t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
+        assert _fold_deep(t, lambda a: 1, lambda node, l, r: l + r) is None
+        with pytest.raises(TypeError):
+            mirror(t)
+        with pytest.raises(TypeError):
+            graft(Grafting("a", ("b", "c")), t)
+
+    def test_fold_stops_at_the_first_none(self):
+        t = ((("a", "b"), "c"), ("c", ("a", "a")))
+        pairs, leaves = [], []
+
+        def pair(node, left, right):
+            pairs.append(node)
+            return None if node == ("a", "b") else (left, right)
+
+        def leaf(a):
+            leaves.append(a)
+            return None if a == "c" else a
+
+        assert _fold_deep(t, lambda a: a, pair) is None and pairs == [("a", "b")]
+        assert _fold_deep(t, leaf, lambda node, l, r: node) is None and leaves == ["a", "b", "c"]
+        assert _fold_deep(t, lambda a: 0, lambda node, l, r: 0) == 0  # a fold of 0 is no stop
+
 
 class TestFastPath:
     # the recursive folds against the iterative walker they fall back to
