@@ -86,6 +86,43 @@ def test_traced_alternates_and_takes_medians(monkeypatch):
     assert "3 runs per side" in section["note"] and "median" in section["note"]
 
 
+def test_check_cp_alternates_and_takes_medians(monkeypatch):
+    calls = []
+    seconds = {"parent": [5.0, 4.0, 6.0], "change": [1.0, 1.2, 0.8]}
+
+    def timed_run(checkout, command, arg):
+        calls.append((checkout.name, command, arg))
+        k = calls.count((checkout.name, command, arg)) - 1
+        return {"seconds": seconds[checkout.name][k], "peak_rss_mb": 40.0 + k}
+
+    monkeypatch.setattr(bench_pairs, "timed_run", timed_run)
+    section = bench_pairs.timed_section(CHECKOUTS, "check-cp", 3)
+
+    assert calls[:6] == [("parent", "check-cp", "identity"), ("change", "check-cp", "identity"),
+                         ("change", "check-cp", "identity"), ("parent", "check-cp", "identity"),
+                         ("parent", "check-cp", "identity"), ("change", "check-cp", "identity")]
+    assert len(calls) == 12 and {c[2] for c in calls[6:]} == {"mirror"}
+    assert "cp_evidence(function_from_spec(ARG), 6)" in section["note"]
+    assert section["identity"]["parent"]["seconds"] == {"median": 5.0, "q1": 4.5, "q3": 5.5}
+    assert section["mirror"]["change"]["seconds"]["median"] == 1.0
+    assert section["mirror"]["change_vs_parent"] == -0.8
+
+
+def test_check_cp_records_peak_rss_beside_seconds(monkeypatch):
+    figures = iter([{"seconds": 0.7, "peak_rss_mb": 44.1}, {"seconds": 0.8, "peak_rss_mb": 36.2}] * 2)
+    monkeypatch.setattr(bench_pairs, "timed_run", lambda *args: next(figures))
+    monkeypatch.setitem(bench_pairs.TIMED, "check-cp", bench_pairs.TIMED["check-cp"][:3] + (("identity",),))
+    section = bench_pairs.timed_section(CHECKOUTS, "check-cp", 2)
+
+    # pair 1 runs the parent first, pair 2 the change
+    assert section["identity"]["parent"]["runs"] == [{"seconds": 0.7, "peak_rss_mb": 44.1},
+                                                     {"seconds": 0.8, "peak_rss_mb": 36.2}]
+    assert section["identity"]["change"]["peak_rss_mb"] == {"median": 40.15, "q1": 38.175, "q3": 42.125}
+    assert "peak RSS" in section["note"] and "2 runs per side" in section["note"]
+    code = bench_pairs.child("check-cp")
+    assert "ru_maxrss" in code and "'peak_rss_mb'" in code
+
+
 @pytest.mark.parametrize("command", ["traced", *bench_pairs.TIMED])
 def test_every_command_takes_its_run_count_from_pairs(monkeypatch, tmp_path, command):
     counts = []
