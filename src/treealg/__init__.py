@@ -9,7 +9,6 @@ from .congruence import (
     TreePartition,
     bounded_closure,
     congruent,
-    principal_related,
 )
 from .errors import (
     AlphabetTooSmall,

@@ -1,4 +1,4 @@
-"""Bounded congruence closure on finite tree universes, by normal forms.
+"""Congruences generated by seed pairs, decided by normal forms.
 
 The closure engine computes, inside the universe of all trees with at
 most N leaves, the smallest equivalence relation that contains a given
@@ -6,17 +6,18 @@ set of seed pairs and is closed under compatibility: whenever t1 ~ t1'
 and t2 ~ t2' and both pairings stay inside the universe, the pairings
 are related too.
 
-Congruence closure on the hash-consed DAG of the seeds' subterms turns
-the seeds into a convergent, flat ground rewrite system: each letter of
-the DAG, and each pair of DAG classes, rewrites to its class.  Two trees
-are congruent iff their bottom-up normal forms are equal (Downey, Sethi &
-Tarjan, JACM 1980; Kapur, RTA 1997).  The universe lists children before
-parents, so one pass over it gives every tree its normal form from its
-children's.  The universe is closed under subterms, so the result is
-exactly the restriction to it of the congruence that the seeds generate
-on the whole (infinite) algebra: a negative answer is as definitive as a
-positive one, and :func:`congruent` decides the same relation on any two
-trees without a universe.
+Every question is answered one way.  Congruence closure on the
+hash-consed DAG of the seeds' subterms turns the seeds into a convergent,
+flat ground rewrite system: each letter of the DAG, and each pair of DAG
+classes, rewrites to its class.  Two trees are congruent iff their
+bottom-up normal forms are equal (Downey, Sethi & Tarjan, JACM 1980;
+Kapur, RTA 1997).  :func:`bounded_closure` keys every tree of the
+universe by its normal form in one pass, children before parents;
+:meth:`TreePartition.related` compares two trees' normal forms, and
+:func:`congruent` does so for trees of any size, with no universe.  The
+universe is closed under subterms, so the partition is exactly the
+restriction to it of the congruence the seeds generate on the whole
+(infinite) algebra: a negative answer is as definitive as a positive one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import reprlib
 import time
 from array import array
 from itertools import chain, count, repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PairOutOfUniverse
 from .trees import (
@@ -46,19 +47,21 @@ from .trees import (
 class TreePartition:
     """Equivalence classes over a fixed universe; immutable once built.
 
-    ``_roots`` holds the root position of each tree's class.  The canonical
-    representative of a class is its enumeration-smallest member, so two
-    runs over the same input agree byte for byte.
+    ``_roots`` holds the root position of each tree's class; :meth:`related`
+    compares normal forms instead, and reads no universe table.  The
+    canonical representative of a class is its enumeration-smallest member,
+    so two runs over the same input agree byte for byte.
     """
 
-    def __init__(self, universe: Universe, roots: array, stats: Dict[str, float]):
+    def __init__(self, universe: Universe, roots: array, stats: Dict[str, float], normal_form: Callable):
         self.universe = universe
         self.universe_size = len(universe)
         self._roots = roots
         self.stats = stats
+        self._normal_form = normal_form
 
     def related(self, t: Tree, t2: Tree) -> bool:
-        return self._roots[_position(self.universe, t)] == self._roots[_position(self.universe, t2)]
+        return self._normal_form(t) == self._normal_form(t2)
 
     def classes(self, members: Optional[Sequence] = None) -> List[list]:
         """All classes in enumeration order, members in enumeration order.
@@ -81,24 +84,52 @@ def _out_of_universe(t, max_leaves: int) -> PairOutOfUniverse:
     return PairOutOfUniverse(word, max_leaves)
 
 
-def _position(universe: Universe, t: Tree) -> int:
-    """Position of ``t`` in ``universe``; :class:`PairOutOfUniverse` if it has none."""
-    i = universe.position(t)
-    if i is None:
-        raise _out_of_universe(t, universe.max_leaves)
-    return i
+def _normalizer(keys: Dict[str, int], rules: Dict[Tuple[object, object], int], max_leaves: int) -> Callable:
+    """The normal form under ``rules`` of a tree with at most ``max_leaves`` leaves.
+
+    A letter's is its key, a pair's ``rules.get(sig, sig)`` for the
+    signature ``sig`` of its halves' normal forms: every rule's left side
+    holds DAG keys only, so a signature without a rule is its own normal
+    form.  The fold stops past ``max_leaves`` leaves, so it recurses at most
+    that deep; a value that is not a tree of the keys' letters, or has more
+    leaves, raises :class:`PairOutOfUniverse`.
+    """
+
+    def fold(t, budget: int) -> Tuple[object, int]:
+        # (normal form, leaves) of a pair with at most budget leaves, else (None, 0); a letter half is read here
+        if not isinstance(t, tuple) or len(t) != 2 or budget < 2:
+            return None, 0
+        left, right = t
+        left, seen = (keys.get(left), 1) if isinstance(left, str) else fold(left, budget - 1)
+        if left is None:
+            return None, 0
+        right, leaves = (keys.get(right), 1) if isinstance(right, str) else fold(right, budget - seen)
+        if right is None:
+            return None, 0
+        sig = (left, right)
+        return rules.get(sig, sig), seen + leaves
+
+    def normal_form(t: Tree):
+        found = keys.get(t) if isinstance(t, str) else fold(t, max_leaves)[0]
+        if found is None:
+            raise _out_of_universe(t, max_leaves)
+        return found
+
+    return normal_form
 
 
-def _dag_rules(pairs: Sequence[Tuple[Tree, Tree]]) -> Tuple[Dict[str, int], Dict[int, Dict[int, int]], int]:
+def _dag_rules(
+    pairs: Sequence[Tuple[Tree, Tree]], alphabet: Alphabet
+) -> Tuple[Dict[str, int], Dict[int, Dict[int, int]], int]:
     """Congruence closure on the hash-consed DAG of the seeds' subterms, as rewrite rules.
 
     Each subterm of a seed is one node.  The seed pairs are united, then a
     signature pass ``(find(left), find(right))`` over the pair nodes unites
     the nodes that share one, until a pass unites nothing; the DAG has
     O(|seeds|) nodes, so the plain fixpoint is cheap.  The m classes are
-    keyed -1 ... -m.  Returns the key of each letter in the DAG, the pair
-    rules as ``rows[left key][right key] = key``, and m.  The trees must be
-    trees over the alphabet.
+    keyed -1 ... -m.  Returns the key of each letter, its DAG key or else
+    its alphabet index, the pair rules as ``rows[left key][right key] =
+    key``, and m.  The trees must be trees over the alphabet.
     """
     nodes: Dict[object, int] = {}  # a letter, or the nodes of a pair's halves, to its node
 
@@ -135,8 +166,8 @@ def _dag_rules(pairs: Sequence[Tuple[Tree, Tree]]) -> Tuple[Dict[str, int], Dict
     rows: Dict[int, Dict[int, int]] = {}
     for (l, r), node in halves:
         rows.setdefault(class_key[l], {})[class_key[r]] = class_key[node]
-    letters = {a: class_key[node] for a, node in nodes.items() if isinstance(a, str)}
-    return letters, rows, len(key_of)
+    keys = {a: class_key[nodes[a]] if a in nodes else i for i, a in enumerate(alphabet.symbols)}
+    return keys, rows, len(key_of)
 
 
 def _settle(keys: array, rows: Dict[int, Dict[int, int]], dag_classes: int):
@@ -157,7 +188,8 @@ def bounded_closure(
     """Least in-universe equivalence containing ``pairs``, compatible with pairing.
 
     Each seed must lie in the universe.  The rules of :func:`_dag_rules`
-    seed the signature table ``rows``; then one pass over the pair blocks,
+    seed the signature table ``rows``, and the partition keeps a copy for
+    :meth:`TreePartition.related`; then one pass over the pair blocks,
     children before parents, gives each tree a key, its normal form: a
     letter's DAG key, or its own position.  A block reads its right
     children's keys once and its left children's rows of ``rows`` once,
@@ -178,13 +210,14 @@ def bounded_closure(
     universe = Universe(max_leaves, alphabet, cap)
     built = time.perf_counter()
     pairs = list(pairs)
-    for t, u in pairs:
-        _position(universe, t)
-        _position(universe, u)
-    letter_keys, rows, dag_classes = _dag_rules(pairs)
+    in_universe = _normalizer(dict(zip(alphabet.symbols, count())), {}, max_leaves)
+    for t in chain.from_iterable(pairs):
+        in_universe(t)
+    letter_keys, rows, dag_classes = _dag_rules(pairs, alphabet)
+    rules = {(l, r): k for l, row in rows.items() for r, k in row.items()}  # before the pass adds to rows
     settled = universe_size(max((leaf_count(t) for pair in pairs for t in pair), default=1), len(alphabet))
     with _gc_paused():
-        keys = array("i", (letter_keys.get(a, i) for i, a in enumerate(alphabet.symbols)))
+        keys = array("i", letter_keys.values())
         for lefts, rights in universe.pair_blocks():
             if len(keys) == settled:
                 keys, rows = _settle(keys, rows, dag_classes)
@@ -208,7 +241,7 @@ def bounded_closure(
         "universe_s": built - start,
         "sweep_s": time.perf_counter() - built,
     }
-    return TreePartition(universe, keys, stats)
+    return TreePartition(universe, keys, stats, _normalizer(letter_keys, rules, max_leaves))
 
 
 def congruent(
@@ -224,6 +257,11 @@ def congruent(
     fold, in O(|seeds| + |u| + |v|) and with no universe.  A value that is
     not a tree of the alphabet raises :class:`PairOutOfUniverse`, naming the
     smallest universe that holds the trees given.
+
+    :meth:`TreePartition.related` folds by the same rules, recursively and
+    into signature tuples, for speed on trees of at most its bound of
+    leaves.  Here trees may be of any depth: the fold keeps a stack and
+    names each new signature by an int, as comparing deep tuples recurses in C.
     """
     pairs = list(pairs)
     trees = [t for pair in pairs for t in pair] + [u, v]
@@ -231,20 +269,10 @@ def congruent(
     sizes = [_fold_deep(t, one_leaf, lambda _, l, r: l + r) for t in trees]  # leaf counts, None for a non-tree
     if None in sizes:
         raise _out_of_universe(trees[sizes.index(None)], max(filter(None, sizes), default=1))
-    letter_keys, rows, _ = _dag_rules(pairs)
-    keys = {a: letter_keys.get(a, i) for i, a in enumerate(alphabet.symbols)}
+    keys, rows, _ = _dag_rules(pairs, alphabet)
     fresh = count(len(alphabet))  # a key for each signature new to the rules
 
     def normal_form(t: Tree) -> int:
         return _fold_deep(t, keys.get, lambda _, l, r: rows.setdefault(l, {}).setdefault(r, next(fresh)))
 
     return normal_form(u) == normal_form(v)
-
-
-def principal_related(t: Tree, t2: Tree, u: Tree, v: Tree, alphabet: Alphabet = DEFAULT_ALPHABET) -> bool:
-    """Are ``u`` and ``v`` related by the congruence generated by ``(t, t2)``?
-
-    Decided exactly by :func:`congruent`; a value that is not a tree of the
-    alphabet raises :class:`PairOutOfUniverse`.
-    """
-    return congruent([(t, t2)], u, v, alphabet)

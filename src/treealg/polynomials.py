@@ -347,8 +347,8 @@ def cp_evidence(
 
     # (d) idempotent-grafting identity
     ok_d, checked_d, witness_d = True, 0, None
-    for a in alphabet:
-        leaf_image = images[universe.position(a)]
+    for i, a in enumerate(alphabet):
+        leaf_image = images[i]  # the letters come first in the universe
         for word, leaves, image in zip(words, foliages, images):
             if a in leaves:
                 continue  # grafting a -> t would not be idempotent

@@ -454,46 +454,8 @@ def _gc_paused():
             gc.enable()
 
 
-def _ranker(letter: Dict[str, int], shape_at: Dict[Tuple[int, int], int], size: List[int], leaves: List[int]):
-    """The bottom-up fold behind :meth:`Universe.position`, over its block table."""
-
-    def rank(t, budget: int) -> Optional[Tuple[int, int]]:
-        # (shape, offset in its block) of a tree with at most ``budget`` leaves, else None
-        if isinstance(t, str):
-            i = letter.get(t)
-            return None if i is None else (0, i)
-        return rank_pair(t, budget)
-
-    def rank_pair(t, budget: int) -> Optional[Tuple[int, int]]:
-        # as rank, for anything but a string; a letter child is ranked here, not by a call
-        if not isinstance(t, tuple) or len(t) != 2 or budget < 2:
-            return None
-        left, right = t
-        if isinstance(left, str):
-            left_shape, left_offset = 0, letter.get(left)
-            if left_offset is None:
-                return None
-        else:
-            found = rank_pair(left, budget - 1)
-            if found is None:
-                return None
-            left_shape, left_offset = found
-        if isinstance(right, str):
-            right_shape, right_offset = 0, letter.get(right)
-            if right_offset is None:
-                return None
-        else:
-            found = rank_pair(right, budget - leaves[left_shape])
-            if found is None:
-                return None
-            right_shape, right_offset = found
-        return shape_at[left_shape, right_shape], left_offset * size[right_shape] + right_offset
-
-    return rank
-
-
 class Universe:
-    """The bounded universe as a table of shape blocks, ranked by arithmetic.
+    """The bounded universe as a table of shape blocks.
 
     Positions number every tree with at most ``max_leaves`` leaves in
     enumeration order: the letters first, then the trees of each shape in
@@ -503,10 +465,11 @@ class Universe:
     offsets ``l`` and ``r`` of their blocks sits at
     ``start[(L, R)] + l * size[R] + r``.  The table holds per shape its
     start, size, subshapes and leaf count, and the shape of each pair of
-    subshapes: O(shapes), 626 at bound 8, and no tree.  :meth:`position`
-    and :meth:`kernel` work by that formula.  ``trees``, built on first
-    use, is the one materialized universe, and the constructor's ``cap``
-    its size check.
+    subshapes: O(shapes), 626 at bound 8, and no tree.  The whole-universe
+    passes read it: :meth:`pair_blocks` for the closure, :meth:`kernel` by
+    that formula.  A universe answers no per-tree query.  ``trees``, built
+    on first use, is the one materialized universe, and the constructor's
+    ``cap`` its size check.
     """
 
     def __init__(
@@ -541,8 +504,6 @@ class Universe:
                 self._left.append(left)
                 self._right.append(right)
                 self._leaves.append(n)
-        letter = {a: i for i, a in enumerate(alphabet.symbols)}
-        self._rank = _ranker(letter, self._shape_at, self._size, self._leaves)
 
     def __len__(self) -> int:
         return self._count
@@ -555,20 +516,6 @@ class Universe:
         """
         block = [range(start, start + size) for start, size in zip(self._start, self._size)]
         return [(block[left], block[right]) for left, right in zip(self._left[1:], self._right[1:])]
-
-    def position(self, t) -> Optional[int]:
-        """Position of ``t``; ``None`` for any value that is not a tree of this universe.
-
-        The walk gives up as soon as the leaves seen pass ``max_leaves``, so
-        it recurses at most ``max_leaves`` deep whatever the input.
-        """
-        found = self._rank(t, self.max_leaves)
-        return None if found is None else self._start[found[0]] + found[1]
-
-    def _locate(self, i: int) -> Tuple[int, int]:
-        """The shape of the tree at position ``i`` and its offset in the shape's block."""
-        shape = bisect_right(self._start, i) - 1
-        return shape, i - self._start[shape]
 
     @cached_property
     def trees(self) -> List[Tree]:
@@ -602,10 +549,9 @@ class Universe:
         O(moved + shapes) memory; nothing is stored on the universe.
         """
         start, size, left_of, right_of, shape_at = self._start, self._size, self._left, self._right, self._shape_at
-        letters = self.alphabet.symbols
         moved: Dict[int, int] = {}
         first_leaf: Dict[Tree, int] = {}
-        for i, a in enumerate(letters):
+        for i, a in enumerate(self.alphabet.symbols):
             first = first_leaf.setdefault(leaf_image[a], i)
             if first != i:
                 moved[i] = first
@@ -613,21 +559,27 @@ class Universe:
         firsts: List[List[Tuple[int, int, int]]] = [[(i, 0, first) for i, first in moved.items()]]
         firsts += [[] for _ in range(1, len(start))]
 
-        def first_tree(t: Tree, depth: int) -> Optional[Tree]:
-            # the first tree with image t, looked for at most depth pair levels down
+        def first_tree(t: Tree, depth: int) -> Optional[Tuple[int, int]]:
+            # (shape, offset) of the first tree with image t, looked for at most depth pair levels down
             i = first_leaf.get(t)
-            if i is None and depth > 0 and not isinstance(t, str):
-                return first_tree(t[0], depth - 1), first_tree(t[1], depth - 1)
-            return None if i is None else letters[i]
+            if i is not None:
+                return 0, i
+            return None if depth == 0 or isinstance(t, str) else first_pair(t, depth)
+
+        def first_pair(t: Tree, depth: int) -> Optional[Tuple[int, int]]:
+            # (shape, offset) of the pair of the first trees with t's halves' images; None past the bound
+            left, right = first_tree(t[0], depth - 1), first_tree(t[1], depth - 1)
+            if left is None or right is None or (left[0], right[0]) not in shape_at:
+                return None
+            return shape_at[left[0], right[0]], left[1] * size[right[0]] + right[1]
 
         seeds: Dict[int, int] = {}  # seed position -> its leaf
         for image, i in first_leaf.items():
-            if not isinstance(image, str):
-                seed = self.position((first_tree(image[0], self.max_leaves), first_tree(image[1], self.max_leaves)))
-                if seed is not None:
-                    seeds[seed] = moved[seed] = i
-                    shape, offset = self._locate(seed)
-                    firsts[shape].append((offset, 0, i))
+            seed = None if isinstance(image, str) else first_pair(image, self.max_leaves)
+            if seed is not None:
+                shape, offset = seed
+                seeds[start[shape] + offset] = moved[start[shape] + offset] = i
+                firsts[shape].append((offset, 0, i))
 
         update = moved.update
         for s in range(1, len(start)):

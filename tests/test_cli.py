@@ -14,18 +14,13 @@ import treealg
 from treealg import encode, foliage, skeleton
 from treealg.cli import run
 
+from helpers import comb
+
 
 def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
-
-
-def comb(leaves, left=True, bottom="a"):
-    t = bottom
-    for i in range(leaves - 1):
-        t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
-    return t
 
 
 # Deep inputs for every command that reads a tree, a table or a function

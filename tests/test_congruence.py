@@ -19,9 +19,10 @@ from treealg import (
     graft,
     iter_universe,
     parse_tree,
-    principal_related,
     skeleton,
 )
+
+from helpers import comb, positions
 
 AB_CLASSES = [
     ["a", "b"],
@@ -70,11 +71,11 @@ class TestBoundedClosure:
         # for a leaf-to-leaf seed every derivation stays inside the bound,
         # so the closure coincides with the collapse kernel on the universe
         partition = bounded_closure([("a", "b")], 4)
-        position = partition.universe.position
+        position = positions(partition.universe)
         groups = {}
         for t in partition.universe.trees:
             groups.setdefault(graft(Grafting("a", "b"), t), []).append(t)
-        expected = sorted(groups.values(), key=lambda cls: position(cls[0]))
+        expected = sorted(groups.values(), key=lambda cls: position[cls[0]])
         assert partition.classes() == expected
         # class count: shapes times foliages over the collapsed alphabet
         from treealg import catalan
@@ -83,12 +84,12 @@ class TestBoundedClosure:
 
     def test_compatibility_holds_within_bound(self):
         partition = bounded_closure([("a", "b")], 3)
-        position = partition.universe.position
+        position = positions(partition.universe)
         for t1, t2 in itertools.product(iter_universe(1), repeat=2):
             for t1b, t2b in itertools.product(iter_universe(1), repeat=2):
                 if partition.related(t1, t1b) and partition.related(t2, t2b):
                     p, q = (t1, t2), (t1b, t2b)
-                    if position(p) is not None and position(q) is not None:
+                    if p in position and q in position:
                         assert partition.related(p, q)
 
 
@@ -323,68 +324,93 @@ class TestRelated:
         with pytest.raises(PairOutOfUniverse):
             partition.related(parse_tree("<a*b>"), "a")
 
-    @pytest.mark.parametrize("value", ["d", "ab", None, 5, ("a", 5), ("a", "b", "c")])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "d",  # unknown letter
+            "ab",  # not one letter
+            None,
+            5,
+            ("a", 5),
+            ("a", "b", "c"),
+            ("a", "d"),
+            ((("a", "b"), "c"), ("a", "b")),  # five leaves, one past the bound
+            ("a", ("b", ("c", ("a", ("b", "c"))))),
+            ["a", "b"],
+            (),
+        ],
+    )
     def test_non_trees_are_out_of_universe(self, value):
-        partition = bounded_closure([], 2)
+        partition = bounded_closure([], 4)
         with pytest.raises(PairOutOfUniverse):
             partition.related(value, "a")
         with pytest.raises(PairOutOfUniverse):
-            bounded_closure([("a", value)], 2)
+            partition.related("a", value)
+        with pytest.raises(PairOutOfUniverse):
+            bounded_closure([("a", value)], 4)
 
     def test_deep_comb_is_out_of_universe(self):
-        comb = "a"
-        for _ in range(100_000):
-            comb = (comb, "b")
+        # the fold stops once it has seen more leaves than the bound, whichever side the comb grows
         partition = bounded_closure([], 3)
-        with pytest.raises(PairOutOfUniverse, match=r"<<<<a\*b>\*b>"):
-            partition.related("a", comb)
-        with pytest.raises(PairOutOfUniverse):
-            bounded_closure([(comb, "a")], 3)
+        for left, word in [(True, r"<<<<a\*b>\*b>"), (False, r"<b\*<b\*<b\*")]:
+            deep = comb(100_001, left, letters="b")
+            with pytest.raises(PairOutOfUniverse, match=word):
+                partition.related("a", deep)
+            with pytest.raises(PairOutOfUniverse):
+                partition.related(deep, deep)
+            with pytest.raises(PairOutOfUniverse):
+                bounded_closure([(deep, "a")], 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_classes_on_every_pair(self, data):
+        # related reads normal forms, classes() the closure's roots: one answer on every pair of U_N
+        alphabet = Alphabet.from_string(data.draw(st.sampled_from(["ab", "abc"])))
+        bound = data.draw(st.integers(1, 4))
+        tree = st.integers(1, bound).flatmap(lambda n: st.sampled_from(list(iter_universe(n, alphabet))))
+        pairs = data.draw(st.lists(st.tuples(tree, tree), max_size=3))
+        partition = bounded_closure(pairs, bound, alphabet)
+        class_of = {t: k for k, cls in enumerate(partition.classes()) for t in cls}
+        for u, v in itertools.product(class_of, repeat=2):
+            assert partition.related(u, v) is (class_of[u] == class_of[v]), (pairs, u, v)
 
 
 class TestPrincipalRelated:
+    """The principal congruence of one pair, decided by ``congruent``."""
+
     def test_generator_pair(self):
-        assert principal_related("a", "b", "a", "b") is True
+        assert congruent([("a", "b")], "a", "b") is True
 
     def test_reflexive_generator_relates_nothing(self):
-        assert principal_related("a", "a", "a", "b") is False
+        assert congruent([("a", "a")], "a", "b") is False
 
     def test_derived_product_pair(self):
         u, v = parse_tree("<a*c>"), parse_tree("<b*c>")
-        assert principal_related("a", "b", u, v) is True
+        assert congruent([("a", "b")], u, v) is True
 
     def test_monotone_in_bound(self):
         u, v = parse_tree("<a*c>"), parse_tree("<b*c>")
-        assert principal_related("a", "b", u, v) is True
+        assert congruent([("a", "b")], u, v) is True
         for bound in (2, 3, 4):
             assert bounded_closure([("a", "b")], bound).related(u, v)
 
     def test_negative_answer_is_exact(self):
         u, v = parse_tree("<a*c>"), parse_tree("<c*a>")
-        assert principal_related("a", "b", u, v) is False
+        assert congruent([("a", "b")], u, v) is False
         for bound in (3, 4, 5):  # no larger universe relates them either
             assert not bounded_closure([("a", "b")], bound).related(u, v)
 
     def test_bound_is_the_largest_leaf_count(self):
         # a~<a*a> relates a to the three-leaf <<a*a>*a>, which sets the bound
-        assert principal_related("a", parse_tree("<a*a>"), "a", parse_tree("<<a*a>*a>")) is True
-        assert principal_related("a", parse_tree("<a*a>"), "b", parse_tree("<<a*a>*b>")) is False
+        assert congruent([("a", parse_tree("<a*a>"))], "a", parse_tree("<<a*a>*a>")) is True
+        assert congruent([("a", parse_tree("<a*a>"))], "b", parse_tree("<<a*a>*b>")) is False
 
     @pytest.mark.parametrize("value", ["d", "ab", None, 5, ("a", 5), ("a", "b", "c")])
     def test_non_trees_are_out_of_universe(self, value):
         with pytest.raises(PairOutOfUniverse):
-            principal_related("a", value, "a", "b")
+            congruent([("a", value)], "a", "b")
         with pytest.raises(PairOutOfUniverse):
-            principal_related("a", "b", "a", value)
-
-
-def comb(leaves, left, letters):
-    """A comb of ``leaves`` leaves, its letters cycling through ``letters``."""
-    t = letters[0]
-    for i in range(1, leaves):
-        leaf = letters[i % len(letters)]
-        t = (t, leaf) if left else (leaf, t)
-    return t
+            congruent([("a", "b")], "a", value)
 
 
 class TestCongruent:
@@ -404,14 +430,14 @@ class TestCongruent:
 
     @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
     def test_deep_combs(self, left):
-        u, v, w = comb(100_000, left, "ab"), comb(100_000, left, "ba"), comb(100_000, not left, "ab")
+        u, v, w = comb(100_000, left, "a", "ba"), comb(100_000, left, "b", "ab"), comb(100_000, not left, "a", "ba")
         assert congruent([("a", "b")], u, v) is True
         assert congruent([("a", "b")], u, w) is False
         assert congruent([(u, "c")], (u, "a"), ("c", "a")) is True
         assert congruent([(u, v)], u, w) is False
 
     @pytest.mark.parametrize(
-        "value", ["d", "ab", None, 5, ("a", 5), ("a", "b", "c"), ["a", "b"], comb(100_000, True, [5, "a"])],
+        "value", ["d", "ab", None, 5, ("a", 5), ("a", "b", "c"), ["a", "b"], comb(100_000, True, 5, ["a", 5])],
         ids=["d", "ab", "None", "5", "a-5", "triple", "list", "deep"],
     )
     def test_non_trees_are_out_of_universe(self, value):
@@ -502,7 +528,7 @@ class TestMinimality:
         breaks seed containment or in-bound compatibility."""
         partition = bounded_closure([("a", "b")], 2)
         universe = partition.universe.trees
-        position = partition.universe.position
+        position = positions(partition.universe)
         classes = partition.classes()
 
         def violates(split_classes):
@@ -521,7 +547,7 @@ class TestMinimality:
                     if cls_of[u1] != cls_of[u2]:
                         continue
                     p, q = (t1, u1), (t2, u2)
-                    if position(p) is not None and position(q) is not None and cls_of[p] != cls_of[q]:
+                    if p in position and q in position and cls_of[p] != cls_of[q]:
                         return True
             return False
 

@@ -27,6 +27,8 @@ from treealg import (
 from treealg.morphisms import _graft
 from treealg.trees import _fold_deep
 
+from helpers import comb, positions
+
 letters = st.sampled_from("abc")
 trees = st.recursive(letters, lambda ch: st.tuples(ch, ch), max_leaves=15)
 words = st.text(alphabet="abc", max_size=12)
@@ -82,13 +84,6 @@ def graft_deep(g, t):
         partial(_graft, g.source, g.replacement),
         lambda node, left, right: node if left is node[0] and right is node[1] else (left, right),
     )
-
-
-def comb(leaves, left):
-    t = "a"
-    for i in range(leaves - 1):
-        t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
-    return t
 
 
 class TestGraftWalkers:
@@ -199,11 +194,12 @@ class TestKernels:
         universe = Universe(3)
         moved = universe.kernel({"a": g.replacement, "b": "b", "c": "c"})
         first = [moved.get(i, i) for i in range(len(universe.trees))]
+        position = positions(universe)
         seen = {}
         for t, t2 in itertools.product(u3, repeat=2):
-            pair = universe.position((t, t2))
+            pair = position.get((t, t2))
             if pair is not None:
-                key = (first[universe.position(t)], first[universe.position(t2)])
+                key = (first[position[t]], first[position[t2]])
                 assert seen.setdefault(key, first[pair]) == first[pair]
 
     def test_kernels_are_equivalences(self):

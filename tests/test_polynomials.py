@@ -51,6 +51,8 @@ from treealg import morphisms, polynomials
 from treealg.errors import UnknownLetter
 from treealg.trees import VARIABLE, _require_cover, _scan
 
+from helpers import comb
+
 poly_letters = st.sampled_from("abcx")
 polys = st.recursive(poly_letters, lambda ch: st.tuples(ch, ch), max_leaves=10)
 small_polys = st.recursive(poly_letters, lambda ch: st.tuples(ch, ch), max_leaves=4).filter(
@@ -107,14 +109,6 @@ class TestEvalPoly:
         evaluate = compile_poly(poly)
         image = near_recursion_limit(lambda: evaluate(("a", "b")))
         assert encode(image) == encode(poly).replace("x", "<a*b>")
-
-
-def comb(leaves, left=True, bottom="a"):
-    """A comb with ``bottom`` as its deepest leaf and the letters cycling above it."""
-    t = bottom
-    for i in range(leaves - 1):
-        t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
-    return t
 
 
 def near_recursion_limit(call, headroom=50):

@@ -36,6 +36,8 @@ from treealg import (
 from treealg import morphisms, trees as trees_module
 from treealg.trees import UNICODE_SHAPES, _encode_deep, _fold_deep, _mirror, _shapes
 
+from helpers import comb, positions
+
 ABC = Alphabet.from_string("abc")
 ODD = Alphabet(("'", "(", ",", " "))
 
@@ -115,13 +117,6 @@ def parse_outcome(parse, text, **kwargs):
         return parse(text, **kwargs)
     except MalformedTree as exc:
         return str(exc), exc.payload()
-
-
-def comb(leaves, left):
-    t = "a"
-    for i in range(leaves - 1):
-        t = (t, "abc"[i % 3]) if left else ("abc"[i % 3], t)
-    return t
 
 
 def comb_word(leaves, left):
@@ -607,8 +602,9 @@ def first_members(u, moved):
 
 
 def child_positions(u):
-    """The child positions of each pair tree of ``u``, read off its trees by ``position``."""
-    return [(u.position(t[0]), u.position(t[1])) for t in u.trees[len(u.alphabet):]]
+    """The child positions of each pair tree of ``u``, read off its trees by a dict."""
+    position = positions(u)
+    return [(position[t[0]], position[t[1]]) for t in u.trees[len(u.alphabet):]]
 
 
 def dense_kernel(u, leaf_image, children=None):
@@ -640,39 +636,13 @@ class TestUniverse:
             expected = list(iter_universe(bound, alphabet))
             u = Universe(bound, alphabet, cap=None)
             assert u.max_leaves == bound and len(u) == len(expected)
-            assert [u.position(t) for t in expected] == list(range(len(expected)))
             assert u.words() == [encode(t) for t in expected]
             assert u.trees == expected
+            position = positions(u)
             for t in u.trees:
                 if not isinstance(t, str):
                     # each subtree is the universe's own object, not an equal copy
-                    assert t[0] is u.trees[u.position(t[0])] and t[1] is u.trees[u.position(t[1])]
-
-    @pytest.mark.parametrize(
-        "value",
-        [
-            "d",  # unknown letter
-            "ab",  # not one letter
-            ("a", "d"),
-            ((("a", "b"), "c"), ("a", "b")),  # five leaves, one past the bound
-            ("a", ("b", ("c", ("a", ("b", "c"))))),
-            None,
-            5,
-            ["a", "b"],
-            ("a", "b", "c"),
-            ("a", 5),
-            (),
-        ],
-    )
-    def test_position_is_none_outside_the_universe(self, value):
-        assert Universe(4).position(value) is None
-
-    @pytest.mark.parametrize("side", [0, 1])
-    def test_position_cuts_off_deep_combs(self, side):
-        comb = "a"
-        for _ in range(100_000):
-            comb = (comb, "b") if side == 0 else ("b", comb)
-        assert Universe(3).position(comb) is None
+                    assert t[0] is u.trees[position[t[0]]] and t[1] is u.trees[position[t[1]]]
 
     @pytest.mark.parametrize("bound", [0, -1])
     def test_non_positive_bound_rejected(self, bound):
@@ -695,7 +665,8 @@ class TestUniverse:
     def test_leaf_and_pair_with_equal_images_share_a_number(self):
         u = Universe(2)
         moved = u.kernel({"a": parse_tree("<b*c>"), "b": "b", "c": "c"})
-        assert moved == {u.position(parse_tree("<b*c>")): u.position("a")}
+        position = positions(u)
+        assert moved == {position[parse_tree("<b*c>")]: position["a"]}
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_constant_leaf_map_gives_skeleton_partition(self, bound):
