@@ -644,6 +644,17 @@ class TestUniverse:
                     # each subtree is the universe's own object, not an equal copy
                     assert t[0] is u.trees[position[t[0]]] and t[1] is u.trees[position[t[1]]]
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_position_cuts_off_deep_combs(self, side):
+        # kernel looks a leaf's image up in the universe at most max_leaves pair levels down,
+        # so a comb of 10^5 leaves is out of U_3 just as a comb of 4 leaves is
+        u = Universe(3)
+        deep, shallow = (comb(leaves, side == 0, letters="b") for leaves in (100_000, 4))
+        image = {"a": shallow, "b": shallow, "c": "c"}
+        expected = sparse_of(dense_kernel(u, image))
+        assert expected and u.kernel(image) == expected
+        assert u.kernel({"a": deep, "b": deep, "c": "c"}) == expected
+
     @pytest.mark.parametrize("bound", [0, -1])
     def test_non_positive_bound_rejected(self, bound):
         with pytest.raises(ValueError, match="max_leaves must be >= 1"):
