@@ -73,7 +73,8 @@ class TreePartition:
         with _gc_paused():
             for t, root in zip(self.universe.trees if members is None else members, self._roots):
                 buckets.setdefault(root, []).append(t)
-            return [buckets[root] for root in sorted(buckets)]
+            # each root is its class's first position, so the buckets are already in root order
+            return list(buckets.values())
 
 
 def _out_of_universe(t, max_leaves: int) -> PairOutOfUniverse:

@@ -61,11 +61,18 @@ def _graft_deep(source: str, replacement: Tree, t: Tree) -> Tree:
 
 
 def _graft(source: str, replacement: Tree, t: Tree) -> Tree:
+    # a letter child is read here, as in the tree views; the leaf branch serves a lone letter and _graft_deep
     if isinstance(t, str):
         return replacement if t == source else t
     left, right = t
-    new_left = _graft(source, replacement, left)
-    new_right = _graft(source, replacement, right)
+    if isinstance(left, str):
+        new_left = replacement if left == source else left
+    else:
+        new_left = _graft(source, replacement, left)
+    if isinstance(right, str):
+        new_right = replacement if right == source else right
+    else:
+        new_right = _graft(source, replacement, right)
     if new_left is left and new_right is right:
         return t
     return (new_left, new_right)

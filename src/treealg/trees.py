@@ -119,35 +119,44 @@ def leaf_count(t: Tree) -> int:
     return len(foliage(t))
 
 
-# The three views fold the tree recursively, building each word from its
-# children's words.  A plain Python-to-Python call uses no C stack on
-# CPython 3.11, so a tree deeper than the recursion limit raises
-# RecursionError, and the view falls back to the iterative walker.
+# The three views fold a pair recursively, building each word from its
+# children's words.  A letter child is read in its parent's frame, so a
+# tree with n leaves costs n - 1 calls, not 2n - 1; the public view answers
+# a lone letter itself.  The leaf test is isinstance, so a str subclass is a
+# letter too.  A plain Python-to-Python call uses no C stack on CPython
+# 3.11, so a tree deeper than the recursion limit raises RecursionError,
+# and the view falls back to the iterative walker.
 
 
 def _encode(t: Tree) -> str:
-    if isinstance(t, str):
-        return t
     left, right = t
-    return f"<{_encode(left)}*{_encode(right)}>"
+    if not isinstance(left, str):
+        left = _encode(left)
+    if not isinstance(right, str):
+        right = _encode(right)
+    return f"<{left}*{right}>"
 
 
 def _skeleton(t: Tree) -> str:
-    if isinstance(t, str):
-        return ""
     left, right = t
-    return f"<{_skeleton(left)}*{_skeleton(right)}>"
+    left = "" if isinstance(left, str) else _skeleton(left)
+    right = "" if isinstance(right, str) else _skeleton(right)
+    return f"<{left}*{right}>"
 
 
 def _foliage(t: Tree) -> str:
-    if isinstance(t, str):
-        return t
     left, right = t
-    return _foliage(left) + _foliage(right)
+    if not isinstance(left, str):
+        left = _foliage(left)
+    if not isinstance(right, str):
+        right = _foliage(right)
+    return left + right
 
 
 def encode(t: Tree) -> str:
     """Serialize a tree to its canonical ``<left*right>`` word."""
+    if isinstance(t, str):
+        return t
     try:
         return _encode(t)
     except RecursionError:
@@ -180,6 +189,8 @@ def erase_shapes(text: str) -> str:
 
 def skeleton(t: Tree) -> str:
     """Shape word of a tree: its encoding with all letters erased."""
+    if isinstance(t, str):
+        return ""
     try:
         return _skeleton(t)
     except RecursionError:
@@ -188,6 +199,8 @@ def skeleton(t: Tree) -> str:
 
 def foliage(t: Tree) -> str:
     """Leaf word of a tree, left to right."""
+    if isinstance(t, str):
+        return t
     try:
         return _foliage(t)
     except RecursionError:
@@ -198,7 +211,11 @@ def _mirror(t: Tree) -> Tree:
     if isinstance(t, str):
         return t
     left, right = t
-    return (_mirror(right), _mirror(left))
+    if not isinstance(left, str):
+        left = _mirror(left)
+    if not isinstance(right, str):
+        right = _mirror(right)
+    return (right, left)
 
 
 def mirror(t: Tree) -> Tree:

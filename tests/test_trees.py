@@ -296,6 +296,20 @@ class TestFastPath:
         for t in iter_universe(6, ABC):
             assert mirror_deep(t) == _mirror(t)
 
+    @pytest.mark.parametrize("sample", ["small", "left-comb", "right-comb"])
+    def test_str_subclass_letter_is_a_letter(self, sample):
+        # the folds test a leaf by isinstance; `type(t) is str` would unpack a Letter as a pair
+        class Letter(str):
+            pass
+
+        samples = list(iter_universe(4)) if sample == "small" else [comb(100_000, sample == "left-comb")]
+        g = Grafting("a", ("b", "c"))
+        for t in samples:
+            lettered = _fold_deep(t, Letter, lambda node, l, r: (l, r))
+            assert (encode(lettered), skeleton(lettered), foliage(lettered)) == (encode(t), skeleton(t), foliage(t))
+            assert encode(mirror(lettered)) == encode(mirror(t))
+            assert encode(graft(g, lettered)) == encode(graft(g, t))
+
     def test_fallback_near_the_recursion_limit(self, monkeypatch):
         # with 20 frames to spare the folds overflow on 60-leaf combs and fall back
         fallbacks = []
