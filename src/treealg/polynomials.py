@@ -26,8 +26,10 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import compress, count, repeat
+from operator import contains, ne, not_
 from random import Random
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import (
     AlphabetTooSmall,
@@ -48,7 +50,6 @@ from .trees import (
     encode,
     erase_letters,
     erase_shapes,
-    iter_universe,
     leaf_count,
     mirror,
     parse_tree,
@@ -259,22 +260,20 @@ def _first_with_key(keys: List[str]) -> Dict[int, int]:
 
 
 def _kernel_test(
-    moved: Mapping[int, int], view: Callable[[int], object], words: List[str]
+    moved: Mapping[int, int], keys: Callable[[Iterable[int]], Iterator[str]], words: List[str]
 ) -> Tuple[bool, int, Optional[dict]]:
-    """Each tree in ``moved`` (a sparse kernel) must agree under ``view`` with its first tree.
+    """Each tree in ``moved`` (a sparse kernel) must agree under ``keys`` with its first tree.
 
-    ``view`` maps a position to the key of its image; classes are checked in
-    order of their first trees, members in position order.
+    ``keys`` maps positions to the keys of their images, lazily, as a chain
+    of ``map``: a passing kernel is one comparison in C.  A failing one is
+    compared again in order of the first trees, members in position order,
+    so its witness and count are those of the first failing pair.
     """
-    checked = 0
-    first, ref = -1, None
-    for rep, i in sorted(zip(moved.values(), moved)):
-        if rep != first:
-            first, ref = rep, view(rep)
-        checked += 1
-        if view(i) != ref:
-            return False, checked, {"pair": [words[rep], words[i]]}
-    return True, checked, None
+    if not any(map(ne, keys(moved), keys(moved.values()))):
+        return True, len(moved), None
+    firsts, members = zip(*sorted(zip(moved.values(), moved)))
+    at = next(compress(count(), map(ne, keys(firsts), keys(members))))
+    return False, at + 1, {"pair": [words[firsts[at]], words[members[at]]]}
 
 
 def cp_evidence(
@@ -319,11 +318,13 @@ def cp_evidence(
     tests: List[EvidenceTest] = []
 
     # (a) skeleton kernel: the kernel of sending every letter to one letter; (b) foliage kernel
+    image_at = images.__getitem__
     for name, moved, view in (
         ("skeleton-kernel", kernel(universe.kernel, dict.fromkeys(alphabet, alphabet.symbols[0])), erase_letters),
         ("foliage-kernel", kernel(_first_with_key, foliages), erase_shapes),
     ):
-        tests.append(EvidenceTest(name, *_kernel_test(moved, lambda i, view=view: view(images[i]), words)))
+        keys = lambda ps, view=view: map(view, map(image_at, ps))  # noqa: E731
+        tests.append(EvidenceTest(name, *_kernel_test(moved, keys, words)))
 
     # (c) grafting kernels over a fixed-plus-seeded sample of graftings
     rng = Random(seed)
@@ -337,28 +338,27 @@ def cp_evidence(
         word = encode(replacement)
         moved = kernel(universe.kernel, {b: replacement if b == a else b for b in alphabet})
         moved_all += len(moved)
-        view = lambda i, a=a, word=word: images[i].replace(a, word)  # noqa: E731
-        ok, checked, witness = _kernel_test(moved, view, words)
+        keys = lambda ps, a=a, word=word: map(str.replace, map(image_at, ps), repeat(a), repeat(word))  # noqa: E731
+        ok, checked, witness = _kernel_test(moved, keys, words)
         checked_all += checked
         if not ok and ok_all:
             ok_all = False
             witness_all = dict(witness, grafting=f"{a}->{word}")
     tests.append(EvidenceTest("grafting-kernels", ok_all, checked_all, witness_all))
 
-    # (d) idempotent-grafting identity
+    # (d) idempotent-grafting identity, over the trees t without a: else a -> t is not idempotent
     ok_d, checked_d, witness_d = True, 0, None
-    for i, a in enumerate(alphabet):
-        leaf_image = images[i]  # the letters come first in the universe
-        for word, leaves, image in zip(words, foliages, images):
-            if a in leaves:
-                continue  # grafting a -> t would not be idempotent
-            checked_d += 1
-            if leaf_image.replace(a, word) != image.replace(a, word):
-                ok_d = False
-                witness_d = {"pair": [a, word], "grafting": f"{a}->{word}"}
-                break
-        if not ok_d:
+    for leaf_image, a in zip(images, alphabet):  # the letters come first in the universe
+        lacks = list(map(not_, map(contains, foliages, repeat(a))))
+        grafted = list(compress(words, lacks))
+        expected = map(leaf_image.replace, repeat(a), grafted)
+        actual = map(str.replace, compress(images, lacks), repeat(a), grafted)
+        at = next(compress(count(), map(ne, expected, actual)), None)
+        if at is not None:
+            ok_d, checked_d = False, checked_d + at + 1
+            witness_d = {"pair": [a, grafted[at]], "grafting": f"{a}->{grafted[at]}"}
             break
+        checked_d += len(grafted)
     tests.append(EvidenceTest("idempotent-grafting", ok_d, checked_d, witness_d))
 
     stats.update(graftings=len(sample), moved=moved_all)
@@ -384,7 +384,7 @@ def cp_to_polynomial(
     """
     if len(alphabet) < 3:
         raise AlphabetTooSmall(3, len(alphabet))
-    Universe(verify_bound, alphabet, cap)  # the count check, before any tree is built
+    universe = Universe(verify_bound, alphabet, cap)  # the count check, before any tree is built
     table = {a: func(a) for a in alphabet}
     try:
         poly = synthesize(table, alphabet)
@@ -398,7 +398,7 @@ def cp_to_polynomial(
     # comparing tuples recurses once per level: past a few hundred, compare the
     # image's word with the polynomial's, the tree's word in place of the variable
     by_word = leaf_count(poly) > 200
-    for t in iter_universe(verify_bound, alphabet):
+    for t in universe.stream():
         actual = func(t)
         if constant and actual is poly:  # a constant's one image
             continue

@@ -25,7 +25,6 @@ from __future__ import annotations
 import gc
 import itertools
 import math
-import re
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -57,7 +56,22 @@ VARIABLE = "x"
 UNICODE_SHAPES = str.maketrans(SHAPE_CHARS, "◂•▸")
 
 _DROP_SHAPE = str.maketrans("", "", SHAPE_CHARS)
-_NON_SHAPE = re.compile(r"[^<*>]+")
+
+
+class _KeepShapes(dict):
+    """A ``str.translate`` table that keeps the shape characters and drops every other.
+
+    A code point is looked up in Python once, on its first miss, which stores
+    its entry; later lookups of it stay in C.  The table grows by one entry
+    per distinct code point ever erased.
+    """
+
+    def __missing__(self, code: int) -> Optional[int]:
+        self[code] = kept = code if chr(code) in SHAPE_CHARS else None
+        return kept
+
+
+_KEEP_SHAPES = _KeepShapes()
 _XI_ORDER = str.maketrans(SHAPE_CHARS, "012")
 
 DEFAULT_UNIVERSE_CAP = 200_000
@@ -179,7 +193,7 @@ def _encode_deep(t: Tree) -> str:
 
 def erase_letters(text: str) -> str:
     """Keep only the shape characters of a text."""
-    return _NON_SHAPE.sub("", text)
+    return text.translate(_KEEP_SHAPES)
 
 
 def erase_shapes(text: str) -> str:
@@ -485,8 +499,9 @@ class Universe:
     subshapes: O(shapes), 626 at bound 8, and no tree.  The whole-universe
     passes read it: :meth:`pair_blocks` for the closure, :meth:`kernel` by
     that formula.  A universe answers no per-tree query.  ``trees``, built
-    on first use, is the one materialized universe, and the constructor's
-    ``cap`` its size check.
+    on first use, is the one materialized universe, :meth:`stream` yields
+    the same trees for one linear pass, and the constructor's ``cap`` is
+    their size check.
     """
 
     def __init__(
@@ -542,6 +557,23 @@ class Universe:
             for left, right in self.pair_blocks():
                 trees.extend(itertools.product(trees[left.start:left.stop], trees[right.start:right.stop]))
         return trees
+
+    def stream(self) -> Iterator[Tree]:
+        """Every tree in position order, holding only the trees with fewer leaves.
+
+        The trees of ``Universe(max_leaves - 1)``, then the product of each
+        ``max_leaves``-leaf block; each pair's halves are entries of that
+        smaller list, about a ninth of this universe over three letters.
+        """
+        if self.max_leaves == 1:
+            return iter(self.alphabet.symbols)
+        smaller = Universe(self.max_leaves - 1, self.alphabet, cap=None).trees
+        widest = (
+            itertools.product(smaller[left.start:left.stop], smaller[right.start:right.stop])
+            for (left, right), leaves in zip(self.pair_blocks(), self._leaves[1:])
+            if leaves == self.max_leaves
+        )
+        return itertools.chain(smaller, itertools.chain.from_iterable(widest))
 
     def words(self) -> List[str]:
         """The encoding of every tree in position order, each composed from its children's."""

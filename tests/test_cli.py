@@ -478,6 +478,15 @@ class TestHashSeed:
         assert first == second and first[1]
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(treealg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["project", "--sigma", "<<a*c>*b>"]
+    proc = subprocess.run([sys.executable, "-m", "treealg", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == invoke(*argv)[:2] == (0, "<<*>*>\n")
+
+
 @pytest.mark.parametrize("row", PINNED_RUNS, ids=lambda row: " ".join(row["argv"]))
 def test_pinned_output(tmp_path, monkeypatch, row):
     monkeypatch.setenv("COLUMNS", "80")

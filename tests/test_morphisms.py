@@ -1,6 +1,7 @@
 """Graftings, substitutions, text projections, and their kernel congruences."""
 
 import itertools
+import re
 from functools import partial
 from random import Random
 
@@ -25,7 +26,7 @@ from treealg import (
     substitute,
 )
 from treealg.morphisms import _graft
-from treealg.trees import _fold_deep
+from treealg.trees import _KEEP_SHAPES, _fold_deep
 
 from helpers import comb, positions
 
@@ -34,6 +35,10 @@ trees = st.recursive(letters, lambda ch: st.tuples(ch, ch), max_leaves=15)
 words = st.text(alphabet="abc", max_size=12)
 texts = st.text(alphabet="abc<*>", max_size=12)
 graftings = st.builds(Grafting, letters, trees)
+
+
+class Text(str):
+    """A str subclass: text need not be a plain str."""
 
 
 class TestGraft:
@@ -160,6 +165,25 @@ class TestProject:
     def test_matches_skeleton_and_foliage(self, t):
         assert erase_shapes(encode(t)) == foliage(t)
         assert erase_letters(encode(t)) == skeleton(t)
+
+    @staticmethod
+    def shapes_by_regex(text):
+        return re.sub(r"[^<*>]+", "", text)
+
+    @given(st.text())
+    def test_erase_letters_matches_the_regex(self, text):
+        assert erase_letters(text) == self.shapes_by_regex(text)
+
+    @pytest.mark.parametrize("text", ["", "<*>", "x", "é<☃*😀>", Text("<a*<é*c>>")], ids=repr)
+    def test_erase_letters_fixed_cases(self, text):
+        assert erase_letters(text) == self.shapes_by_regex(text)
+
+    def test_erase_letters_table_grows_by_one_entry_per_code_point(self):
+        new = next(chr(code) for code in range(0x10000, 0x110000) if code not in _KEEP_SHAPES)
+        before = len(_KEEP_SHAPES)
+        text = new * 100_000
+        assert erase_letters(text) == "" == self.shapes_by_regex(text)
+        assert len(_KEEP_SHAPES) == before + 1
 
 
 class TestKernels:

@@ -3,7 +3,9 @@
 import inspect
 import itertools
 import json
+import re
 import sys
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -29,6 +31,7 @@ from treealg import (
     cp_evidence,
     cp_to_polynomial,
     encode,
+    erase_shapes,
     foliage,
     function_from_spec,
     graft,
@@ -49,6 +52,7 @@ from treealg import (
 )
 from treealg import morphisms, polynomials
 from treealg.errors import UnknownLetter
+from treealg.polynomials import EvidenceReport, EvidenceTest
 from treealg.trees import VARIABLE, _require_cover, _scan
 
 from helpers import comb
@@ -340,6 +344,133 @@ class TestAgainstRecursiveOracle:
         self.assert_agree(table, abc)
 
 
+# The evidence checks as ordered Python loops, one tree at a time, before
+# they became passes of map: a differential oracle for whole reports.
+
+
+def oracle_kernel_test(moved, view, words):
+    checked = 0
+    first, ref = -1, None
+    for rep, i in sorted(zip(moved.values(), moved)):
+        if rep != first:
+            first, ref = rep, view(rep)
+        checked += 1
+        if view(i) != ref:
+            return False, checked, {"pair": [words[rep], words[i]]}
+    return True, checked, None
+
+
+def oracle_cp_evidence(func, bound, alphabet, seed):
+    """The report's JSON, the moved trees and the sampled graftings, as cp_evidence counts them."""
+    universe = Universe(bound, alphabet)
+    words = universe.words()
+    foliages = [erase_shapes(word) for word in words]
+    images = [encode(func(t)) for t in universe.trees]
+    tests = []
+    for name, moved, view in (
+        ("skeleton-kernel", universe.kernel(dict.fromkeys(alphabet, alphabet.symbols[0])),
+         partial(re.sub, r"[^<*>]+", "")),
+        ("foliage-kernel", polynomials._first_with_key(foliages), erase_shapes),
+    ):
+        tests.append(EvidenceTest(name, *oracle_kernel_test(moved, lambda i: view(images[i]), words)))
+    rng = Random(seed)
+    small = Universe(2, alphabet, cap=None).trees
+    larger = Universe(4, alphabet, cap=None).trees
+    sample = [(a, t) for a in alphabet for t in small]
+    sample += [(rng.choice(alphabet.symbols), rng.choice(larger)) for _ in range(100)]
+    ok_all, checked_all, witness_all, moved_all = True, 0, None, 0
+    for a, replacement in sample:
+        word = encode(replacement)
+        moved = universe.kernel({b: replacement if b == a else b for b in alphabet})
+        moved_all += len(moved)
+        ok, checked, witness = oracle_kernel_test(moved, lambda i: images[i].replace(a, word), words)
+        checked_all += checked
+        if not ok and ok_all:
+            ok_all, witness_all = False, dict(witness, grafting=f"{a}->{word}")
+    tests.append(EvidenceTest("grafting-kernels", ok_all, checked_all, witness_all))
+    ok_d, checked_d, witness_d = True, 0, None
+    for i, a in enumerate(alphabet):
+        for word, leaves, image in zip(words, foliages, images):
+            if a in leaves:
+                continue
+            checked_d += 1
+            if images[i].replace(a, word) != image.replace(a, word):
+                ok_d, witness_d = False, {"pair": [a, word], "grafting": f"{a}->{word}"}
+                break
+        if not ok_d:
+            break
+    tests.append(EvidenceTest("idempotent-grafting", ok_d, checked_d, witness_d))
+    verdict = "evidence-of-cp" if all(t.passed for t in tests) else "not-cp"
+    return EvidenceReport(func.name, bound, seed, verdict, tuple(tests)).as_json(), moved_all, len(sample)
+
+
+def crossing(moved):
+    """Two moved trees, the first before the second in ``moved`` but after it by
+    (first tree, tree), or None: a function wrong at both fails first at
+    different pairs in the two orders."""
+    top = (-1, -1)  # the last (first tree, tree) in order so far
+    for i, first in moved.items():
+        if (first, i) < top:
+            return top[1], i
+        top = (first, i)
+    return None
+
+
+def crossing_tables(bound, alphabet, seed):
+    """Identity tables wrong at a crossing of the skeleton, foliage or one grafting kernel."""
+    universe = Universe(bound, alphabet)
+    trees = universe.trees
+    a, replacement = alphabet.symbols[seed % len(alphabet)], Universe(2, alphabet).trees[-1 - seed]
+    kernels = {
+        "skeleton": universe.kernel(dict.fromkeys(alphabet, alphabet.symbols[0])),
+        "foliage": polynomials._first_with_key([foliage(t) for t in trees]),
+        "grafting": universe.kernel({b: replacement if b == a else b for b in alphabet}),
+    }
+    tables = []
+    for name, moved in kernels.items():
+        pair = crossing(moved)
+        if pair is not None:
+            wrong = {t: t for t in trees}
+            for i in pair:
+                wrong[trees[i]] = (trees[i], alphabet.symbols[-1])
+            tables.append(table_function(wrong, f"table:{name}"))
+    return tables
+
+
+class TestEvidenceAgainstOrderedLoops:
+    """cp_evidence's passes of map against the loops that checked one tree at a time."""
+
+    # every seed but on the largest universe, 15,760 trees, which one seed covers in 4 s
+    @pytest.mark.parametrize(
+        "letters, bound, seeds",
+        [pytest.param(letters, bound, (1,) if (letters, bound) == ("abcd", 5) else range(4), id=f"{letters}-{bound}")
+         for letters in ("abc", "abcd") for bound in (2, 3, 4, 5)],
+    )
+    def test_reports_agree(self, letters, bound, seeds):
+        alphabet = Alphabet.from_string(letters)
+        symbols = alphabet.symbols
+        crossings = 0
+        for seed in seeds:
+            rng = Random(seed)
+            tables = crossing_tables(bound, alphabet, seed)
+            crossings += len(tables)
+            funcs = [
+                identity_function(),
+                mirror_function(),
+                recolor_function(symbols[seed % len(symbols)], alphabet),
+                constant_function(random_tree(rng, symbols, 3)),
+                poly_function(parse_tree("<x*<a*x>>", alphabet, variable=True)),
+                poly_function(random_tree(rng, symbols + (VARIABLE,), 4)),
+                CandidateFunction("swap:ab", swap_ab),
+                *tables,
+            ]
+            for func in funcs:
+                report = cp_evidence(func, bound, alphabet, seed)
+                expected = oracle_cp_evidence(func, bound, alphabet, seed)
+                assert (report.as_json(), report.stats["moved"], report.stats["graftings"]) == expected
+        assert crossings >= len(seeds)
+
+
 class TestCpEvidence:
     def test_identity_passes(self):
         report = cp_evidence(identity_function(), 4)
@@ -491,6 +622,20 @@ class TestCpToPolynomial:
     def test_recolor_rejected(self):
         with pytest.raises(NotCP):
             cp_to_polynomial(recolor_function("c"))
+
+    def test_verification_reports_the_first_failing_tree(self):
+        # the identity but at two trees, the later one entered first
+        trees = Universe(4).trees
+        early, late = trees[20], trees[300]  # <<a*c>*c> and <<c*c>*<a*a>>
+        table = {late: mirror(late), early: mirror(early)}
+        table.update((t, t) for t in trees if t not in table)
+        with pytest.raises(NotCP) as info:
+            cp_to_polynomial(table_function(table), 4)
+        assert info.value.stage == "verification" and info.value.at_input == early
+        table[early] = early
+        with pytest.raises(NotCP) as info:
+            cp_to_polynomial(table_function(table), 4)
+        assert info.value.at_input == late
 
     def test_needs_three_letters(self):
         with pytest.raises(AlphabetTooSmall):

@@ -658,6 +658,17 @@ class TestUniverse:
                     # each subtree is the universe's own object, not an equal copy
                     assert t[0] is u.trees[position[t[0]]] and t[1] is u.trees[position[t[1]]]
 
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
+    def test_stream_yields_the_universe(self, bound, letters):
+        # the trees with fewer leaves come first, and the widest trees are pairs of them
+        alphabet = Alphabet.from_string(letters)
+        streamed = list(Universe(bound, alphabet, cap=None).stream())
+        assert streamed == list(iter_universe(bound, alphabet))
+        smaller = len(Universe(bound - 1, alphabet, cap=None)) if bound > 1 else len(streamed)
+        held = {id(t) for t in streamed[:smaller]}
+        assert all(id(t[0]) in held and id(t[1]) in held for t in streamed[smaller:])
+
     @pytest.mark.parametrize("side", [0, 1])
     def test_position_cuts_off_deep_combs(self, side):
         # kernel looks a leaf's image up in the universe at most max_leaves pair levels down,
