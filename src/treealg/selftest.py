@@ -31,6 +31,7 @@ from .polynomials import (
 )
 from .trees import (
     DEFAULT_ALPHABET,
+    VARIABLE,
     Universe,
     encode,
     erase_letters,
@@ -418,7 +419,7 @@ def criterion_cp_evidence(ctx: _Context) -> CriterionResult:
     for text in ("a", "<a*b>", "<<a*c>*b>"):
         passing.append(constant_function(parse_tree(text, alphabet)))
     rng = Random(ctx.seed)
-    letters = alphabet.symbols + ("x",)
+    letters = alphabet.symbols + (VARIABLE,)
     for _ in range(50):
         passing.append(poly_function(random_tree(rng, letters, 4)))
     for func in passing:
@@ -440,7 +441,7 @@ def criterion_generator_agreement(ctx: _Context) -> CriterionResult:
     alphabet = ctx.alphabet
     rng = Random(ctx.seed)
     u6 = Universe(6, alphabet, cap=None).trees
-    letters = alphabet.symbols + ("x",)
+    letters = alphabet.symbols + (VARIABLE,)
     witness = None
     for _ in range(200):
         first = random_tree(rng, letters, 7)
@@ -464,7 +465,7 @@ def criterion_generator_agreement(ctx: _Context) -> CriterionResult:
 
 def criterion_word_variant(ctx: _Context) -> CriterionResult:
     alphabet = ctx.alphabet
-    symbols = alphabet.symbols + ("x",)
+    symbols = alphabet.symbols + (VARIABLE,)
     count = 0
     witness = None
     for length in range(1, 7):

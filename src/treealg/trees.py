@@ -331,8 +331,6 @@ def _scan(text: str, letters, leaves: Iterator[str]) -> Tree:
 # so it can change no result and no error; they hold only shapes with at
 # most _MEMO_LEAVES leaves, 626 entries each; and under the GIL two threads
 # racing on one word can at worst compile the same builder twice.
-# iter_universe labels each shape of its sweep by the same compiled builders,
-# which _compile keeps per dotted word.
 _MEMO_LEAVES = 8
 _MEMO_TEXT = 4 * _MEMO_LEAVES - 3  # the longest word of such a tree
 _TO_TUPLE = str.maketrans(SHAPE_CHARS, "(,)")
@@ -450,26 +448,19 @@ def iter_universe(max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Ite
     """Stream every tree with at most ``max_leaves`` leaves, in canonical order.
 
     Order: leaf count, then skeleton (with ``<`` before ``*`` before ``>``),
-    then foliage in alphabet order.  Uncapped; intended for linear sweeps.
-    ``Universe(max_leaves, alphabet).trees`` is the same list, materialized
-    after the universe's cap check.
+    then foliage in alphabet order.  The uncapped :meth:`Universe.stream`:
+    it holds ``Universe(max_leaves - 1).trees`` and yields its first tree
+    only after that list is built.
     """
-    return _iter_trees(max_leaves, alphabet.symbols)
+    return Universe(max_leaves, alphabet, cap=None).stream()
 
 
 def iter_polynomials(max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Iterator[Tree]:
-    """Every tree over the alphabet plus the variable, in canonical order."""
-    return _iter_trees(max_leaves, alphabet.symbols + (VARIABLE,))
-
-
-def _iter_trees(max_leaves: int, symbols: Tuple[str, ...]) -> Iterator[Tree]:
-    if max_leaves < 1:
-        raise ValueError("max_leaves must be >= 1")
-    for n in range(1, max_leaves + 1):
-        for shape in _shapes(n):
-            build = _compile(_slotted(encode(shape)))
-            for labels in itertools.product(symbols, repeat=n):
-                yield build(labels)
+    """:func:`iter_universe` over the alphabet plus the variable ``x``: it holds
+    ``Universe(max_leaves - 1, variable=True).trees`` and yields its first
+    tree only after that list is built.
+    """
+    return Universe(max_leaves, alphabet, cap=None, variable=True).stream()
 
 
 @contextmanager
@@ -502,9 +493,11 @@ class Universe:
     subshapes: O(shapes), 626 at bound 8, and no tree.  The whole-universe
     passes read it: :meth:`pair_blocks` for the closure, :meth:`kernel` by
     that formula.  A universe answers no per-tree query.  ``trees``, built
-    on first use, is the one materialized universe, :meth:`stream` yields
-    the same trees for one linear pass, and the constructor's ``cap`` is
-    their size check.
+    on first use, is the one materialized universe, and the constructor's
+    ``cap`` is its size check.  :meth:`stream` yields the same trees for one
+    linear pass; it holds ``Universe(max_leaves - 1).trees`` and yields its
+    first tree only after that list is built.  ``variable=True``, as in
+    :func:`parse_tree`, adds the variable ``x`` as a leaf after the letters.
     """
 
     def __init__(
@@ -512,21 +505,25 @@ class Universe:
         max_leaves: int,
         alphabet: Alphabet = DEFAULT_ALPHABET,
         cap: Optional[int] = DEFAULT_UNIVERSE_CAP,
+        *,
+        variable: bool = False,
     ):
         if max_leaves < 1:
             raise ValueError("max_leaves must be >= 1")
+        self._symbols = alphabet.symbols + ((VARIABLE,) if variable else ())  # the leaf block, in order
         count = 0
         for n in range(1, max_leaves + 1):  # no universe past 2**63 trees can be built: stop at a lower bound
             if cap is not None and count > max(cap, 2**63):
                 raise UniverseTooLarge(count, cap, exact=False)
-            count += catalan(n - 1) * len(alphabet) ** n
+            count += catalan(n - 1) * len(self._symbols) ** n
         if cap is not None and count > cap:
             raise UniverseTooLarge(count, cap)
         self.max_leaves = max_leaves
         self.alphabet = alphabet
+        self.variable = variable
         self._count = count
         # per shape, in position order; shape 0 is the leaf
-        self._start, self._size, self._left, self._right = [0], [len(alphabet)], [0], [0]
+        self._start, self._size, self._left, self._right = [0], [len(self._symbols)], [0], [0]
         self._leaves = [1]
         self._shape_at: Dict[Tuple[int, int], int] = {}  # (left shape, right shape) -> shape
         shape_id = {"": 0}
@@ -556,7 +553,7 @@ class Universe:
     def trees(self) -> List[Tree]:
         """Every tree in position order; each pair's subtrees are the list's own entries."""
         with _gc_paused():
-            trees: List[Tree] = list(self.alphabet.symbols)
+            trees: List[Tree] = list(self._symbols)
             for left, right in self.pair_blocks():
                 trees.extend(itertools.product(trees[left.start:left.stop], trees[right.start:right.stop]))
         return trees
@@ -566,11 +563,12 @@ class Universe:
 
         The trees of ``Universe(max_leaves - 1)``, then the product of each
         ``max_leaves``-leaf block; each pair's halves are entries of that
-        smaller list, about a ninth of this universe over three letters.
+        smaller list, about a ninth of this universe over three letters,
+        built before the first tree is yielded and held by the stream.
         """
         if self.max_leaves == 1:
-            return iter(self.alphabet.symbols)
-        smaller = Universe(self.max_leaves - 1, self.alphabet, cap=None).trees
+            return iter(self._symbols)
+        smaller = Universe(self.max_leaves - 1, self.alphabet, cap=None, variable=self.variable).trees
         widest = (
             itertools.product(smaller[left.start:left.stop], smaller[right.start:right.stop])
             for (left, right), leaves in zip(self.pair_blocks(), self._leaves[1:])
@@ -580,7 +578,7 @@ class Universe:
 
     def words(self) -> List[str]:
         """The encoding of every tree in position order, each composed from its children's."""
-        words = list(self.alphabet.symbols)
+        words = list(self._symbols)
         for left, right in self.pair_blocks():
             words.extend(
                 f"<{lw}*{rw}>" for lw, rw in itertools.product(words[left.start:left.stop], words[right.start:right.stop])
@@ -603,7 +601,7 @@ class Universe:
         start, size, left_of, right_of, shape_at = self._start, self._size, self._left, self._right, self._shape_at
         moved: Dict[int, int] = {}
         first_leaf: Dict[Tree, int] = {}
-        for i, a in enumerate(self.alphabet.symbols):
+        for i, a in enumerate(self._symbols):
             first = first_leaf.setdefault(leaf_image[a], i)
             if first != i:
                 moved[i] = first

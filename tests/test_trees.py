@@ -24,6 +24,7 @@ from treealg import (
     foliage,
     graft,
     identity_function,
+    iter_polynomials,
     iter_universe,
     leaf_count,
     mirror,
@@ -36,7 +37,7 @@ from treealg import (
 from treealg import morphisms, trees as trees_module
 from treealg.trees import UNICODE_SHAPES, _encode_deep, _fold_deep, _mirror, _shapes
 
-from helpers import comb, positions
+from helpers import comb, positions, recursive_universe
 
 ABC = Alphabet.from_string("abc")
 ODD = Alphabet(("'", "(", ",", " "))
@@ -551,7 +552,7 @@ class TestEnumeration:
             expected = sum(count_oracle(n, k) for n in range(1, bound + 1))
             assert universe_size(bound, k) == expected
             assert len(Universe(bound, alphabet, cap=None).trees) == expected
-            assert sum(1 for _ in iter_universe(bound, alphabet)) == expected
+            assert sum(1 for _ in recursive_universe(bound, alphabet.symbols)) == expected
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_formula_matches_oracle_up_to_eight(self, k):
@@ -601,7 +602,7 @@ class TestEnumeration:
         assert "junk" not in Universe(2).trees
 
     def test_iter_matches_enumerate(self):
-        assert list(iter_universe(4)) == Universe(4, cap=None).trees
+        assert list(iter_universe(4)) == Universe(4, cap=None).trees == list(recursive_universe(4, ABC.symbols))
 
 
 def partition_of(keys):
@@ -644,10 +645,10 @@ def sparse_of(ids):
 class TestUniverse:
     @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
     def test_index_and_children_agree_with_trees(self, bound):
-        # iter_universe streams shape by shape, independent of Universe's rank arithmetic
+        # the oracle labels shape by shape, independent of Universe's rank arithmetic
         for letters in ["a", "ab", "abc", "abcd"]:
             alphabet = Alphabet.from_string(letters)
-            expected = list(iter_universe(bound, alphabet))
+            expected = list(recursive_universe(bound, alphabet.symbols))
             u = Universe(bound, alphabet, cap=None)
             assert u.max_leaves == bound and len(u) == len(expected)
             assert u.words() == [encode(t) for t in expected]
@@ -658,14 +659,22 @@ class TestUniverse:
                     # each subtree is the universe's own object, not an equal copy
                     assert t[0] is u.trees[position[t[0]]] and t[1] is u.trees[position[t[1]]]
 
-    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
-    def test_stream_yields_the_universe(self, bound, letters):
+    @pytest.mark.parametrize(
+        "stream, letters, bound",
+        [
+            pytest.param(stream, letters, bound, id=f"{letters}-{bound}{suffix}")
+            for suffix, stream in [("", iter_universe), ("-iter_polynomials", iter_polynomials)]
+            for letters in ["a", "ab", "abc", "abcd"]
+            for bound in [1, 2, 3, 4, 5, 6]
+        ],
+    )
+    def test_stream_yields_the_universe(self, stream, letters, bound):
         # the trees with fewer leaves come first, and the widest trees are pairs of them
         alphabet = Alphabet.from_string(letters)
-        streamed = list(Universe(bound, alphabet, cap=None).stream())
-        assert streamed == list(iter_universe(bound, alphabet))
-        smaller = len(Universe(bound - 1, alphabet, cap=None)) if bound > 1 else len(streamed)
+        variable = stream is iter_polynomials
+        streamed = list(stream(bound, alphabet))
+        assert streamed == list(recursive_universe(bound, letters + ("x" if variable else "")))
+        smaller = len(Universe(bound - 1, alphabet, cap=None, variable=variable)) if bound > 1 else len(streamed)
         held = {id(t) for t in streamed[:smaller]}
         assert all(id(t[0]) in held and id(t[1]) in held for t in streamed[smaller:])
 
@@ -680,10 +689,18 @@ class TestUniverse:
         assert expected and u.kernel(image) == expected
         assert u.kernel({"a": deep, "b": deep, "c": "c"}) == expected
 
-    @pytest.mark.parametrize("bound", [0, -1])
-    def test_non_positive_bound_rejected(self, bound):
+    @pytest.mark.parametrize(
+        "make, bound",
+        [
+            pytest.param(make, bound, id=f"{bound}{suffix}")
+            for suffix, make in [("", Universe), ("-iter_universe", iter_universe), ("-iter_polynomials", iter_polynomials)]
+            for bound in [0, -1]
+        ],
+    )
+    def test_non_positive_bound_rejected(self, make, bound):
+        # the streams check their bound when called, not on the first next()
         with pytest.raises(ValueError, match="max_leaves must be >= 1"):
-            Universe(bound)
+            make(bound)
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_kernel_matches_grafting(self, bound):
