@@ -56,6 +56,7 @@ VARIABLE = "x"
 UNICODE_SHAPES = str.maketrans(SHAPE_CHARS, "◂•▸")
 
 _DROP_SHAPE = str.maketrans("", "", SHAPE_CHARS)
+_NOT_A_LEAF = "?"  # a dotted word's stand-in for a '.' that is no leaf: neither '.' nor a shape character
 
 
 class _KeepShapes(dict):
@@ -99,8 +100,14 @@ class Alphabet:
                 raise ValueError(f"duplicate letter {sym!r}")
             seen.add(sym)
         object.__setattr__(self, "letter_set", frozenset(seen))
-        # every letter, and the variable, written as '.': a text's dotted word
-        object.__setattr__(self, "dots", str.maketrans(dict.fromkeys(seen | {VARIABLE}, ".")))
+        # indexed by parse_tree's `variable`: the leaves, and the tables that
+        # write each leaf as '.' and a '.' that is no leaf as _NOT_A_LEAF, so a
+        # text's dotted word is all '<*>.' exactly when every other character is a leaf
+        leaf_sets = (self.letter_set, self.letter_set | {VARIABLE})
+        object.__setattr__(self, "leaf_sets", leaf_sets)
+        object.__setattr__(self, "dots", tuple(
+            str.maketrans({".": _NOT_A_LEAF, **dict.fromkeys(leaves, ".")}) for leaves in leaf_sets
+        ))
 
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
@@ -323,26 +330,30 @@ def _scan(text: str, letters, leaves: Iterator[str]) -> Tree:
 
 
 # Builders for small trees, one per accepted word, compiled from the word:
-# ``<*>`` become ``(,)`` and the i-th leaf slot ``.`` becomes ``L[i]``, so a
-# known shape costs a couple of string passes and one call.  The first tree
-# of a shape pays the scan plus one compilation, so the memos pay back only
-# where small shapes repeat, as in a universe sweep.  The memos are
-# safe to share: an entry is stored only after _scan has accepted its word,
-# so it can change no result and no error; they hold only shapes with at
-# most _MEMO_LEAVES leaves, 626 entries each; and under the GIL two threads
-# racing on one word can at worst compile the same builder twice.
+# ``<*>`` become ``(,)`` and each leaf slot ``.`` becomes ``L[i]``, where i
+# counts the leaves for rebuild and is the slot's index in the word for
+# parse_tree, which passes its text.  So a known shape costs one dict read
+# and one call, after one translate in parse_tree and one subset test in
+# rebuild.  The first tree of a shape pays the scan plus one
+# compilation, so the memos pay back only where small shapes repeat, as in
+# a universe sweep.  The memos are safe to share: an entry is stored only
+# after _scan has accepted its word, so it can change no result and no
+# error; they hold only shapes with at most _MEMO_LEAVES leaves, 626
+# entries each; and under the GIL two threads racing on one word can at
+# worst compile the same builder twice.
 _MEMO_LEAVES = 8
 _MEMO_TEXT = 4 * _MEMO_LEAVES - 3  # the longest word of such a tree
 _TO_TUPLE = str.maketrans(SHAPE_CHARS, "(,)")
-_PARSED: Dict[str, Callable[[str], Tree]] = {}  # dotted word -> builder
-_REBUILT: Dict[str, Callable[[str], Tree]] = {}  # skeleton -> builder
+_PARSED: Dict[str, Callable[[str], Tree]] = {}  # dotted word -> builder from the text
+_REBUILT: Dict[str, Callable[[str], Tree]] = {}  # skeleton -> builder from the foliage
 
 
-@lru_cache(maxsize=None)
-def _compile(dotted: str) -> Callable[[str], Tree]:
-    """Builder taking the leaves of a dotted word in order to its tree."""
+def _compile(dotted: str, by_position: bool = False) -> Callable[[str], Tree]:
+    """Builder of a dotted word's tree, taking its leaves in order, or with
+    ``by_position`` a word of the same shape whose leaf slots hold the leaves."""
     parts = dotted.translate(_TO_TUPLE).split(".")
-    body = "".join(f"{part}L[{i}]" for i, part in enumerate(parts[:-1])) + parts[-1]
+    slots = itertools.accumulate(map(len, parts), lambda i, n: i + n + 1) if by_position else itertools.count()
+    body = "".join(f"{part}L[{i}]" for i, part in zip(slots, parts[:-1])) + parts[-1]
     return eval(f"lambda L: {body}")  # noqa: S307
 
 
@@ -350,26 +361,24 @@ def parse_tree(text: str, alphabet: Alphabet = DEFAULT_ALPHABET, *, variable: bo
     """Parse the ``<left*right>`` grammar; inverse of :func:`encode`.
 
     With ``variable=True`` the reserved symbol ``x`` is accepted as a leaf
-    (polynomial contexts); plain-tree contexts reject it.  When every
-    non-shape character is a letter, whether the text parses depends only on
-    its dotted word, so a dotted word the scanner accepted once is built
-    from the memo.
+    (polynomial contexts); plain-tree contexts reject it.  The dotted word
+    writes every leaf as ``.``, and is all shape characters and dots only
+    when every other character is a leaf; whether such a text parses
+    depends only on its dotted word, so a dotted word the scanner accepted
+    once is built from the memo.
     """
-    letters = alphabet.letter_set | {VARIABLE} if variable else alphabet.letter_set
     dotted = None
     if len(text) <= _MEMO_TEXT:
-        leaves = text.translate(_DROP_SHAPE)
-        if set(leaves) <= letters:
-            dotted = text.translate(alphabet.dots)
-            build = _PARSED.get(dotted)
-            if build is not None:
-                return build(leaves)
+        dotted = text.translate(alphabet.dots[variable])
+        build = _PARSED.get(dotted)
+        if build is not None:
+            return build(text)
     try:
-        tree = _scan(text, letters, iter(()))
+        tree = _scan(text, alphabet.leaf_sets[variable], iter(()))
     except _ScanError as exc:
         raise MalformedTree(text, *exc.args) from None
     if dotted is not None:
-        _PARSED[dotted] = _compile(dotted)
+        _PARSED[dotted] = _compile(dotted, by_position=True)
     return tree
 
 
@@ -384,7 +393,7 @@ def rebuild(u: str, s: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Tree:
     open a subtree, so the split of ``u`` between subtrees is forced by ``s``.
     A skeleton the scanner accepted once is built from the memo.
     """
-    if not set(u) <= alphabet.letter_set:
+    if not alphabet.letter_set.issuperset(u):
         bad = next(ch for ch in u if ch not in alphabet.letter_set)
         raise UnknownLetter(bad, "foliage")
     if len(s) != 3 * len(u) - 3:

@@ -1,5 +1,6 @@
 """Trees: parsing, encoding, projections, rebuild, enumeration."""
 
+import dataclasses
 import itertools
 import sys
 from random import Random
@@ -514,6 +515,36 @@ class TestShapeMemo:
         with pytest.raises(UnknownLetter):
             rebuild(".a", "<*>", plain)
 
+    def test_variable_word_is_not_a_plain_memo_hit(self, memos):
+        ab = Alphabet.from_string("ab")
+        assert parse_tree("<x*a>", ab, variable=True) == ("x", "a")
+        assert "<.*.>" in memos[0]
+        assert outcome(parse_tree, "<x*a>", ab) == scan_only(parse_tree, "<x*a>", ab)
+        with pytest.raises(MalformedTree, match=r"index 1: unexpected 'x'"):
+            parse_tree("<x*a>", ab)
+
+    def test_non_letter_dot_and_placeholder_are_not_memo_hits(self, memos):
+        ab = Alphabet.from_string("ab")
+        assert parse_tree("<a*b>", ab) == ("a", "b")
+        for word in ("<.*b>", f"<{trees_module._NOT_A_LEAF}*b>"):
+            expected = scan_only(parse_tree, word, ab)
+            assert expected[0] is MalformedTree
+            for variable in (False, True):
+                assert outcome(parse_tree, word, ab, variable=variable) == expected, word
+
+    @pytest.mark.parametrize("letter", [".", trees_module._NOT_A_LEAF])
+    def test_dot_and_placeholder_as_letters(self, memos, monkeypatch, letter):
+        # over an alphabet holding one of the two, that one parses from the memo
+        # and the other is still the scanner's error
+        alphabet = Alphabet.from_string("ab" + letter)
+        assert parse_tree("<a*b>", alphabet) == ("a", "b")
+        with monkeypatch.context() as patch:
+            patch.setattr(trees_module, "_scan", None)  # a memo miss would call it
+            assert parse_tree(f"<{letter}*b>", alphabet) == (letter, "b")
+        for word in ("<.*b>", f"<{trees_module._NOT_A_LEAF}*b>"):
+            assert outcome(parse_tree, word, alphabet) == scan_only(parse_tree, word, alphabet), word
+        assert list(memos[0]) == ["<.*.>"]
+
     @pytest.mark.parametrize("leaves", [9, 256])
     def test_large_trees_skip_the_memo(self, memos, leaves):
         t = comb(leaves, True)
@@ -806,6 +837,13 @@ class TestAlphabet:
         ab = Alphabet.from_string("ba")
         assert "b" in ab and "c" not in ab
         assert ab.index("a") == 1
+
+    def test_equal_and_hashed_by_its_letters_alone(self):
+        # the precomputed leaf sets and dotted-word tables are no dataclass
+        # fields: a dict field would make every Alphabet unhashable
+        assert Alphabet.from_string("abc") == trees_module.DEFAULT_ALPHABET
+        assert hash(Alphabet.from_string("abc")) == hash(trees_module.DEFAULT_ALPHABET)
+        assert [field.name for field in dataclasses.fields(Alphabet)] == ["symbols"]
 
     def test_non_default_alphabet_enumeration(self):
         pq = Alphabet.from_string("pq")
