@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import compress, count, repeat
+from itertools import compress, count, repeat, tee
 from operator import contains, ne, not_
 from random import Random
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -259,6 +259,21 @@ def _first_with_key(keys: List[str]) -> Dict[int, int]:
     return {i: first for i, key in enumerate(keys) if (first := first_of.setdefault(key, i)) != i}
 
 
+def _factors(tree_keys: Iterable[str], image_keys: Iterable[str], size: int) -> Optional[int]:
+    """The dense kernel test: whether each tree's image key depends only on its own key.
+
+    One C-level pass keeps the first image key of each tree key and compares
+    every later one with it.  ``None`` on a mismatch; else the number of the
+    ``size`` trees that are not first in their class, which is the check
+    count of the sparse kernel of the same keys when it passes.
+    """
+    seen: Dict[str, str] = {}
+    firsts, image_keys = tee(image_keys)
+    if any(map(ne, map(seen.setdefault, tree_keys, firsts), image_keys)):
+        return None
+    return size - len(seen)
+
+
 def _kernel_test(
     moved: Mapping[int, int], keys: Callable[[Iterable[int]], Iterator[str]], words: List[str]
 ) -> Tuple[bool, int, Optional[dict]]:
@@ -293,38 +308,57 @@ def cp_evidence(
     evidence only; any failure is a disproof with a concrete witness.
     A universe larger than ``cap`` raises :class:`UniverseTooLarge`.
 
-    Only the trees that a sparse kernel (:meth:`Universe.kernel`) moves are
-    checked, on encodings computed once: ``a -> r`` replaces the letter
-    ``a`` by the encoding of ``r``, and skeleton and foliage erase the
-    letters or the shapes.  ``stats`` holds the universe size, the sampled
-    graftings, the trees their kernels moved, and the seconds spent on the
-    images (``images_s``), the kernels (``kernels_s``) and the checks
+    Every kernel is read on encodings computed once: ``a -> r`` replaces the
+    letter ``a`` by the encoding of ``r``, and skeleton and foliage erase
+    the letters or the shapes.  A kernel that groups most of the universe
+    (skeleton, foliage, and a grafting of one letter by another) is one
+    dense pass asking whether a tree's image key depends only on the tree's
+    key (:func:`_factors`).  A grafting by a pair moves few trees, so it,
+    like a dense pass that finds a mismatch, checks only the trees its
+    sparse kernel (:meth:`Universe.kernel`) moves, class by class, so the
+    witness and count are those of the first failing pair.  ``stats`` holds
+    the universe size, the sampled graftings, the trees their kernels moved,
+    the kernels a dense pass decided (``dense``), the dense passes that fell
+    back to the sparse kernel (``fallbacks``), and the seconds spent on the
+    images (``images_s``), the sparse kernels (``kernels_s``) and the checks
     (``checks_s``).
     """
     universe = Universe(bound, alphabet, cap)
     start = time.perf_counter()
     words = universe.words()
     foliages = [erase_shapes(word) for word in words]
-    images = [encode(func(t)) for t in universe.trees]
-    stats = {"universe_size": len(words), "images_s": time.perf_counter() - start, "kernels_s": 0.0}
+    images = list(map(encode, map(func.fn, universe.trees)))
+    stats = {"universe_size": len(words), "images_s": time.perf_counter() - start, "kernels_s": 0.0,
+             "dense": 0, "fallbacks": 0}
+    image_at = images.__getitem__
 
-    def kernel(read: Callable, arg) -> Dict[int, int]:
+    def decide(
+        view: Callable[[Iterable[str]], Iterator[str]], tree_keys: Optional[Iterable[str]], sparse: Callable
+    ) -> Tuple[bool, int, Optional[dict], int]:
+        """(passed, checked, witness, trees moved) of the kernel of ``view`` (keys of encodings):
+        the dense pass over ``tree_keys`` when given, else or on its mismatch ``sparse()``."""
+        if tree_keys is not None:
+            checked = _factors(tree_keys, view(images), len(words))
+            if checked is not None:
+                stats["dense"] += 1
+                return True, checked, None, checked
+            stats["fallbacks"] += 1
         start = time.perf_counter()
-        moved = read(arg)
+        moved = sparse()
         stats["kernels_s"] += time.perf_counter() - start
-        return moved
+        return (*_kernel_test(moved, lambda ps: view(map(image_at, ps)), words), len(moved))
 
     start = time.perf_counter()
     tests: List[EvidenceTest] = []
 
     # (a) skeleton kernel: the kernel of sending every letter to one letter; (b) foliage kernel
-    image_at = images.__getitem__
-    for name, moved, view in (
-        ("skeleton-kernel", kernel(universe.kernel, dict.fromkeys(alphabet, alphabet.symbols[0])), erase_letters),
-        ("foliage-kernel", kernel(_first_with_key, foliages), erase_shapes),
+    skeletons = partial(map, erase_letters)
+    for name, view, tree_keys, sparse in (
+        ("skeleton-kernel", skeletons, skeletons(words),
+         partial(universe.kernel, dict.fromkeys(alphabet, alphabet.symbols[0]))),
+        ("foliage-kernel", partial(map, erase_shapes), foliages, partial(_first_with_key, foliages)),
     ):
-        keys = lambda ps, view=view: map(view, map(image_at, ps))  # noqa: E731
-        tests.append(EvidenceTest(name, *_kernel_test(moved, keys, words)))
+        tests.append(EvidenceTest(name, *decide(view, tree_keys, sparse)[:3]))
 
     # (c) grafting kernels over a fixed-plus-seeded sample of graftings
     rng = Random(seed)
@@ -336,10 +370,12 @@ def cp_evidence(
     ok_all, checked_all, witness_all, moved_all = True, 0, None, 0
     for a, replacement in sample:
         word = encode(replacement)
-        moved = kernel(universe.kernel, {b: replacement if b == a else b for b in alphabet})
-        moved_all += len(moved)
-        keys = lambda ps, a=a, word=word: map(str.replace, map(image_at, ps), repeat(a), repeat(word))  # noqa: E731
-        ok, checked, witness = _kernel_test(moved, keys, words)
+        view = lambda strings, a=a, word=word: map(str.replace, strings, repeat(a), repeat(word))  # noqa: E731
+        # a letter by another letter groups most trees; a pair moves only the trees holding a copy of it
+        tree_keys = view(words) if isinstance(replacement, str) and replacement != a else None
+        leaf_image = {b: replacement if b == a else b for b in alphabet}
+        ok, checked, witness, moved = decide(view, tree_keys, partial(universe.kernel, leaf_image))
+        moved_all += moved
         checked_all += checked
         if not ok and ok_all:
             ok_all = False
@@ -398,6 +434,11 @@ def cp_to_polynomial(
     # comparing tuples recurses once per level: past a few hundred, compare the
     # image's word with the polynomial's, the tree's word in place of the variable
     by_word = leaf_count(poly) > 200
+    if not by_word:  # one C-level pass; only a mismatch is looked for again, tree by tree
+        trees, again = tee(universe.stream())
+        if not any(map(ne, map(evaluate, trees), map(func.fn, again))):
+            return poly
+        del trees, again  # the rescan builds its own stream; holding this one too raised the peak RSS
     for t in universe.stream():
         actual = func(t)
         if constant and actual is poly:  # a constant's one image

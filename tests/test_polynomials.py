@@ -31,6 +31,7 @@ from treealg import (
     cp_evidence,
     cp_to_polynomial,
     encode,
+    erase_letters,
     erase_shapes,
     foliage,
     function_from_spec,
@@ -417,14 +418,18 @@ def crossing(moved):
 
 
 def crossing_tables(bound, alphabet, seed):
-    """Identity tables wrong at a crossing of the skeleton, foliage or one grafting kernel."""
+    """Identity tables wrong at a crossing of the skeleton, foliage, one grafting or one
+    letter-grafting kernel.  A dense pass meets the moved trees in position order, so
+    the letter grafting's crossing is taken in that order."""
     universe = Universe(bound, alphabet)
-    trees = universe.trees
-    a, replacement = alphabet.symbols[seed % len(alphabet)], Universe(2, alphabet).trees[-1 - seed]
+    trees, symbols = universe.trees, alphabet.symbols
+    a, replacement = symbols[seed % len(symbols)], Universe(2, alphabet).trees[-1 - seed]
+    letter = symbols[(seed + 1) % len(symbols)]
     kernels = {
-        "skeleton": universe.kernel(dict.fromkeys(alphabet, alphabet.symbols[0])),
+        "skeleton": universe.kernel(dict.fromkeys(alphabet, symbols[0])),
         "foliage": polynomials._first_with_key([foliage(t) for t in trees]),
         "grafting": universe.kernel({b: replacement if b == a else b for b in alphabet}),
+        "letter-grafting": dict(sorted(universe.kernel({b: letter if b == a else b for b in alphabet}).items())),
     }
     tables = []
     for name, moved in kernels.items():
@@ -435,6 +440,30 @@ def crossing_tables(bound, alphabet, seed):
                 wrong[trees[i]] = (trees[i], alphabet.symbols[-1])
             tables.append(table_function(wrong, f"table:{name}"))
     return tables
+
+
+class TestDenseKernels:
+    """The dense pass against the sparse kernel of the same keys, on tables over U_3."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_polys, st.lists(st.tuples(st.integers(0, 65), plain_trees), max_size=3))
+    def test_none_exactly_when_the_sparse_test_fails(self, poly, changes):
+        # a polynomial passes every kernel; a few trees sent elsewhere may break some
+        universe = Universe(3)
+        trees, words = universe.trees, universe.words()
+        kernels = [
+            (partial(map, erase_letters), universe.kernel(dict.fromkeys("abc", "a"))),
+            (partial(map, erase_shapes), polynomials._first_with_key([erase_shapes(w) for w in words])),
+        ]
+        kernels += [(lambda strings, a=a, b=b: map(str.replace, strings, itertools.repeat(a), itertools.repeat(b)),
+                     universe.kernel({c: b if c == a else c for c in "abc"})) for a, b in itertools.permutations("abc", 2)]
+        evaluate = compile_poly(poly)
+        table = {t: evaluate(t) for t in trees}
+        table.update((trees[i], image) for i, image in changes)
+        images = [encode(image) for image in map(table_function(table), trees)]
+        for view, moved in kernels:
+            passed = polynomials._kernel_test(moved, lambda ps: view(map(images.__getitem__, ps)), words)[0]
+            assert polynomials._factors(view(words), view(images), len(trees)) == (len(moved) if passed else None)
 
 
 class TestEvidenceAgainstOrderedLoops:
@@ -449,7 +478,7 @@ class TestEvidenceAgainstOrderedLoops:
     def test_reports_agree(self, letters, bound, seeds):
         alphabet = Alphabet.from_string(letters)
         symbols = alphabet.symbols
-        crossings = 0
+        crossings = letter_crossings = 0
         for seed in seeds:
             rng = Random(seed)
             tables = crossing_tables(bound, alphabet, seed)
@@ -468,7 +497,10 @@ class TestEvidenceAgainstOrderedLoops:
                 report = cp_evidence(func, bound, alphabet, seed)
                 expected = oracle_cp_evidence(func, bound, alphabet, seed)
                 assert (report.as_json(), report.stats["moved"], report.stats["graftings"]) == expected
-        assert crossings >= len(seeds)
+                if func.name == "table:letter-grafting":  # its dense pass mismatched
+                    letter_crossings += 1
+                    assert report.stats["fallbacks"] > 0
+        assert crossings >= len(seeds) and letter_crossings > 0
 
 
 class TestCpEvidence:
@@ -526,6 +558,8 @@ class TestCpEvidence:
         by_name = {t.name: t for t in report.tests}
         assert report.stats["moved"] == by_name["grafting-kernels"].checked > 0
         assert report.stats["universe_size"] == 471 and report.stats["graftings"] == 3 * 12 + 100
+        # both projections and the 6 graftings of a letter by another, each one dense pass
+        assert (report.stats["dense"], report.stats["fallbacks"]) == (2 + 6, 0)
         assert all(report.stats[key] >= 0 for key in ("images_s", "kernels_s", "checks_s"))
         assert "stats" not in report.as_json()
 
@@ -534,6 +568,13 @@ class TestCpEvidence:
         by_name = {t.name: t for t in report.tests}
         assert not by_name["grafting-kernels"].passed
         assert by_name["grafting-kernels"].checked < report.stats["moved"]
+
+    def test_a_mismatched_dense_pass_falls_back(self):
+        # swapping a and b keeps the projections' kernels and those of a -> b and b -> a,
+        # and breaks those of a -> c, b -> c, c -> a and c -> b
+        report = cp_evidence(CandidateFunction("swap:ab", swap_ab), 4)
+        assert (report.stats["dense"], report.stats["fallbacks"]) == (2 + 2, 4)
+        assert report.tests[2].witness == {"pair": ["a", "c"], "grafting": "a->c"}
 
     def test_no_grafting_of_trees(self, monkeypatch):
         # the checks run on encodings; graft itself is never called

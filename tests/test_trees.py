@@ -35,7 +35,7 @@ from treealg import (
     skeleton,
     universe_size,
 )
-from treealg import morphisms, trees as trees_module
+from treealg import morphisms, polynomials, trees as trees_module
 from treealg.trees import UNICODE_SHAPES, _encode_deep, _fold_deep, _mirror, _shapes
 
 from helpers import comb, positions, recursive_universe
@@ -799,10 +799,12 @@ class TestSparseKernel:
 
     @pytest.mark.parametrize("bound", [5, 6])
     def test_cp_evidence_leaf_maps_match_dense_pass(self, bound, monkeypatch):
-        # the skeleton map and every sampled grafting, as cp_evidence builds them for seed 0
+        # the skeleton map and every sampled grafting, as cp_evidence builds them for seed 0;
+        # with every dense pass failing, each of them is read as a sparse kernel
         leaf_maps = []
         kernel = Universe.kernel
         monkeypatch.setattr(Universe, "kernel", lambda u, leaf_image: leaf_maps.append(leaf_image) or kernel(u, leaf_image))
+        monkeypatch.setattr(polynomials, "_factors", lambda *args: None)
         cp_evidence(identity_function(), bound, seed=0)
         assert len(leaf_maps) == 1 + 3 * 12 + 100
         u = Universe(bound)

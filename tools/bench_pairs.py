@@ -40,6 +40,8 @@ TIMED = {  # command: (BENCH section, imports, timed call of ARG, ARGs)
     "sweep": ("selftest_sweep", "from treealg.selftest import _Context", "_Context(0).sweep()", ("all",)),
     "check-cp": ("check_cp", "from treealg import cp_evidence, function_from_spec",
                  "cp_evidence(function_from_spec(ARG), 6)", ("identity", "mirror")),
+    "to-poly": ("to_poly", "from treealg import cp_to_polynomial, function_from_spec",
+                "cp_to_polynomial(function_from_spec(ARG), 7, cap=None)", ("identity", "poly:<<c*<x*a>>*x>")),
     "closure-scale": ("closure_scale", "from treealg import bounded_closure",
                       "bounded_closure([('a', 'b')], int(ARG), cap=None)", ("8", "9")),
     # 2 and 3 share the universe sweep that `sweep` times
