@@ -428,21 +428,19 @@ def cp_to_polynomial(
         a, b = exc.check.pair
         raise NotCP(f"generator-hypotheses:{exc.check.failure}", (table[a], table[b])) from None
     evaluate = compile_poly(poly)
-    word = encode(poly)
-    constant = VARIABLE not in word
     # an image nests at most the polynomial's leaves plus verify_bound deep, and
     # comparing tuples recurses once per level: past a few hundred, compare the
     # image's word with the polynomial's, the tree's word in place of the variable
-    by_word = leaf_count(poly) > 200
-    if not by_word:  # one C-level pass; only a mismatch is looked for again, tree by tree
-        trees, again = tee(universe.stream())
-        if not any(map(ne, map(evaluate, trees), map(func.fn, again))):
-            return poly
-        del trees, again  # the rescan builds its own stream; holding this one too raised the peak RSS
-    for t in universe.stream():
-        actual = func(t)
-        if constant and actual is poly:  # a constant's one image
-            continue
-        if (_encode_deep(actual) != word.replace(VARIABLE, encode(t))) if by_word else evaluate(t) != actual:
-            raise NotCP("verification", (evaluate(t), actual), at_input=t)
+    if leaf_count(poly) > 200:
+        word = encode(poly)
+        for t in universe.stream():
+            actual = func(t)
+            if _encode_deep(actual) != word.replace(VARIABLE, encode(t)):
+                raise NotCP("verification", (evaluate(t), actual), at_input=t)
+        return poly
+    # one C-level pass, stopping at the first tree where func and poly disagree
+    trees, inputs, again = tee(universe.stream(), 3)
+    bad = next(compress(trees, map(ne, map(evaluate, inputs), map(func.fn, again))), None)
+    if bad is not None:
+        raise NotCP("verification", (evaluate(bad), func(bad)), at_input=bad)
     return poly
