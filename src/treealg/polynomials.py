@@ -403,6 +403,16 @@ def cp_evidence(
     return EvidenceReport(func.name, bound, seed, verdict, tuple(tests), stats)
 
 
+def _first_mismatch(trees: Iterator[Tree], f: Callable[[Tree], Tree], g: Callable[[Tree], Tree]) -> Optional[Tree]:
+    """First of ``trees`` where ``f`` and ``g`` disagree, or None, in one C-level pass.
+
+    A function of its own, so that the traceback of an error raised about the
+    tree it returns does not hold the stream, and with it the smaller universe.
+    """
+    trees, inputs, again = tee(trees, 3)
+    return next(compress(trees, map(ne, map(f, inputs), map(g, again))), None)
+
+
 def cp_to_polynomial(
     func: CandidateFunction,
     verify_bound: int = 6,
@@ -438,9 +448,7 @@ def cp_to_polynomial(
             if _encode_deep(actual) != word.replace(VARIABLE, encode(t)):
                 raise NotCP("verification", (evaluate(t), actual), at_input=t)
         return poly
-    # one C-level pass, stopping at the first tree where func and poly disagree
-    trees, inputs, again = tee(universe.stream(), 3)
-    bad = next(compress(trees, map(ne, map(evaluate, inputs), map(func.fn, again))), None)
+    bad = _first_mismatch(universe.stream(), evaluate, func.fn)
     if bad is not None:
         raise NotCP("verification", (evaluate(bad), func(bad)), at_input=bad)
     return poly

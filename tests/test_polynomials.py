@@ -5,6 +5,7 @@ import itertools
 import json
 import re
 import sys
+from collections.abc import Iterator
 from functools import partial
 from pathlib import Path
 from random import Random
@@ -677,6 +678,16 @@ class TestCpToPolynomial:
         with pytest.raises(NotCP) as info:
             cp_to_polynomial(table_function(table), 4)
         assert info.value.at_input == late
+
+    def test_refusal_holds_no_stream(self):
+        # a caller that keeps the NotCP keeps its traceback's frames; none of them may
+        # hold the verification stream, which holds the smaller universe's trees
+        with pytest.raises(NotCP) as info:
+            cp_to_polynomial(mirror_function(), 5)
+        tb = info.value.__traceback__
+        while tb is not None:
+            assert not any(isinstance(v, Iterator) for v in tb.tb_frame.f_locals.values()), tb.tb_frame.f_code.co_name
+            tb = tb.tb_next
 
     def test_needs_three_letters(self):
         with pytest.raises(AlphabetTooSmall):
