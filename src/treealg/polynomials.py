@@ -253,7 +253,7 @@ class EvidenceReport:
         }
 
 
-def _first_with_key(keys: List[str]) -> Dict[int, int]:
+def _first_with_key(keys: Iterable[str]) -> Dict[int, int]:
     """The sparse kernel of a key per tree: each later position to the first with its key."""
     first_of: Dict[str, int] = {}
     return {i: first for i, key in enumerate(keys) if (first := first_of.setdefault(key, i)) != i}
@@ -308,57 +308,54 @@ def cp_evidence(
     evidence only; any failure is a disproof with a concrete witness.
     A universe larger than ``cap`` raises :class:`UniverseTooLarge`.
 
-    Every kernel is read on encodings computed once: ``a -> r`` replaces the
-    letter ``a`` by the encoding of ``r``, and skeleton and foliage erase
-    the letters or the shapes.  A kernel that groups most of the universe
-    (skeleton, foliage, and a grafting of one letter by another) is one
-    dense pass asking whether a tree's image key depends only on the tree's
-    key (:func:`_factors`).  A grafting by a pair moves few trees, so it,
-    like a dense pass that finds a mismatch, checks only the trees its
-    sparse kernel (:meth:`Universe.kernel`) moves, class by class, so the
-    witness and count are those of the first failing pair.  ``stats`` holds
-    the universe size, the sampled graftings, the trees their kernels moved,
-    the kernels a dense pass decided (``dense``), the dense passes that fell
-    back to the sparse kernel (``fallbacks``), and the seconds spent on the
-    images (``images_s``), the sparse kernels (``kernels_s``) and the checks
-    (``checks_s``).
+    Every kernel is the kernel of a *view*, a map of encodings computed
+    once: skeleton and foliage erase the letters or the shapes, and
+    ``a -> r`` replaces the letter ``a`` by the encoding of ``r``.  A kernel
+    that groups most of the universe (skeleton, foliage, and a grafting of
+    one letter by another) is one dense pass asking whether a tree's image
+    key depends only on the tree's key (:func:`_factors`); on a mismatch it
+    reads the sparse kernel of the same keys (:func:`_first_with_key`).  A
+    grafting by a pair moves few trees, so it reads only the trees its
+    sparse kernel (:meth:`Universe.kernel`) moves.  A sparse kernel is
+    checked class by class, so the witness and count are those of the first
+    failing pair.  ``stats`` holds the universe size, the sampled graftings,
+    the trees their kernels moved, the kernels a dense pass decided
+    (``dense``), the dense passes that fell back to the sparse kernel
+    (``fallbacks``), and the seconds spent on the images (``images_s``), the
+    sparse kernels (``kernels_s``) and the checks (``checks_s``).
     """
     universe = Universe(bound, alphabet, cap)
     start = time.perf_counter()
     words = universe.words()
-    foliages = [erase_shapes(word) for word in words]
     images = list(map(encode, map(func.fn, universe.trees)))
     stats = {"universe_size": len(words), "images_s": time.perf_counter() - start, "kernels_s": 0.0,
              "dense": 0, "fallbacks": 0}
     image_at = images.__getitem__
 
     def decide(
-        view: Callable[[Iterable[str]], Iterator[str]], tree_keys: Optional[Iterable[str]], sparse: Callable
+        view: Callable[[Iterable[str]], Iterator[str]], leaf_image: Optional[Mapping[str, Tree]] = None
     ) -> Tuple[bool, int, Optional[dict], int]:
         """(passed, checked, witness, trees moved) of the kernel of ``view`` (keys of encodings):
-        the dense pass over ``tree_keys`` when given, else or on its mismatch ``sparse()``."""
-        if tree_keys is not None:
-            checked = _factors(tree_keys, view(images), len(words))
+        the sparse kernel of ``leaf_image`` when given, else the dense pass over the
+        words' keys and, on its mismatch, the sparse kernel of those keys."""
+        if leaf_image is None:
+            checked = _factors(view(words), view(images), len(words))
             if checked is not None:
                 stats["dense"] += 1
                 return True, checked, None, checked
             stats["fallbacks"] += 1
         start = time.perf_counter()
-        moved = sparse()
+        moved = _first_with_key(view(words)) if leaf_image is None else universe.kernel(leaf_image)
         stats["kernels_s"] += time.perf_counter() - start
         return (*_kernel_test(moved, lambda ps: view(map(image_at, ps)), words), len(moved))
 
     start = time.perf_counter()
     tests: List[EvidenceTest] = []
 
-    # (a) skeleton kernel: the kernel of sending every letter to one letter; (b) foliage kernel
-    skeletons = partial(map, erase_letters)
-    for name, view, tree_keys, sparse in (
-        ("skeleton-kernel", skeletons, skeletons(words),
-         partial(universe.kernel, dict.fromkeys(alphabet, alphabet.symbols[0]))),
-        ("foliage-kernel", partial(map, erase_shapes), foliages, partial(_first_with_key, foliages)),
-    ):
-        tests.append(EvidenceTest(name, *decide(view, tree_keys, sparse)[:3]))
+    # (a) skeleton kernel and (b) foliage kernel: the kernels of erasing the letters or the shapes
+    for name, view in (("skeleton-kernel", partial(map, erase_letters)),
+                       ("foliage-kernel", partial(map, erase_shapes))):
+        tests.append(EvidenceTest(name, *decide(view)[:3]))
 
     # (c) grafting kernels over a fixed-plus-seeded sample of graftings
     rng = Random(seed)
@@ -372,9 +369,9 @@ def cp_evidence(
         word = encode(replacement)
         view = lambda strings, a=a, word=word: map(str.replace, strings, repeat(a), repeat(word))  # noqa: E731
         # a letter by another letter groups most trees; a pair moves only the trees holding a copy of it
-        tree_keys = view(words) if isinstance(replacement, str) and replacement != a else None
-        leaf_image = {b: replacement if b == a else b for b in alphabet}
-        ok, checked, witness, moved = decide(view, tree_keys, partial(universe.kernel, leaf_image))
+        dense = isinstance(replacement, str) and replacement != a
+        leaf_image = None if dense else {b: replacement if b == a else b for b in alphabet}
+        ok, checked, witness, moved = decide(view, leaf_image)
         moved_all += moved
         checked_all += checked
         if not ok and ok_all:
@@ -385,7 +382,7 @@ def cp_evidence(
     # (d) idempotent-grafting identity, over the trees t without a: else a -> t is not idempotent
     ok_d, checked_d, witness_d = True, 0, None
     for leaf_image, a in zip(images, alphabet):  # the letters come first in the universe
-        lacks = list(map(not_, map(contains, foliages, repeat(a))))
+        lacks = list(map(not_, map(contains, words, repeat(a))))  # a word holds the letters of its foliage
         grafted = list(compress(words, lacks))
         expected = map(leaf_image.replace, repeat(a), grafted)
         actual = map(str.replace, compress(images, lacks), repeat(a), grafted)
@@ -438,17 +435,14 @@ def cp_to_polynomial(
         a, b = exc.check.pair
         raise NotCP(f"generator-hypotheses:{exc.check.failure}", (table[a], table[b])) from None
     evaluate = compile_poly(poly)
+    expected, actual = evaluate, func.fn
     # an image nests at most the polynomial's leaves plus verify_bound deep, and
     # comparing tuples recurses once per level: past a few hundred, compare the
     # image's word with the polynomial's, the tree's word in place of the variable
     if leaf_count(poly) > 200:
         word = encode(poly)
-        for t in universe.stream():
-            actual = func(t)
-            if _encode_deep(actual) != word.replace(VARIABLE, encode(t)):
-                raise NotCP("verification", (evaluate(t), actual), at_input=t)
-        return poly
-    bad = _first_mismatch(universe.stream(), evaluate, func.fn)
+        expected, actual = (lambda t: word.replace(VARIABLE, encode(t))), (lambda t: _encode_deep(func.fn(t)))
+    bad = _first_mismatch(universe.stream(), expected, actual)
     if bad is not None:
         raise NotCP("verification", (evaluate(bad), func(bad)), at_input=bad)
     return poly

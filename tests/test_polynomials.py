@@ -57,7 +57,7 @@ from treealg.errors import UnknownLetter
 from treealg.polynomials import EvidenceReport, EvidenceTest
 from treealg.trees import VARIABLE, _require_cover, _scan
 
-from helpers import comb
+from helpers import comb, crossing_tables
 
 poly_letters = st.sampled_from("abcx")
 polys = st.recursive(poly_letters, lambda ch: st.tuples(ch, ch), max_leaves=10)
@@ -406,43 +406,6 @@ def oracle_cp_evidence(func, bound, alphabet, seed):
     return EvidenceReport(func.name, bound, seed, verdict, tuple(tests)).as_json(), moved_all, len(sample)
 
 
-def crossing(moved):
-    """Two moved trees, the first before the second in ``moved`` but after it by
-    (first tree, tree), or None: a function wrong at both fails first at
-    different pairs in the two orders."""
-    top = (-1, -1)  # the last (first tree, tree) in order so far
-    for i, first in moved.items():
-        if (first, i) < top:
-            return top[1], i
-        top = (first, i)
-    return None
-
-
-def crossing_tables(bound, alphabet, seed):
-    """Identity tables wrong at a crossing of the skeleton, foliage, one grafting or one
-    letter-grafting kernel.  A dense pass meets the moved trees in position order, so
-    the letter grafting's crossing is taken in that order."""
-    universe = Universe(bound, alphabet)
-    trees, symbols = universe.trees, alphabet.symbols
-    a, replacement = symbols[seed % len(symbols)], Universe(2, alphabet).trees[-1 - seed]
-    letter = symbols[(seed + 1) % len(symbols)]
-    kernels = {
-        "skeleton": universe.kernel(dict.fromkeys(alphabet, symbols[0])),
-        "foliage": polynomials._first_with_key([foliage(t) for t in trees]),
-        "grafting": universe.kernel({b: replacement if b == a else b for b in alphabet}),
-        "letter-grafting": dict(sorted(universe.kernel({b: letter if b == a else b for b in alphabet}).items())),
-    }
-    tables = []
-    for name, moved in kernels.items():
-        pair = crossing(moved)
-        if pair is not None:
-            wrong = {t: t for t in trees}
-            for i in pair:
-                wrong[trees[i]] = (trees[i], alphabet.symbols[-1])
-            tables.append(table_function(wrong, f"table:{name}"))
-    return tables
-
-
 class TestDenseKernels:
     """The dense pass against the sparse kernel of the same keys, on tables over U_3."""
 
@@ -465,6 +428,22 @@ class TestDenseKernels:
         for view, moved in kernels:
             passed = polynomials._kernel_test(moved, lambda ps: view(map(images.__getitem__, ps)), words)[0]
             assert polynomials._factors(view(words), view(images), len(trees)) == (len(moved) if passed else None)
+
+    @pytest.mark.parametrize(
+        "letters, bound",
+        [(letters, bound) for letters in ("ab", "abc", "abcd") for bound in range(1, 5 if letters == "abcd" else 6)],
+    )
+    def test_sparse_kernel_of_the_keys_is_that_of_the_leaf_map(self, letters, bound):
+        # a dense pass that mismatches reads the sparse kernel of its own tree keys; for the
+        # skeleton (every letter to one) and each grafting a -> b it is Universe.kernel's
+        alphabet = Alphabet.from_string(letters)
+        symbols, universe = alphabet.symbols, Universe(bound, alphabet)
+        words = universe.words()
+        views = [(partial(map, erase_letters), dict.fromkeys(symbols, symbols[0]))]
+        views += [(lambda strings, a=a, b=b: map(str.replace, strings, itertools.repeat(a), itertools.repeat(b)),
+                   {c: b if c == a else c for c in symbols}) for a, b in itertools.permutations(symbols, 2)]
+        for view, leaf_image in views:
+            assert polynomials._first_with_key(view(words)) == universe.kernel(leaf_image), leaf_image
 
 
 class TestEvidenceAgainstOrderedLoops:
@@ -679,11 +658,17 @@ class TestCpToPolynomial:
             cp_to_polynomial(table_function(table), 4)
         assert info.value.at_input == late
 
-    def test_refusal_holds_no_stream(self):
+    @pytest.mark.parametrize("by_word", [False, True], ids=["by-tree", "by-word"])
+    def test_refusal_holds_no_stream(self, by_word):
         # a caller that keeps the NotCP keeps its traceback's frames; none of them may
-        # hold the verification stream, which holds the smaller universe's trees
+        # hold the verification stream, which holds the smaller universe's trees.  Past
+        # 200 leaves the images are compared by their words, in the same one pass
+        func, bound = mirror_function(), 5
+        if by_word:
+            evaluate = compile_poly(comb(1_200, bottom="x"))
+            func, bound = CandidateFunction("mirrored", lambda t: evaluate(mirror(t))), 2
         with pytest.raises(NotCP) as info:
-            cp_to_polynomial(mirror_function(), 5)
+            cp_to_polynomial(func, bound)
         tb = info.value.__traceback__
         while tb is not None:
             assert not any(isinstance(v, Iterator) for v in tb.tb_frame.f_locals.values()), tb.tb_frame.f_code.co_name

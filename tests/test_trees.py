@@ -23,8 +23,8 @@ from treealg import (
     erase_letters,
     erase_shapes,
     foliage,
+    function_from_spec,
     graft,
-    identity_function,
     iter_polynomials,
     iter_universe,
     leaf_count,
@@ -38,7 +38,7 @@ from treealg import (
 from treealg import morphisms, polynomials, trees as trees_module
 from treealg.trees import UNICODE_SHAPES, _encode_deep, _fold_deep, _mirror, _shapes
 
-from helpers import comb, positions, recursive_universe
+from helpers import comb, crossing_tables, positions, recursive_universe
 
 ABC = Alphabet.from_string("abc")
 ODD = Alphabet(("'", "(", ",", " "))
@@ -799,17 +799,24 @@ class TestSparseKernel:
 
     @pytest.mark.parametrize("bound", [5, 6])
     def test_cp_evidence_leaf_maps_match_dense_pass(self, bound, monkeypatch):
-        # the skeleton map and every sampled grafting, as cp_evidence builds them for seed 0;
-        # with every dense pass failing, each of them is read as a sparse kernel
+        # with every dense pass failing, the skeleton, foliage and letter-by-letter kernels are
+        # read off their own keys, and the graftings by a pair or by a -> a, as cp_evidence
+        # builds them for seed 0, as sparse kernels of their leaf maps; the reports stay the same
+        funcs = [function_from_spec(spec) for spec in ("identity", "mirror", "recolor:b")]
+        funcs += [t for t in crossing_tables(bound, ABC, 0) if t.name == "table:letter-grafting"]
+        unforced = [cp_evidence(func, bound, seed=0).as_json() for func in funcs]
         leaf_maps = []
         kernel = Universe.kernel
         monkeypatch.setattr(Universe, "kernel", lambda u, leaf_image: leaf_maps.append(leaf_image) or kernel(u, leaf_image))
         monkeypatch.setattr(polynomials, "_factors", lambda *args: None)
-        cp_evidence(identity_function(), bound, seed=0)
-        assert len(leaf_maps) == 1 + 3 * 12 + 100
+        assert len(funcs) == 4 and [cp_evidence(func, bound, seed=0).as_json() for func in funcs] == unforced
+        # per run, each letter by itself and by the 9 pairs of U_2, and the 100 seeded graftings,
+        # none of which sends a letter to another
+        per_run = 3 * (1 + 9) + 100
+        assert len(leaf_maps) == len(funcs) * per_run
         u = Universe(bound)
         children = child_positions(u)
-        for leaf_image in leaf_maps:
+        for leaf_image in leaf_maps[:per_run]:
             assert kernel(u, leaf_image) == sparse_of(dense_kernel(u, leaf_image, children)), leaf_image
 
     def test_images_outside_the_alphabet_and_larger_than_the_universe(self):
