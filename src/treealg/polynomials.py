@@ -58,7 +58,7 @@ from .trees import (
     _require_cover,
     _scan,
 )
-from .words import _leaves, check_word_hypotheses
+from .words import _leaves, check_word_hypotheses, eval_word_poly
 
 
 def compile_poly(poly: Tree) -> Callable[[Tree], Tree]:
@@ -315,7 +315,8 @@ def cp_evidence(
     one letter by another) is one dense pass asking whether a tree's image
     key depends only on the tree's key (:func:`_factors`); on a mismatch it
     reads the sparse kernel of the same keys (:func:`_first_with_key`).  A
-    grafting by a pair moves few trees, so it reads only the trees its
+    grafting by a pair or of a letter by itself moves few trees (none when
+    the letter occurs in the replacement), so it reads only the trees its
     sparse kernel (:meth:`Universe.kernel`) moves.  A sparse kernel is
     checked class by class, so the witness and count are those of the first
     failing pair.  ``stats`` holds the universe size, the sampled graftings,
@@ -333,19 +334,19 @@ def cp_evidence(
     image_at = images.__getitem__
 
     def decide(
-        view: Callable[[Iterable[str]], Iterator[str]], leaf_image: Optional[Mapping[str, Tree]] = None
+        view: Callable[[Iterable[str]], Iterator[str]], grafting: Optional[Tuple[str, Tree]] = None
     ) -> Tuple[bool, int, Optional[dict], int]:
         """(passed, checked, witness, trees moved) of the kernel of ``view`` (keys of encodings):
-        the sparse kernel of ``leaf_image`` when given, else the dense pass over the
-        words' keys and, on its mismatch, the sparse kernel of those keys."""
-        if leaf_image is None:
+        the sparse kernel of ``grafting`` ``(a, r)`` when given, else the dense pass over
+        the words' keys and, on its mismatch, the sparse kernel of those keys."""
+        if grafting is None:
             checked = _factors(view(words), view(images), len(words))
             if checked is not None:
                 stats["dense"] += 1
                 return True, checked, None, checked
             stats["fallbacks"] += 1
         start = time.perf_counter()
-        moved = _first_with_key(view(words)) if leaf_image is None else universe.kernel(leaf_image)
+        moved = _first_with_key(view(words)) if grafting is None else universe.kernel(*grafting)
         stats["kernels_s"] += time.perf_counter() - start
         return (*_kernel_test(moved, lambda ps: view(map(image_at, ps)), words), len(moved))
 
@@ -370,8 +371,7 @@ def cp_evidence(
         view = lambda strings, a=a, word=word: map(str.replace, strings, repeat(a), repeat(word))  # noqa: E731
         # a letter by another letter groups most trees; a pair moves only the trees holding a copy of it
         dense = isinstance(replacement, str) and replacement != a
-        leaf_image = None if dense else {b: replacement if b == a else b for b in alphabet}
-        ok, checked, witness, moved = decide(view, leaf_image)
+        ok, checked, witness, moved = decide(view, None if dense else (a, replacement))
         moved_all += moved
         checked_all += checked
         if not ok and ok_all:
@@ -441,7 +441,7 @@ def cp_to_polynomial(
     # image's word with the polynomial's, the tree's word in place of the variable
     if leaf_count(poly) > 200:
         word = encode(poly)
-        expected, actual = (lambda t: word.replace(VARIABLE, encode(t))), (lambda t: _encode_deep(func.fn(t)))
+        expected, actual = (lambda t: eval_word_poly(word, encode(t))), (lambda t: _encode_deep(func.fn(t)))
     bad = _first_mismatch(universe.stream(), expected, actual)
     if bad is not None:
         raise NotCP("verification", (evaluate(bad), func(bad)), at_input=bad)

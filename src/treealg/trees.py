@@ -594,51 +594,45 @@ class Universe:
             )
         return words
 
-    def kernel(self, leaf_image: Mapping[str, Tree]) -> Dict[int, int]:
-        """Sparse kernel of the homomorphism extending ``leaf_image``: each tree
+    def _locate(self, t: Tree, depth: int) -> Optional[Tuple[int, int]]:
+        """``(shape, offset)`` of ``t``, looked for at most ``depth`` pair levels
+        down; None past them or on a leaf outside the universe."""
+        if isinstance(t, str):
+            return (0, self._symbols.index(t)) if t in self._symbols else None
+        if depth == 0:
+            return None
+        left, right = self._locate(t[0], depth - 1), self._locate(t[1], depth - 1)
+        if left is None or right is None or (left[0], right[0]) not in self._shape_at:
+            return None
+        return self._shape_at[left[0], right[0]], left[1] * self._size[right[0]] + right[1]
+
+    def kernel(self, source: str, replacement: Tree) -> Dict[int, int]:
+        """Sparse kernel of the grafting ``source -> replacement``: each tree
         that is not first in its class (equal images) to the first's position.
 
-        The first tree with a pair image is the first leaf with it, else the
-        pair of the first trees with its halves' images.  So a pair tree moves
-        on its own only as a *seed*: the pair of the first trees with the
-        halves of a leaf's image moves to that leaf.  Every other pair tree
-        that moves has a moved child.  In a block, the trees with a moved left
-        (right) child form rows (columns), each one ``dict.update`` over two
-        ranges; cells where both children moved are rewritten per row.
-        O(moved + shapes) memory; nothing is stored on the universe.
+        Empty when ``source`` occurs in ``replacement``: a tree of n leaves, m
+        of them ``source``, grafts to n - m + m·|replacement| leaves, so only
+        ``source`` grafts to ``replacement`` and the grafting is injective.
+        Otherwise the *seed*, ``replacement`` itself, shares the image of
+        ``source``, and the later of the two moves to the earlier.  Every other
+        tree that moves has a moved child, and the first tree of its class
+        holds ``source``, so it is never the seed.  In a block, the trees with
+        a moved left (right) child form rows (columns), each one
+        ``dict.update`` over two ranges; cells where both children moved are
+        rewritten per row.  Empty too when ``source`` or ``replacement`` is
+        not in the universe (a foreign letter, or past ``max_leaves`` leaves
+        however deep).  O(moved + shapes) memory; nothing is stored on the
+        universe.
         """
+        leaf, seed = self._locate(source, 0), self._locate(replacement, self.max_leaves)
+        if leaf is None or seed is None or source in foliage(replacement):
+            return {}
+        (seed_shape, seed_offset), (_, first) = max(leaf, seed), min(leaf, seed)
         start, size, left_of, right_of, shape_at = self._start, self._size, self._left, self._right, self._shape_at
-        moved: Dict[int, int] = {}
-        first_leaf: Dict[Tree, int] = {}
-        for i, a in enumerate(self._symbols):
-            first = first_leaf.setdefault(leaf_image[a], i)
-            if first != i:
-                moved[i] = first
+        moved = {start[seed_shape] + seed_offset: first}
         # per shape: (offset, first's shape, first's offset) of each moved tree, filled under the bound
-        firsts: List[List[Tuple[int, int, int]]] = [[(i, 0, first) for i, first in moved.items()]]
-        firsts += [[] for _ in range(1, len(start))]
-
-        def first_tree(t: Tree, depth: int) -> Optional[Tuple[int, int]]:
-            # (shape, offset) of the first tree with image t, looked for at most depth pair levels down
-            i = first_leaf.get(t)
-            if i is not None:
-                return 0, i
-            return None if depth == 0 or isinstance(t, str) else first_pair(t, depth)
-
-        def first_pair(t: Tree, depth: int) -> Optional[Tuple[int, int]]:
-            # (shape, offset) of the pair of the first trees with t's halves' images; None past the bound
-            left, right = first_tree(t[0], depth - 1), first_tree(t[1], depth - 1)
-            if left is None or right is None or (left[0], right[0]) not in shape_at:
-                return None
-            return shape_at[left[0], right[0]], left[1] * size[right[0]] + right[1]
-
-        seeds: Dict[int, int] = {}  # seed position -> its leaf
-        for image, i in first_leaf.items():
-            seed = None if isinstance(image, str) else first_pair(image, self.max_leaves)
-            if seed is not None:
-                shape, offset = seed
-                seeds[start[shape] + offset] = moved[start[shape] + offset] = i
-                firsts[shape].append((offset, 0, i))
+        firsts: List[List[Tuple[int, int, int]]] = [[] for _ in start]
+        firsts[seed_shape].append((seed_offset, 0, first))
 
         update = moved.update
         for s in range(1, len(start)):
@@ -660,17 +654,14 @@ class Universe:
                 for shape, cells in by_shape.items():
                     target = start[shape_at[left_first, shape]] + left_offset * size[shape]
                     update([(row + r, target + offset) for r, offset in cells])
-            if self._leaves[s] < self.max_leaves:  # the first trees of this block's moved trees, read through the seeds
+            if self._leaves[s] < self.max_leaves:  # the first trees of this block's moved trees
                 moved_rows = {l for l, _, _ in rows}
                 block = [l * width + r for l in moved_rows for r in range(width)]
                 block += [l * width + r for r, _, _ in columns for l in range(height) if l not in moved_rows]
                 for offset in block:
                     first = moved[base + offset]
-                    first = seeds.get(first, first)
                     shape = bisect_right(start, first) - 1
                     firsts[s].append((offset, shape, first - start[shape]))
-        if seeds:  # a tree whose pair of first trees is a seed moves to the seed's leaf
-            update([(i, seeds[first]) for i, first in moved.items() if first in seeds])
         return moved
 
 

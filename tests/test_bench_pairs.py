@@ -219,7 +219,31 @@ def test_child_program_compiles(command):
 @pytest.mark.parametrize("command, arg", [("criteria", "1"), ("closure-scale", "3")])
 def test_timed_run_in_a_fresh_interpreter(command, arg):
     run = bench_pairs.timed_run(ROOT, command, arg)
-    assert set(run) == {"seconds", "peak_rss_mb"} and run["seconds"] >= 0 and run["peak_rss_mb"] > 0
+    assert set(run) == {"seconds", "ref_seconds", "peak_rss_mb"}
+    assert run["seconds"] >= 0 and run["ref_seconds"] >= 0 and run["peak_rss_mb"] > 0
+
+
+def test_timed_call_runs_on_the_checkouts_reference_clock(monkeypatch):
+    # the call runs while the checkout's perfbench/speed.py keeps its reference clock
+    call = "assert speed._active is not None and speed.clock() != time.perf_counter()"
+    monkeypatch.setitem(bench_pairs.TIMED, "criteria", ("selftest_criteria", "import speed", call, ("1",)))
+    run = bench_pairs.timed_run(ROOT, "criteria", "1")
+    assert "failed" not in run and run["ref_seconds"] >= 0
+    # ref_seconds gets its quartiles beside seconds, and the change is compared on both clocks
+    figures = {"parent": [(5.0, 2.0), (4.0, 2.1), (6.0, 1.9)], "change": [(1.0, 2.2), (1.2, 2.4), (0.8, 2.0)]}
+    calls = []
+
+    def timed_run(checkout, name, arg):
+        calls.append(checkout.name)
+        seconds, ref_seconds = figures[checkout.name][calls.count(checkout.name) - 1]
+        return {"seconds": seconds, "ref_seconds": ref_seconds, "peak_rss_mb": 40.0}
+
+    monkeypatch.setattr(bench_pairs, "timed_run", timed_run)
+    monkeypatch.setitem(bench_pairs.TIMED, "check-cp", bench_pairs.TIMED["check-cp"][:3] + (("identity",),))
+    entry = bench_pairs.timed_section(CHECKOUTS, "check-cp", 3)["identity"]
+    assert entry["parent"]["ref_seconds"] == {"median": 2.0, "q1": 1.95, "q3": 2.05}
+    assert entry["change"]["ref_seconds"] == {"median": 2.2, "q1": 2.1, "q3": 2.3}
+    assert entry["change_vs_parent"] == -0.8 and entry["ref_change_vs_parent"] == 0.1
 
 
 def test_timed_run_records_a_failed_call(monkeypatch):

@@ -216,7 +216,7 @@ class TestKernels:
                         seen[key] = value
         # the same law for class numbers read off the universe, on pairings inside it
         universe = Universe(3)
-        moved = universe.kernel({"a": g.replacement, "b": "b", "c": "c"})
+        moved = universe.kernel("a", g.replacement)
         first = [moved.get(i, i) for i in range(len(universe.trees))]
         position = positions(universe)
         seen = {}

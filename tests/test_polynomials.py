@@ -57,7 +57,7 @@ from treealg.errors import UnknownLetter
 from treealg.polynomials import EvidenceReport, EvidenceTest
 from treealg.trees import VARIABLE, _require_cover, _scan
 
-from helpers import comb, crossing_tables
+from helpers import comb, crossing_tables, oracle_grafting, oracle_kernel, sparse_of
 
 poly_letters = st.sampled_from("abcx")
 polys = st.recursive(poly_letters, lambda ch: st.tuples(ch, ch), max_leaves=10)
@@ -370,9 +370,9 @@ def oracle_cp_evidence(func, bound, alphabet, seed):
     images = [encode(func(t)) for t in universe.trees]
     tests = []
     for name, moved, view in (
-        ("skeleton-kernel", universe.kernel(dict.fromkeys(alphabet, alphabet.symbols[0])),
+        ("skeleton-kernel", oracle_kernel(bound, alphabet, (alphabet.symbols[0],) * len(alphabet)),
          partial(re.sub, r"[^<*>]+", "")),
-        ("foliage-kernel", polynomials._first_with_key(foliages), erase_shapes),
+        ("foliage-kernel", sparse_of(foliages), erase_shapes),
     ):
         tests.append(EvidenceTest(name, *oracle_kernel_test(moved, lambda i: view(images[i]), words)))
     rng = Random(seed)
@@ -383,7 +383,7 @@ def oracle_cp_evidence(func, bound, alphabet, seed):
     ok_all, checked_all, witness_all, moved_all = True, 0, None, 0
     for a, replacement in sample:
         word = encode(replacement)
-        moved = universe.kernel({b: replacement if b == a else b for b in alphabet})
+        moved = oracle_grafting(bound, alphabet, a, replacement)
         moved_all += len(moved)
         ok, checked, witness = oracle_kernel_test(moved, lambda i: images[i].replace(a, word), words)
         checked_all += checked
@@ -407,7 +407,7 @@ def oracle_cp_evidence(func, bound, alphabet, seed):
 
 
 class TestDenseKernels:
-    """The dense pass against the sparse kernel of the same keys, on tables over U_3."""
+    """The dense pass against the dense oracle's sparse kernel, on tables over U_3."""
 
     @settings(max_examples=200, deadline=None)
     @given(small_polys, st.lists(st.tuples(st.integers(0, 65), plain_trees), max_size=3))
@@ -416,11 +416,11 @@ class TestDenseKernels:
         universe = Universe(3)
         trees, words = universe.trees, universe.words()
         kernels = [
-            (partial(map, erase_letters), universe.kernel(dict.fromkeys("abc", "a"))),
-            (partial(map, erase_shapes), polynomials._first_with_key([erase_shapes(w) for w in words])),
+            (partial(map, erase_letters), oracle_kernel(3, universe.alphabet, ("a", "a", "a"))),
+            (partial(map, erase_shapes), sparse_of(map(erase_shapes, words))),
         ]
         kernels += [(lambda strings, a=a, b=b: map(str.replace, strings, itertools.repeat(a), itertools.repeat(b)),
-                     universe.kernel({c: b if c == a else c for c in "abc"})) for a, b in itertools.permutations("abc", 2)]
+                     oracle_grafting(3, universe.alphabet, a, b)) for a, b in itertools.permutations("abc", 2)]
         evaluate = compile_poly(poly)
         table = {t: evaluate(t) for t in trees}
         table.update((trees[i], image) for i, image in changes)
@@ -435,15 +435,15 @@ class TestDenseKernels:
     )
     def test_sparse_kernel_of_the_keys_is_that_of_the_leaf_map(self, letters, bound):
         # a dense pass that mismatches reads the sparse kernel of its own tree keys; for the
-        # skeleton (every letter to one) and each grafting a -> b it is Universe.kernel's
+        # skeleton (every letter to one) and each grafting a -> b it is the dense oracle's
         alphabet = Alphabet.from_string(letters)
         symbols, universe = alphabet.symbols, Universe(bound, alphabet)
         words = universe.words()
-        views = [(partial(map, erase_letters), dict.fromkeys(symbols, symbols[0]))]
+        views = [(partial(map, erase_letters), (symbols[0],) * len(symbols))]
         views += [(lambda strings, a=a, b=b: map(str.replace, strings, itertools.repeat(a), itertools.repeat(b)),
-                   {c: b if c == a else c for c in symbols}) for a, b in itertools.permutations(symbols, 2)]
-        for view, leaf_image in views:
-            assert polynomials._first_with_key(view(words)) == universe.kernel(leaf_image), leaf_image
+                   tuple(b if c == a else c for c in symbols)) for a, b in itertools.permutations(symbols, 2)]
+        for view, images in views:
+            assert polynomials._first_with_key(view(words)) == oracle_kernel(bound, alphabet, images), images
 
 
 class TestEvidenceAgainstOrderedLoops:

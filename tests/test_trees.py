@@ -38,7 +38,16 @@ from treealg import (
 from treealg import morphisms, polynomials, trees as trees_module
 from treealg.trees import UNICODE_SHAPES, _encode_deep, _fold_deep, _mirror, _shapes
 
-from helpers import comb, crossing_tables, positions, recursive_universe
+from helpers import (
+    child_positions,
+    comb,
+    crossing_tables,
+    dense_kernel,
+    oracle_grafting,
+    positions,
+    recursive_universe,
+    sparse_of,
+)
 
 ABC = Alphabet.from_string("abc")
 ODD = Alphabet(("'", "(", ",", " "))
@@ -647,32 +656,6 @@ def first_members(u, moved):
     return [moved.get(i, i) for i in range(len(u.trees))]
 
 
-def child_positions(u):
-    """The child positions of each pair tree of ``u``, read off its trees by a dict."""
-    position = positions(u)
-    return [(position[t[0]], position[t[1]]) for t in u.trees[len(u.alphabet):]]
-
-
-def dense_kernel(u, leaf_image, children=None):
-    """Class number per tree, hash-consing images bottom-up over the whole universe."""
-    table = {}
-
-    def intern(t):
-        key = t if isinstance(t, str) else (intern(t[0]), intern(t[1]))
-        return table.setdefault(key, len(table))
-
-    ids = [intern(leaf_image[a]) for a in u.alphabet]
-    for left, right in child_positions(u) if children is None else children:
-        ids.append(table.setdefault((ids[left], ids[right]), len(table)))
-    return ids
-
-
-def sparse_of(ids):
-    """The sparse form of class numbers: each non-first member to its first member."""
-    first = {}
-    return {i: f for i, key in enumerate(ids) if (f := first.setdefault(key, i)) != i}
-
-
 class TestUniverse:
     @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
     def test_index_and_children_agree_with_trees(self, bound):
@@ -711,14 +694,14 @@ class TestUniverse:
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_position_cuts_off_deep_combs(self, side):
-        # kernel looks a leaf's image up in the universe at most max_leaves pair levels down,
-        # so a comb of 10^5 leaves is out of U_3 just as a comb of 4 leaves is
-        u = Universe(3)
-        deep, shallow = (comb(leaves, side == 0, letters="b") for leaves in (100_000, 4))
-        image = {"a": shallow, "b": shallow, "c": "c"}
-        expected = sparse_of(dense_kernel(u, image))
-        assert expected and u.kernel(image) == expected
-        assert u.kernel({"a": deep, "b": deep, "c": "c"}) == expected
+        # kernel looks the replacement up in the universe at most max_leaves pair levels down,
+        # so a comb of 10^5 leaves is out of U_4 just as a comb of 5 leaves is, and a -> comb
+        # moves nothing; a comb of 4 leaves is in U_4, and a -> comb moves it to a
+        u = Universe(4)
+        inside, outside, deep = (comb(leaves, side == 0, bottom="b", letters="bc") for leaves in (4, 5, 100_000))
+        expected = oracle_grafting(4, u.alphabet, "a", inside)
+        assert expected and u.kernel("a", inside) == expected
+        assert u.kernel("a", deep) == u.kernel("a", outside) == oracle_grafting(4, u.alphabet, "a", outside) == {}
 
     @pytest.mark.parametrize(
         "make, bound",
@@ -740,7 +723,7 @@ class TestUniverse:
         for a in "abc":
             for replacement in iter_universe(3):
                 g = Grafting(a, replacement)
-                moved = u.kernel({b: replacement if b == a else b for b in "abc"})
+                moved = u.kernel(a, replacement)
                 expected = partition_of(graft(g, t) for t in u.trees)
                 assert partition_of(first_members(u, moved)) == expected, (a, encode(replacement))
                 # a tree moves to the first tree with its image
@@ -748,22 +731,23 @@ class TestUniverse:
 
     def test_leaf_and_pair_with_equal_images_share_a_number(self):
         u = Universe(2)
-        moved = u.kernel({"a": parse_tree("<b*c>"), "b": "b", "c": "c"})
+        moved = u.kernel("a", parse_tree("<b*c>"))
         position = positions(u)
         assert moved == {position[parse_tree("<b*c>")]: position["a"]}
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_constant_leaf_map_gives_skeleton_partition(self, bound):
-        u = Universe(bound)
-        moved = u.kernel(dict.fromkeys("abc", "a"))
+        # over two letters the grafting b -> a is the constant leaf map
+        u = Universe(bound, Alphabet.from_string("ab"))
+        moved = u.kernel("b", "a")
         assert partition_of(first_members(u, moved)) == partition_of(map(skeleton, u.trees))
 
     @pytest.mark.parametrize("bound", [1, 3, 5])
     def test_kernel_stores_nothing_on_the_universe(self, bound):
         u = Universe(bound)
         before = dict(vars(u))
-        u.kernel(dict.fromkeys("abc", "a"))
-        u.kernel({"a": parse_tree("<b*c>"), "b": "b", "c": "c"})
+        u.kernel("b", "a")
+        u.kernel("a", parse_tree("<b*c>"))
         assert vars(u) == before
 
     def test_cap_enforced(self):
@@ -776,63 +760,88 @@ class TestSparseKernel:
     @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
     @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
     def test_grafting_leaf_maps_match_dense_pass(self, letters, bound):
-        # every leaf map sending one letter into U_3 and the others to themselves
+        # every grafting of a letter by a tree of U_3; one whose tree holds the letter has the
+        # empty kernel, as the next test checks on the dense pass
         alphabet = Alphabet.from_string(letters)
         u = Universe(bound, alphabet, cap=None)
         children = child_positions(u)
         for a in letters:
             for replacement in iter_universe(3, alphabet):
                 leaf_image = {b: replacement if b == a else b for b in letters}
-                assert u.kernel(leaf_image) == sparse_of(dense_kernel(u, leaf_image, children)), (a, encode(replacement))
+                expected = {} if a in foliage(replacement) else sparse_of(dense_kernel(u, leaf_image, children))
+                assert u.kernel(a, replacement) == expected, (a, encode(replacement))
+
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+    def test_letter_inside_the_replacement_gives_the_empty_kernel(self, letters, bound):
+        # the fact kernel rests on: a grafting a -> r with a in r is injective
+        alphabet = Alphabet.from_string(letters)
+        u = Universe(bound, alphabet, cap=None)
+        children = child_positions(u)
+        for a in letters:
+            for replacement in iter_universe(3, alphabet):
+                if a in foliage(replacement):
+                    leaf_image = {b: replacement if b == a else b for b in letters}
+                    assert sparse_of(dense_kernel(u, leaf_image, children)) == {}, (a, encode(replacement))
 
     @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
     @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
     def test_random_leaf_maps_match_dense_pass(self, letters, bound):
-        # every letter to a random tree of up to 3 leaves, so images of leaves and pairs collide
+        # a random letter to a random tree of up to bound + 1 leaves, inside the universe or not
         rng = Random(bound * 10 + len(letters))
         alphabet = Alphabet.from_string(letters)
         u = Universe(bound, alphabet, cap=None)
         children = child_positions(u)
         for _ in range(30):
-            leaf_image = {b: random_tree(rng, alphabet.symbols, 3) for b in letters}
-            assert u.kernel(leaf_image) == sparse_of(dense_kernel(u, leaf_image, children)), leaf_image
+            a, replacement = rng.choice(letters), random_tree(rng, alphabet.symbols, bound + 1)
+            leaf_image = {b: replacement if b == a else b for b in letters}
+            assert u.kernel(a, replacement) == sparse_of(dense_kernel(u, leaf_image, children)), (a, replacement)
 
     @pytest.mark.parametrize("bound", [5, 6])
     def test_cp_evidence_leaf_maps_match_dense_pass(self, bound, monkeypatch):
         # with every dense pass failing, the skeleton, foliage and letter-by-letter kernels are
         # read off their own keys, and the graftings by a pair or by a -> a, as cp_evidence
-        # builds them for seed 0, as sparse kernels of their leaf maps; the reports stay the same
+        # samples them for seed 0, are sparse kernels of graftings; the reports stay the same
         funcs = [function_from_spec(spec) for spec in ("identity", "mirror", "recolor:b")]
         funcs += [t for t in crossing_tables(bound, ABC, 0) if t.name == "table:letter-grafting"]
         unforced = [cp_evidence(func, bound, seed=0).as_json() for func in funcs]
-        leaf_maps = []
+        graftings = []
         kernel = Universe.kernel
-        monkeypatch.setattr(Universe, "kernel", lambda u, leaf_image: leaf_maps.append(leaf_image) or kernel(u, leaf_image))
+        monkeypatch.setattr(Universe, "kernel", lambda u, *grafting: graftings.append(grafting) or kernel(u, *grafting))
         monkeypatch.setattr(polynomials, "_factors", lambda *args: None)
         assert len(funcs) == 4 and [cp_evidence(func, bound, seed=0).as_json() for func in funcs] == unforced
         # per run, each letter by itself and by the 9 pairs of U_2, and the 100 seeded graftings,
         # none of which sends a letter to another
         per_run = 3 * (1 + 9) + 100
-        assert len(leaf_maps) == len(funcs) * per_run
+        assert len(graftings) == len(funcs) * per_run
+        assert all(r == a or not isinstance(r, str) for a, r in graftings)
         u = Universe(bound)
-        children = child_positions(u)
-        for leaf_image in leaf_maps[:per_run]:
-            assert kernel(u, leaf_image) == sparse_of(dense_kernel(u, leaf_image, children)), leaf_image
+        for a, replacement in graftings[:per_run]:
+            assert kernel(u, a, replacement) == oracle_grafting(bound, u.alphabet, a, replacement), (a, replacement)
 
     def test_images_outside_the_alphabet_and_larger_than_the_universe(self):
+        # a foreign letter, as the replacement or in it or as the grafted letter, and
+        # replacements with more leaves than U_3 holds, deep or not: nothing moves
         u = Universe(3)
-        wide = parse_tree("<<a*b>*<c*a>>")
-        for leaf_image in (
-            {"a": "d", "b": "d", "c": "c"},
-            {"a": wide, "b": wide[0], "c": wide[1]},
-            {"a": (wide, wide), "b": wide, "c": "c"},
+        wide = parse_tree("<<b*b>*<c*b>>")
+        for a, replacement in (
+            ("a", "d"),
+            ("a", ("d", "b")),
+            ("d", parse_tree("<b*c>")),
+            ("d", "b"),
+            ("a", wide),
+            ("a", (wide, wide)),
+            ("a", comb(100_000, bottom="b", letters="bc")),
         ):
-            assert u.kernel(leaf_image) == sparse_of(dense_kernel(u, leaf_image))
+            assert u.kernel(a, replacement) == {}, (a, replacement)
+            if a in u.alphabet and len(encode(replacement)) < 100:
+                leaf_image = {b: replacement if b == a else b for b in u.alphabet}
+                assert sparse_of(dense_kernel(u, leaf_image)) == {}, (a, replacement)
 
     def test_fresh_replacement_moves_only_the_trees_that_contain_its_copy(self):
         # a -> <b*c>: a tree moves iff <b*c> occurs in it, the copy becoming an a
         u = Universe(4)
-        moved = u.kernel({"a": parse_tree("<b*c>"), "b": "b", "c": "c"})
+        moved = u.kernel("a", parse_tree("<b*c>"))
         assert sorted(moved) == [i for i, t in enumerate(u.trees) if "<b*c>" in encode(t)]
 
 

@@ -13,10 +13,12 @@ metric; ``traced`` runs ``perfbench/run.py --trace 1`` and records each
 per-layer metric's median over a side's runs.  Both last the
 ``run_seconds`` each checkout's BENCHMARK.json declares.  Every other
 COMMAND is a row of ``TIMED``: for each of its ARGs a fresh interpreter,
-its address space capped at ``MEMORY_GB``, times the row's call with
-``perf_counter`` and reports its seconds and peak RSS (``ru_maxrss``).
-The row's section keeps every run, failed ones as their last stderr line,
-and the quartiles of the others.  Each command merges its section into
+its address space capped at ``MEMORY_GB``, runs the row's call inside the
+checkout's ``perfbench/speed.Speedometer`` and reports its wall seconds
+(``perf_counter``), its seconds on the reference clock (``ref_seconds``,
+which host speed drift mostly leaves alone) and its peak RSS
+(``ru_maxrss``).  The row's section keeps every run, failed ones as their
+last stderr line, and the quartiles of the others.  Each command merges its section into
 ``--out`` and leaves the other sections as they are.  Stdlib only.
 """
 
@@ -146,12 +148,17 @@ def traced_section(checkouts: dict, seed: int, count: int) -> dict:
 
 
 def child(command: str) -> str:
-    """The program a timed run of ``command`` runs: it times the call for ``ARG = sys.argv[1]``."""
+    """The program a timed run of ``command`` runs in a checkout: it times the call for
+    ``ARG = sys.argv[1]`` on the wall clock and on the checkout's reference clock."""
     _, imports, call, _ = TIMED[command]
     return (
-        f"import json, resource, sys, time\n{imports}\nARG = sys.argv[1]\nstart = time.perf_counter()\n{call}\n"
-        "seconds = time.perf_counter() - start\npeak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(json.dumps({'seconds': round(seconds, 6), 'peak_rss_mb': round(peak / 1024, 1)}))"
+        f"import json, resource, sys, time\nsys.path.insert(0, 'perfbench')\nfrom speed import Speedometer, clock\n"
+        f"{imports}\nARG = sys.argv[1]\nwith Speedometer():\n"
+        f"    start, ref = time.perf_counter(), clock()\n    {call}\n"
+        "    seconds, ref_seconds = time.perf_counter() - start, clock() - ref\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps({'seconds': round(seconds, 6), 'ref_seconds': round(ref_seconds, 6), "
+        "'peak_rss_mb': round(peak / 1024, 1)}))"
     )
 
 
@@ -173,23 +180,24 @@ def timed_run(checkout: Path, command: str, arg: str) -> dict:
 def timed_section(checkouts: dict, command: str, count: int) -> dict:
     _, imports, call, args = TIMED[command]
     section = {
-        "note": f"{imports}; {call}: wall seconds (time.perf_counter) and peak RSS (ru_maxrss) of {count} runs "
-        f"per side for each ARG, each in a fresh interpreter with its address space capped at {MEMORY_GB} GiB, "
-        "run k starting with the parent when k is odd; quartiles leave failed runs out, and change_vs_parent "
-        "compares the median seconds"
+        "note": f"{imports}; {call}: wall seconds (time.perf_counter), seconds on the reference clock of "
+        f"perfbench/speed.py (ref_seconds) and peak RSS (ru_maxrss) of {count} runs per side for each ARG, "
+        f"each in a fresh interpreter with its address space capped at {MEMORY_GB} GiB and the call inside a "
+        "Speedometer, whose speed samples the wall seconds include, run k starting with the parent when k is "
+        "odd; quartiles leave failed runs out, and change_vs_parent and ref_change_vs_parent compare the "
+        "median seconds and ref_seconds"
     }
     for arg in args:
         runs = alternate(checkouts, count, lambda checkout, k: timed_run(checkout, command, arg), f"{command} {arg}")
         entry = section[arg] = {}
         for side in SIDES:
             done = [run for run in runs[side] if "failed" not in run]
-            entry[side] = {
-                "runs": runs[side],
-                **{key: quartiles([run[key] for run in done]) for key in ("seconds", "peak_rss_mb") if done},
-            }
-        if all("seconds" in entry[side] for side in SIDES):
-            medians = [entry[side]["seconds"]["median"] for side in SIDES]
-            entry["change_vs_parent"] = round(medians[1] / medians[0] - 1, 4)
+            figures = done[0] if done else {}  # seconds, ref_seconds and peak_rss_mb
+            entry[side] = {"runs": runs[side], **{key: quartiles([run[key] for run in done]) for key in figures}}
+        for key, name in (("seconds", "change_vs_parent"), ("ref_seconds", "ref_change_vs_parent")):
+            if all(key in entry[side] for side in SIDES):
+                medians = [entry[side][key]["median"] for side in SIDES]
+                entry[name] = round(medians[1] / medians[0] - 1, 4)
     return section
 
 
