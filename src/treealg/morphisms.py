@@ -48,20 +48,15 @@ def graft(g: Grafting, t: Tree) -> Tree:
     try:
         return _graft(g.source, g.replacement, t)
     except RecursionError:
-        return _graft_deep(g.source, g.replacement, t)
-
-
-def _graft_deep(source: str, replacement: Tree, t: Tree) -> Tree:
-    """:func:`graft` by the iterative fold, for trees of any depth."""
-    return _tree_or_raise(_fold_deep(
-        t,
-        partial(_graft, source, replacement),
-        lambda node, left, right: node if left is node[0] and right is node[1] else (left, right),
-    ))
+        return _tree_or_raise(_fold_deep(
+            t,
+            partial(_graft, g.source, g.replacement),
+            lambda node, left, right: node if left is node[0] and right is node[1] else (left, right),
+        ))
 
 
 def _graft(source: str, replacement: Tree, t: Tree) -> Tree:
-    # a letter child is read here, as in the tree views; the leaf branch serves a lone letter and _graft_deep
+    # a letter child is read here, as in the tree views; the leaf branch serves a lone letter and the iterative fold
     if isinstance(t, str):
         return replacement if t == source else t
     left, right = t

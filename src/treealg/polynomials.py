@@ -38,7 +38,7 @@ from .errors import (
     NotCP,
     UnknownLetter,
 )
-from .morphisms import _graft_deep, recolor
+from .morphisms import recolor
 from .trees import (
     Alphabet,
     DEFAULT_ALPHABET,
@@ -47,37 +47,45 @@ from .trees import (
     Universe,
     VARIABLE,
     _encode_deep,
+    _fold_deep,
     encode,
     erase_letters,
     erase_shapes,
+    foliage,
     leaf_count,
     mirror,
     parse_tree,
     read_table,
-    _TO_TUPLE,
     _require_cover,
     _scan,
 )
 from .words import _leaves, check_word_hypotheses, eval_word_poly
 
 
+_NESTING = 100  # parentheses per subexpression of a compiled polynomial, half the parser's limit
+
+
 def compile_poly(poly: Tree) -> Callable[[Tree], Tree]:
     """The function of a polynomial: graft its argument into every variable leaf.
 
-    Compiled from the word like :func:`parse_tree`'s builders, with ``t`` for
-    the variable and a literal for each letter, so a call is one frame.  Past
-    the parser's nesting limit (about 200 levels) the function is the
-    iterative fold, which no recursion limit stops.
+    One ``lambda`` of nested tuples, like :func:`parse_tree`'s builders, with
+    ``t`` for the variable and a literal for each letter, so a call is one
+    frame.  The parser refuses about 200 nested parentheses, so a subexpression
+    ``_NESTING`` levels deep is named, ``((n0:=(...)),...,body)[-1]``.
     """
-    word = encode(poly)
-    if VARIABLE not in word:
+    if VARIABLE not in foliage(poly):
         return lambda t: poly
-    leaves = {ord(ch): repr(ch) for ch in set(erase_shapes(word))}
-    source = word.translate({**_TO_TUPLE, **leaves, ord(VARIABLE): "t"})
-    try:
-        return eval(f"lambda t: {source}")  # noqa: S307
-    except (SyntaxError, MemoryError):  # too many nested parentheses; the parser's stack overflowed
-        return lambda t: _graft_deep(VARIABLE, t, poly)
+    named: List[str] = []
+
+    def pair(node: Tree, left: Tuple[str, int], right: Tuple[str, int]) -> Tuple[str, int]:
+        text, depth = f"({left[0]},{right[0]})", max(left[1], right[1]) + 1
+        if depth < _NESTING:
+            return text, depth
+        named.append(f"(n{len(named)}:={text})")
+        return f"n{len(named) - 1}", 0
+
+    body = _fold_deep(poly, lambda a: ("t" if a == VARIABLE else repr(a), 0), pair)[0]
+    return eval(f"lambda t: ({','.join(named)},{body})[-1]" if named else f"lambda t: {body}")  # noqa: S307
 
 
 @dataclass(frozen=True)
@@ -420,7 +428,9 @@ def cp_to_polynomial(
 
     Reads the function's values on the letter leaves, synthesizes the
     unique polynomial agreeing there, then verifies agreement on every
-    tree with at most ``verify_bound`` leaves.  Any failure along the way
+    tree with at most ``verify_bound`` leaves.  The polynomial is compiled
+    only where its function is used: to verify a polynomial of at most 200
+    leaves, and for the witness of a refusal.  Any failure along the way
     shows the function preserves no congruence structure of the required
     kind, i.e. it is not congruence preserving.  A universe larger than
     ``cap`` raises :class:`UniverseTooLarge` before any tree is built.
@@ -434,15 +444,14 @@ def cp_to_polynomial(
     except HypothesesViolated as exc:
         a, b = exc.check.pair
         raise NotCP(f"generator-hypotheses:{exc.check.failure}", (table[a], table[b])) from None
-    evaluate = compile_poly(poly)
-    expected, actual = evaluate, func.fn
-    # an image nests at most the polynomial's leaves plus verify_bound deep, and
-    # comparing tuples recurses once per level: past a few hundred, compare the
-    # image's word with the polynomial's, the tree's word in place of the variable
+    # tuple == recurses per level, so past 200 leaves compare words; a constant's one image is poly
     if leaf_count(poly) > 200:
         word = encode(poly)
-        expected, actual = (lambda t: eval_word_poly(word, encode(t))), (lambda t: _encode_deep(func.fn(t)))
+        expected = lambda t: eval_word_poly(word, encode(t))  # noqa: E731
+        actual = lambda t: word if (image := func.fn(t)) is poly else _encode_deep(image)  # noqa: E731
+    else:
+        expected, actual = compile_poly(poly), func.fn
     bad = _first_mismatch(universe.stream(), expected, actual)
     if bad is not None:
-        raise NotCP("verification", (evaluate(bad), func(bad)), at_input=bad)
+        raise NotCP("verification", (compile_poly(poly)(bad), func(bad)), at_input=bad)
     return poly

@@ -52,7 +52,7 @@ from treealg import (
     synthesize,
     table_function,
 )
-from treealg import morphisms, polynomials
+from treealg import morphisms, polynomials, trees
 from treealg.errors import UnknownLetter
 from treealg.polynomials import EvidenceReport, EvidenceTest
 from treealg.trees import VARIABLE, _require_cover, _scan
@@ -99,10 +99,31 @@ class TestEvalPoly:
     @pytest.mark.parametrize("depth", [199, 200, 201, 1_200])
     @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
     def test_deep_polynomial(self, depth, left):
-        # past the parser's 200 nested parentheses the function grafts instead
+        # past the parser's 200 nested parentheses, subexpressions are named
         poly = comb(depth + 1, left, bottom="x")
         t = parse_tree("<a*<b*c>>")
         assert encode(compile_poly(poly)(t)) == encode(poly).replace("x", "<a*<b*c>>")
+
+    @pytest.mark.parametrize("leaves", [99, 100, 101, 199, 200, 201, 1_200, 100_000])
+    @pytest.mark.parametrize("shape", ["left", "right", "zigzag"])
+    @pytest.mark.parametrize("x_at", ["bottom", "top"])
+    def test_at_the_cut(self, leaves, shape, x_at):
+        # a subexpression polynomials._NESTING levels deep is named, whatever the shape around it
+        poly = spine(leaves, shape, x_at)
+        t = parse_tree("<a*<b*c>>")
+        assert encode(compile_poly(poly)(t)) == encode(graft(Grafting("x", t), poly))
+
+    def test_below_the_cut_one_nested_tuple(self):
+        # under polynomials._NESTING levels a polynomial compiles to one nested tuple and
+        # no name, the code that the word's translation compiled to before the cut
+        to_tuple = {ord("<"): "(", ord("*"): ",", ord(">"): ")", ord("x"): "t", **{ord(a): repr(a) for a in "abc"}}
+        shallow = [p for p in iter_polynomials(3) if "x" in foliage(p)]
+        for poly in shallow + [comb(100, left, bottom="x") for left in (True, False)]:
+            code = compile_poly(poly).__code__
+            before = eval("lambda t: " + encode(poly).translate(to_tuple)).__code__
+            assert code.co_varnames == ("t",)
+            assert (code.co_code, code.co_consts) == (before.co_code, before.co_consts)
+        assert compile_poly(comb(101, bottom="x")).__code__.co_varnames == ("t", "n0")
 
     def test_letter_literals(self):
         # every leaf but the variable is the literal of its letter, quotes and backslashes too
@@ -115,6 +136,19 @@ class TestEvalPoly:
         evaluate = compile_poly(poly)
         image = near_recursion_limit(lambda: evaluate(("a", "b")))
         assert encode(image) == encode(poly).replace("x", "<a*b>")
+
+
+def spine(leaves, shape, x_at):
+    """A comb of ``leaves`` leaves with the variable at its ``bottom`` or its ``top``.
+
+    Each node above the bottom leaf hangs one letter on its right (``left``),
+    on its left (``right``), or on alternate sides (``zigzag``).
+    """
+    t = "x" if x_at == "bottom" else "a"
+    for i in range(1, leaves):
+        leaf = "x" if x_at == "top" and i == leaves - 1 else "abc"[i % 3]
+        t = (t, leaf) if shape == "left" or shape == "zigzag" and i % 2 else (leaf, t)
+    return t
 
 
 def near_recursion_limit(call, headroom=50):
@@ -562,7 +596,6 @@ class TestCpEvidence:
             raise AssertionError("graft called")
 
         monkeypatch.setattr(morphisms, "graft", refuse)
-        monkeypatch.setattr(polynomials, "_graft_deep", refuse)
         for spec in ("identity", "mirror"):
             line = json.dumps(cp_evidence(function_from_spec(spec), 3).as_json(), separators=(",", ":"))
             assert line == PINNED_REPORTS[spec, 3, 0]
@@ -726,18 +759,39 @@ class TestCpToPolynomial:
 
     def test_deep_polynomial_verifies_without_evaluating_it(self, monkeypatch):
         # each image is checked by its word against the polynomial's word with the
-        # tree's word for x, so only the candidate grafts: 3 letters, then 66 trees
+        # tree's word for x, so the synthesized polynomial is never compiled and only
+        # the candidate is evaluated: on the 3 letters, then on the 66 trees
         poly = comb(1_200, bottom="x")
+        evaluate, compiled, calls = compile_poly(poly), [], []
+        monkeypatch.setattr(polynomials, "compile_poly", lambda p: compiled.append(p) or compile_poly(p))
+
+        def candidate(t):
+            calls.append(t)
+            return evaluate(t)
+
+        assert encode(cp_to_polynomial(CandidateFunction("spy", candidate), 3)) == encode(poly)
+        assert compiled == [] and calls == list("abc") + list(iter_universe(3))
+
+    def test_deep_constant_encodes_only_the_letters_images(self, monkeypatch):
+        # a constant's every image is the polynomial itself, whose word is at hand, so the
+        # deep encodings are those of synthesis and of the polynomial, whatever the bound
         calls = []
-        graft_deep = polynomials._graft_deep
+        encode_deep = trees._encode_deep
 
-        def spy(*args):
-            calls.append(args[1])
-            return graft_deep(*args)
+        def spy(t):
+            calls.append(t)
+            return encode_deep(t)
 
-        monkeypatch.setattr(polynomials, "_graft_deep", spy)
-        assert encode(cp_to_polynomial(poly_function(poly), 3)) == encode(poly)
-        assert calls == list("abc") + list(iter_universe(3))
+        monkeypatch.setattr(trees, "_encode_deep", spy)
+        monkeypatch.setattr(polynomials, "_encode_deep", spy)
+        func = constant_function(comb(1_200))
+
+        def deep_encodings(bound):
+            calls.clear()
+            assert cp_to_polynomial(func, bound) is func("a")
+            return len(calls)
+
+        assert deep_encodings(1) == deep_encodings(3)  # 3 trees and 66 trees
 
     def test_deep_constant_copies_verify(self):
         # equal deep images that are distinct objects are compared as words

@@ -44,6 +44,11 @@ TIMED = {  # command: (BENCH section, imports, timed call of ARG, ARGs)
                  "cp_evidence(function_from_spec(ARG), 6)", ("identity", "mirror")),
     "to-poly": ("to_poly", "from treealg import cp_to_polynomial, function_from_spec",
                 "cp_to_polynomial(function_from_spec(ARG), 7, cap=None)", ("identity", "poly:<<c*<x*a>>*x>")),
+    # ARG is KIND:LETTERS, for a left comb of 1,200 leaves with LETTERS cycling up from its bottom leaf
+    "to-poly-deep": ("to_poly_deep", "from treealg import cp_to_polynomial, function_from_spec; comb = lambda kind, "
+                     "letters: f\"{kind}:{'<' * 1199}{letters[0]}\" + ''.join(f'*{letters[i % len(letters)]}>' "
+                     "for i in range(1, 1200))",
+                     "cp_to_polynomial(function_from_spec(comb(*ARG.split(':'))), 4)", ("const:abc", "poly:xa")),
     "closure-scale": ("closure_scale", "from treealg import bounded_closure",
                       "bounded_closure([('a', 'b')], int(ARG), cap=None)", ("8", "9")),
     # 2 and 3 share the universe sweep that `sweep` times
