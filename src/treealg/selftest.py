@@ -1,8 +1,12 @@
 """Self-verification suite: every documented law run at full scale.
 
-Each criterion is a function returning a :class:`CriterionResult`; the
-CLI ``selftest`` subcommand prints one line per criterion and exits
-nonzero if any fails.  The suite always runs over the reference alphabet
+``CRITERIA`` is one table of law checks.  ``@_criterion(slug)`` registers
+a check returning ``(passed, detail)`` and numbers it by its place; its
+entry returns a :class:`CriterionResult`.  A counterexample is the first
+failing case of an explicit case list (:func:`_first`).  One
+:class:`_Context` per run builds the bound-8 sweep and each small universe
+once.  The CLI ``selftest`` subcommand prints one line per criterion and
+exits 3 if any fails.  The suite always runs over the reference alphabet
 ``abc`` (the scale its fixtures are frozen at); only the seed of the
 randomized criteria is configurable.
 """
@@ -12,8 +16,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
+from functools import partial, wraps
 from random import Random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from .congruence import bounded_closure
 from .errors import HypothesesViolated, LengthMismatch, NotCP
@@ -32,6 +37,7 @@ from .polynomials import (
 from .trees import (
     DEFAULT_ALPHABET,
     VARIABLE,
+    Tree,
     Universe,
     encode,
     erase_letters,
@@ -76,12 +82,19 @@ class CriterionResult:
 
 
 class _Context:
-    """Shared state across criteria; the big universe sweep runs once."""
+    """Shared state across criteria; the big universe sweep and each small universe are built once."""
 
     def __init__(self, seed: int):
         self.alphabet = DEFAULT_ALPHABET
         self.seed = seed
         self._sweep: Optional[tuple] = None
+        self._trees: Dict[int, List[Tree]] = {}
+
+    def trees(self, bound: int) -> List[Tree]:
+        """Every tree of ``U_bound``, in enumeration order."""
+        if bound not in self._trees:
+            self._trees[bound] = Universe(bound, self.alphabet, cap=None).trees
+        return self._trees[bound]
 
     def sweep(self) -> tuple:
         if self._sweep is None:
@@ -105,7 +118,34 @@ class _Context:
         return self._sweep
 
 
-def criterion_figure_fixture(ctx: _Context) -> CriterionResult:
+CRITERIA: List[Callable[[_Context], CriterionResult]] = []
+
+T = TypeVar("T")
+
+
+def _criterion(slug: str):
+    """Append a check returning ``(passed, detail)`` to ``CRITERIA`` as the next criterion."""
+
+    def register(check: Callable[[_Context], Tuple[bool, str]]) -> Callable[[_Context], CriterionResult]:
+        number = len(CRITERIA) + 1
+
+        @wraps(check)
+        def criterion(ctx: _Context) -> CriterionResult:
+            return CriterionResult(number, slug, *check(ctx))
+
+        CRITERIA.append(criterion)
+        return criterion
+
+    return register
+
+
+def _first(cases: Iterable[T], broken: Callable[[T], object]) -> Optional[T]:
+    """The first of ``cases`` that ``broken`` holds for, or None."""
+    return next((case for case in cases if broken(case)), None)
+
+
+@_criterion("figure-fixture")
+def criterion_figure_fixture(ctx: _Context) -> Tuple[bool, str]:
     alphabet = ctx.alphabet
     t = parse_tree(FIG_LEFT, alphabet)
     t2 = parse_tree(FIG_RIGHT, alphabet)
@@ -120,43 +160,34 @@ def criterion_figure_fixture(ctx: _Context) -> CriterionResult:
         and rebuild(foliage(t), skeleton(t), alphabet) == t
         and rebuild(foliage(t2), skeleton(t2), alphabet) == t2
     )
-    return CriterionResult(
-        1, "figure-fixture", ok,
-        "reference trees: shared leaf word, distinct shapes, exact round-trips",
-    )
+    return ok, "reference trees: shared leaf word, distinct shapes, exact round-trips"
 
 
-def criterion_product_laws(ctx: _Context) -> CriterionResult:
-    alphabet = ctx.alphabet
-    u4 = Universe(4, alphabet, cap=None).trees
+@_criterion("product-laws")
+def criterion_product_laws(ctx: _Context) -> Tuple[bool, str]:
+    u4 = ctx.trees(4)
     shapes = [skeleton(t) for t in u4]
     leaves = [foliage(t) for t in u4]
-    pair_count = 0
-    witness = None
-    for i, t in enumerate(u4):
-        si, fi = shapes[i], leaves[i]
-        for j, t2 in enumerate(u4):
-            pair_count += 1
-            enc = encode((t, t2))
-            if erase_letters(enc) != f"<{si}*{shapes[j]}>":
-                witness = f"shape law broke at ({encode(t)}, {encode(t2)})"
-                break
-            if erase_shapes(enc) != fi + leaves[j]:
-                witness = f"leaf-word law broke at ({encode(t)}, {encode(t2)})"
-                break
-        if witness:
-            break
+
+    def broken_law(pair: Tuple[int, int]) -> Optional[str]:
+        i, j = pair
+        enc = encode((u4[i], u4[j]))
+        if erase_letters(enc) != f"<{shapes[i]}*{shapes[j]}>":
+            return "shape"
+        if erase_shapes(enc) != leaves[i] + leaves[j]:
+            return "leaf-word"
+
+    pair = _first(itertools.product(range(len(u4)), repeat=2), broken_law)
     total, length_law_witness, _, _ = ctx.sweep()
-    ok = witness is None and length_law_witness is None
-    detail = (
-        f"pairing laws on {pair_count} pairs; length law on {total} trees"
-        if ok
-        else (witness or f"length law broke at {length_law_witness}")
-    )
-    return CriterionResult(2, "product-laws", ok, detail)
+    if pair is not None:
+        return False, f"{broken_law(pair)} law broke at ({encode(u4[pair[0]])}, {encode(u4[pair[1]])})"
+    if length_law_witness is not None:
+        return False, f"length law broke at {length_law_witness}"
+    return True, f"pairing laws on {len(u4) ** 2} pairs; length law on {total} trees"
 
 
-def criterion_rebuild_roundtrip(ctx: _Context) -> CriterionResult:
+@_criterion("rebuild-roundtrip")
+def criterion_rebuild_roundtrip(ctx: _Context) -> Tuple[bool, str]:
     alphabet = ctx.alphabet
     total, _, roundtrip_witness, parser_witness = ctx.sweep()
     rng = Random(ctx.seed)
@@ -170,116 +201,68 @@ def criterion_rebuild_roundtrip(ctx: _Context) -> CriterionResult:
             rebuild(word, shape, alphabet)
         except LengthMismatch:
             rejected += 1
-    ok = roundtrip_witness is None and parser_witness is None and rejected == 100
-    if ok:
-        detail = f"rebuild and parse round-trips on {total} trees; 100 mismatched pairs rejected"
-    elif roundtrip_witness:
-        detail = f"rebuild round-trip broke at {roundtrip_witness}"
-    elif parser_witness:
-        detail = f"parse round-trip broke at {parser_witness}"
-    else:
-        detail = f"only {rejected}/100 pairs rejected"
-    return CriterionResult(3, "rebuild-roundtrip", ok, detail)
+    if roundtrip_witness is not None:
+        return False, f"rebuild round-trip broke at {roundtrip_witness}"
+    if parser_witness is not None:
+        return False, f"parse round-trip broke at {parser_witness}"
+    if rejected != 100:
+        return False, f"only {rejected}/100 pairs rejected"
+    return True, f"rebuild and parse round-trips on {total} trees; 100 mismatched pairs rejected"
 
 
-def criterion_graft_foliage_diagram(ctx: _Context) -> CriterionResult:
-    alphabet = ctx.alphabet
-    u3 = Universe(3, alphabet, cap=None).trees
-    checked = 0
-    witness = None
-    for a in alphabet:
-        for replacement in u3:
-            g = Grafting(a, replacement)
-            for t in u3:
-                checked += 1
-                if not commute_check(g, t):
-                    witness = f"{a}->{encode(replacement)} on {encode(t)}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    ok = witness is None
-    detail = f"grafting/substitution diagram on {checked} cases" if ok else f"diagram broke at {witness}"
-    return CriterionResult(4, "graft-foliage-diagram", ok, detail)
+@_criterion("graft-foliage-diagram")
+def criterion_graft_foliage_diagram(ctx: _Context) -> Tuple[bool, str]:
+    u3 = ctx.trees(3)
+    cases = list(itertools.product([Grafting(a, replacement) for a in ctx.alphabet for replacement in u3], u3))
+    case = _first(cases, lambda case: not commute_check(*case))
+    if case is not None:
+        g, t = case
+        return False, f"diagram broke at {g.source}->{encode(g.replacement)} on {encode(t)}"
+    return True, f"grafting/substitution diagram on {len(cases)} cases"
 
 
-def criterion_idempotence(ctx: _Context) -> CriterionResult:
-    alphabet = ctx.alphabet
-    u4 = Universe(4, alphabet, cap=None).trees
-    checked = 0
-    witness = None
-    for a in alphabet:
-        for replacement in u4:
-            if replacement == a:
-                continue  # the letter test rejects the identity grafting by design
-            g = Grafting(a, replacement)
-            functional = True
-            for t in u4:
-                once = graft(g, t)
-                if graft(g, once) != once:
-                    functional = False
-                    break
-            checked += 1
-            if is_idempotent(g) != functional:
-                witness = f"{a}->{encode(replacement)}"
-                break
-        if witness:
-            break
-    ok = witness is None
-    detail = (
-        f"letter criterion equals functional idempotence for {checked} graftings"
-        if ok
-        else f"criterion disagrees at {witness}"
-    )
-    return CriterionResult(5, "idempotence-criterion", ok, detail)
+@_criterion("idempotence-criterion")
+def criterion_idempotence(ctx: _Context) -> Tuple[bool, str]:
+    u4 = ctx.trees(4)
+    # the letter test rejects the identity grafting by design
+    graftings = [Grafting(a, replacement) for a in ctx.alphabet for replacement in u4 if replacement != a]
+
+    def functional(g: Grafting) -> bool:
+        return all(graft(g, once) == once for once in (graft(g, t) for t in u4))
+
+    g = _first(graftings, lambda g: functional(g) != is_idempotent(g))
+    if g is not None:
+        return False, f"criterion disagrees at {g.source}->{encode(g.replacement)}"
+    return True, f"letter criterion equals functional idempotence for {len(graftings)} graftings"
 
 
-def criterion_two_grafting_injectivity(ctx: _Context) -> CriterionResult:
-    alphabet = ctx.alphabet
-    u4 = Universe(4, alphabet, cap=None).trees
-    u3 = Universe(3, alphabet, cap=None).trees
-    combos = 0
-    witness = None
-    for a, b in itertools.combinations(alphabet.symbols, 2):
-        for replacement in u3:
-            combos += 1
-            ga = Grafting(a, replacement)
-            gb = Grafting(b, replacement)
-            images_b = [graft(gb, t) for t in u4]
-            groups = {}
-            for i, t in enumerate(u4):
-                groups.setdefault(graft(ga, t), []).append(i)
-            for members in groups.values():
-                if len(members) < 2:
-                    continue
-                seen = {}
-                for i in members:
-                    key = images_b[i]
-                    if key in seen:
-                        witness = (
-                            f"({encode(u4[seen[key]])}, {encode(u4[i])}) collapses "
-                            f"under both {a}->{encode(replacement)} and {b}->..."
-                        )
-                        break
-                    seen[key] = i
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    ok = witness is None
-    pair_count = len(u4) * (len(u4) - 1) // 2
-    detail = (
-        f"{combos} letter-pair/replacement combinations x {pair_count} tree pairs"
-        if ok
-        else witness
-    )
-    return CriterionResult(6, "two-grafting-injectivity", ok, detail)
+@_criterion("two-grafting-injectivity")
+def criterion_two_grafting_injectivity(ctx: _Context) -> Tuple[bool, str]:
+    u4 = ctx.trees(4)
+    letter_pairs = itertools.combinations(ctx.alphabet.symbols, 2)
+    combos = [(a, b, replacement) for a, b in letter_pairs for replacement in ctx.trees(3)]
+
+    def collision(combo: Tuple[str, str, Tree]) -> Optional[Tuple[int, int]]:
+        """The first pair of positions that both graftings merge, class by class of the first one's kernel."""
+        a, b, replacement = combo
+        ga, gb = Grafting(a, replacement), Grafting(b, replacement)
+        images_b = [graft(gb, t) for t in u4]
+        classes: Dict[Tree, List[int]] = {}
+        for i, t in enumerate(u4):
+            classes.setdefault(graft(ga, t), []).append(i)
+        pairs = ((cls[k], i) for cls in classes.values() if len(cls) > 1 for n, i in enumerate(cls) for k in range(n))
+        return _first(pairs, lambda pair: images_b[pair[0]] == images_b[pair[1]])
+
+    combo = _first(combos, collision)
+    if combo is not None:
+        a, b, replacement = combo
+        i, j = collision(combo)
+        return False, f"({encode(u4[i])}, {encode(u4[j])}) collapses under both {a}->{encode(replacement)} and {b}->..."
+    return True, f"{len(combos)} letter-pair/replacement combinations x {len(u4) * (len(u4) - 1) // 2} tree pairs"
 
 
-def criterion_closure_partition(ctx: _Context) -> CriterionResult:
+@_criterion("closure-partition")
+def criterion_closure_partition(ctx: _Context) -> Tuple[bool, str]:
     alphabet = ctx.alphabet
     part2 = bounded_closure([("a", "b")], 2, alphabet)
     got = json.dumps(
@@ -290,69 +273,46 @@ def criterion_closure_partition(ctx: _Context) -> CriterionResult:
         separators=(",", ":"),
     )
     if got != CLOSURE_FIXTURE:
-        return CriterionResult(7, "closure-partition", False, f"partition fixture mismatch: {got}")
+        return False, f"partition fixture mismatch: {got}"
 
-    part3 = bounded_closure([("a", "b")], 3, alphabet)
-    kernels: List[Tuple[str, Callable]] = [("skeleton", skeleton), ("foliage", foliage)]
-    for c in alphabet:
-        for replacement in Universe(2, alphabet).trees:
-            g = Grafting(c, replacement)
-            kernels.append((f"{c}->{encode(replacement)}", lambda t, g=g: graft(g, t)))
-    sound = True
-    witness = None
-    for name, image in kernels:
-        if image("a") != image("b"):
-            continue  # this kernel does not contain the generating pair
-        for cls in part3.classes():
-            ref = image(cls[0])
-            for t in cls[1:]:
-                if image(t) != ref:
-                    sound = False
-                    witness = f"kernel {name} splits class of {encode(cls[0])}"
-                    break
-            if not sound:
-                break
-        if not sound:
-            break
-    if not sound:
-        return CriterionResult(7, "closure-partition", False, witness)
+    classes = bounded_closure([("a", "b")], 3, alphabet).classes()
+    kernels = [("skeleton", skeleton), ("foliage", foliage)]
+    kernels += [(f"{c}->{encode(r)}", partial(graft, Grafting(c, r))) for c in alphabet for r in ctx.trees(2)]
+
+    def splits(case: Tuple[str, Callable, List[Tree]]) -> bool:
+        _, image, cls = case
+        return any(image(t) != image(cls[0]) for t in cls[1:])
+
+    # only a kernel that contains the generating pair must hold every class together
+    split = _first(((name, image, cls) for name, image in kernels if image("a") == image("b") for cls in classes),
+                   splits)
+    if split is not None:
+        return False, f"kernel {split[0]} splits class of {encode(split[2][0])}"
 
     part4 = bounded_closure([("a", "b")], 4, alphabet)
-    for cls in part3.classes():
-        rep = cls[0]
-        for t in cls[1:]:
-            if not part4.related(rep, t):
-                return CriterionResult(
-                    7, "closure-partition", False,
-                    f"monotonicity broke: {encode(rep)} ~ {encode(t)} lost at bound 4",
-                )
-    return CriterionResult(
-        7, "closure-partition", True,
-        "frozen 6-class partition; sound vs qualifying kernels; monotone 3->4",
-    )
+    lost = _first(((cls[0], t) for cls in classes for t in cls[1:]), lambda pair: not part4.related(*pair))
+    if lost is not None:
+        return False, f"monotonicity broke: {encode(lost[0])} ~ {encode(lost[1])} lost at bound 4"
+    return True, "frozen 6-class partition; sound vs qualifying kernels; monotone 3->4"
 
 
-def criterion_synthesis_roundtrip(ctx: _Context) -> CriterionResult:
+@_criterion("synthesis-roundtrip")
+def criterion_synthesis_roundtrip(ctx: _Context) -> Tuple[bool, str]:
     alphabet = ctx.alphabet
-    count = 0
-    witness = None
-    for poly in iter_polynomials(5, alphabet):  # 5 leaves == 9 nodes
+    polys = list(iter_polynomials(5, alphabet))  # 5 leaves == 9 nodes
+
+    def lost(poly: Tree) -> bool:
         evaluate = compile_poly(poly)
-        table = {a: evaluate(a) for a in alphabet}
-        if synthesize(table, alphabet) != poly:
-            witness = encode(poly)
-            break
-        count += 1
-    ok = witness is None
-    detail = (
-        f"all {count} polynomials with at most 9 nodes recovered exactly"
-        if ok
-        else f"recovery failed for {witness}"
-    )
-    return CriterionResult(8, "synthesis-roundtrip", ok, detail)
+        return synthesize({a: evaluate(a) for a in alphabet}, alphabet) != poly
+
+    poly = _first(polys, lost)
+    if poly is not None:
+        return False, f"recovery failed for {encode(poly)}"
+    return True, f"all {len(polys)} polynomials with at most 9 nodes recovered exactly"
 
 
-def criterion_synthesis_negatives(ctx: _Context) -> CriterionResult:
+@_criterion("synthesis-negatives")
+def criterion_synthesis_negatives(ctx: _Context) -> Tuple[bool, str]:
     alphabet = ctx.alphabet
     problems = []
 
@@ -380,16 +340,11 @@ def criterion_synthesis_negatives(ctx: _Context) -> CriterionResult:
         if exc.check.pair != ("a", "c") or exc.check.position != 1:
             problems.append(f"word witness was {exc.check.pair}@{exc.check.position}")
 
-    ok = not problems
-    detail = (
-        "three failing tables report the expected error and witness pair"
-        if ok
-        else "; ".join(problems)
-    )
-    return CriterionResult(9, "synthesis-negatives", ok, detail)
+    return not problems, "; ".join(problems) or "three failing tables report the expected error and witness pair"
 
 
-def criterion_cp_evidence(ctx: _Context) -> CriterionResult:
+@_criterion("cp-evidence")
+def criterion_cp_evidence(ctx: _Context) -> Tuple[bool, str]:
     alphabet = ctx.alphabet
     problems = []
 
@@ -415,34 +370,25 @@ def criterion_cp_evidence(ctx: _Context) -> CriterionResult:
     except NotCP:
         pass
 
-    passing = [identity_function()]
-    for text in ("a", "<a*b>", "<<a*c>*b>"):
-        passing.append(constant_function(parse_tree(text, alphabet)))
     rng = Random(ctx.seed)
     letters = alphabet.symbols + (VARIABLE,)
-    for _ in range(50):
-        passing.append(poly_function(random_tree(rng, letters, 4)))
-    for func in passing:
-        result = cp_evidence(func, 4, alphabet, ctx.seed)
-        if not result.passed:
-            problems.append(f"{func.name} failed {result.witness_pair()}")
-            break
+    passing = [identity_function()]
+    passing += [constant_function(parse_tree(text, alphabet)) for text in ("a", "<a*b>", "<<a*c>*b>")]
+    passing += [poly_function(random_tree(rng, letters, 4)) for _ in range(50)]
+    func = _first(passing, lambda func: not cp_evidence(func, 4, alphabet, ctx.seed).passed)
+    if func is not None:
+        problems.append(f"{func.name} failed {cp_evidence(func, 4, alphabet, ctx.seed).witness_pair()}")
 
-    ok = not problems
-    detail = (
-        "mirror disproved with witness; identity, constants and 50 random polynomials pass"
-        if ok
-        else "; ".join(problems)
-    )
-    return CriterionResult(10, "cp-evidence", ok, detail)
+    detail = "mirror disproved with witness; identity, constants and 50 random polynomials pass"
+    return not problems, "; ".join(problems) or detail
 
 
-def criterion_generator_agreement(ctx: _Context) -> CriterionResult:
+@_criterion("generator-agreement")
+def criterion_generator_agreement(ctx: _Context) -> Tuple[bool, str]:
     alphabet = ctx.alphabet
     rng = Random(ctx.seed)
-    u6 = Universe(6, alphabet, cap=None).trees
+    u6 = ctx.trees(6)
     letters = alphabet.symbols + (VARIABLE,)
-    witness = None
     for _ in range(200):
         first = random_tree(rng, letters, 7)
         f1 = compile_poly(first)
@@ -450,59 +396,22 @@ def criterion_generator_agreement(ctx: _Context) -> CriterionResult:
         f2 = compile_poly(second)
         for t in u6:
             if f1(t) != f2(t):
-                witness = f"{encode(first)} vs {encode(second)} at {encode(t)}"
-                break
-        if witness:
-            break
-    ok = witness is None
-    detail = (
-        f"200 polynomial pairs agreeing on letters agree on all {len(u6)} trees"
-        if ok
-        else witness
-    )
-    return CriterionResult(11, "generator-agreement", ok, detail)
+                return False, f"{encode(first)} vs {encode(second)} at {encode(t)}"
+    return True, f"200 polynomial pairs agreeing on letters agree on all {len(u6)} trees"
 
 
-def criterion_word_variant(ctx: _Context) -> CriterionResult:
+@_criterion("word-variant")
+def criterion_word_variant(ctx: _Context) -> Tuple[bool, str]:
     alphabet = ctx.alphabet
     symbols = alphabet.symbols + (VARIABLE,)
-    count = 0
-    witness = None
-    for length in range(1, 7):
-        for letters in itertools.product(symbols, repeat=length):
-            poly = "".join(letters)
-            table = {a: eval_word_poly(poly, a) for a in alphabet}
-            if synthesize_word(table, alphabet) != poly:
-                witness = poly
-                break
-            count += 1
-        if witness:
-            break
-    if witness is None and synthesize_word({"a": "ac", "b": "bc", "c": "cc"}, alphabet) != "xc":
-        witness = "xc example"
-    ok = witness is None
-    detail = (
-        f"all {count} word polynomials up to length 6 recovered; xc example exact"
-        if ok
-        else f"recovery failed for {witness}"
-    )
-    return CriterionResult(12, "word-variant", ok, detail)
-
-
-CRITERIA = (
-    criterion_figure_fixture,
-    criterion_product_laws,
-    criterion_rebuild_roundtrip,
-    criterion_graft_foliage_diagram,
-    criterion_idempotence,
-    criterion_two_grafting_injectivity,
-    criterion_closure_partition,
-    criterion_synthesis_roundtrip,
-    criterion_synthesis_negatives,
-    criterion_cp_evidence,
-    criterion_generator_agreement,
-    criterion_word_variant,
-)
+    polys = ["".join(letters) for length in range(1, 7) for letters in itertools.product(symbols, repeat=length)]
+    poly = _first(polys, lambda poly: synthesize_word({a: eval_word_poly(poly, a) for a in alphabet},
+                                                      alphabet) != poly)
+    if poly is not None:
+        return False, f"recovery failed for {poly}"
+    if synthesize_word({"a": "ac", "b": "bc", "c": "cc"}, alphabet) != "xc":
+        return False, "recovery failed for xc example"
+    return True, f"all {len(polys)} word polynomials up to length 6 recovered; xc example exact"
 
 
 def run_all(seed: int = 0) -> List[CriterionResult]:

@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 import treealg
-from treealg import encode, foliage, skeleton
+from treealg import encode, foliage, selftest, skeleton
 from treealg.cli import run
 
 from helpers import comb
@@ -501,3 +502,112 @@ def test_pinned_output(tmp_path, monkeypatch, row):
         row["stdout"],
         row["stderr"],
     )
+
+
+# Argv fuzzing over every subcommand: trees, letters, words, bounds (at most
+# 3), files, function specs, alphabets and flags, each drawn two times in
+# three from good values and otherwise from bad ones.  "{dir}" stands for
+# the directory holding FUZZ_FILES, binary.txt (not UTF-8) and no missing.txt.
+FUZZ_FILES = {
+    "pairs.txt": "a b\n<a*b> <b*a>\n",
+    "trees.txt": "a <a*a>\nb <b*b>\nc <c*c>\n",
+    "words.txt": "a ab\nb bb\nc cb\n",
+    "identity.txt": "a a\nb b\nc c\n",
+    "swap.txt": "a b\nb a\nc c\n",
+    "pairs-bad.txt": "a\n",
+    "pairs-tree.txt": "a <a*\n",
+    "repeat.txt": "a a\na b\n",
+    "comment.txt": "# only a comment\n\n",
+    "empty.txt": "",
+}
+FUZZ_GOOD_FILES = ["pairs.txt", "trees.txt", "words.txt", "identity.txt", "swap.txt"]
+FUZZ_BAD_FILES = ["pairs-bad.txt", "pairs-tree.txt", "repeat.txt", "comment.txt", "empty.txt", "binary.txt",
+                  "missing.txt", "."]
+
+
+def _fuzz_argvs():
+    """Per group of subcommands, a strategy for one argv: a subcommand with its arguments, then common flags."""
+
+    def either(good, bad):
+        return st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from(bad))
+
+    tree = either(["a", "c", "<a*b>", "<<a*c>*b>", "<a*<c*b>>"],
+                  ["<x*a>", "d", "x", "", "*", "<a*", "<a*b>>", "<<*>*>", "<a*d>", "<a b>", "◂a•b▸", "<a*b>c"])
+    letter = either(["a", "b", "c"], ["d", "x", "", "ab", "*", "<", "-"])
+    word = either(["abc", "acb", "", "<<*>*>", "<*>"], ["abd", "aax", "a<b", "a b", "•"])
+    bound = either(["1", "2", "3"], ["-1", "0", "x", "", "2.5"])
+    path = either(FUZZ_GOOD_FILES, FUZZ_BAD_FILES).map(lambda name: f"{{dir}}/{name}")
+    function = either(["identity", "mirror", "recolor:a", "const:<a*b>", "poly:<<x*c>*x>"],
+                      ["recolor:d", "recolor:ab", "recolor:", "const:<a*", "const:", "poly:<x*d>", "poly:",
+                       "table:", "nope", "identity:"]) | path.map("table:{}".format)
+    cap = st.just([]) | either(["1000", "200000"], ["-1", "0", "5", "x"]).map(lambda value: ["--cap", value])
+    grafting = st.builds("{}->{}".format, letter, tree) | st.sampled_from(["a", "a-<b", "->a", "a->"])
+    substitution = st.builds("{}=>{}".format, letter, word) | st.sampled_from(["a", "a=b", "=>a"])
+    commands = {
+        "parse": st.tuples(st.sampled_from(["parse", "skeleton", "foliage"]), tree),
+        "rebuild": st.tuples(st.just("rebuild"), st.just("--foliage"), word, st.just("--skeleton"), word),
+        "graft": st.tuples(st.just("graft"), grafting, tree),
+        "substitute": st.tuples(st.just("substitute"), substitution, word),
+        "project": st.tuples(st.just("project"), either([["--sigma"], ["--phi"]], [[], ["--sigma", "--phi"]]), word),
+        "enumerate": st.tuples(st.just("enumerate"), st.just("--bound"), bound, cap),
+        "closure": st.tuples(st.just("closure"), st.just("--pairs"), path, st.just("--bound"), bound, cap),
+        "synthesize": st.tuples(st.sampled_from(["synthesize", "word-synthesize"]), st.just("--table"), path),
+        "check-cp": st.tuples(st.just("check-cp"), st.just("--function"), function, st.just("--bound"), bound, cap),
+        "to-poly": st.tuples(st.just("to-poly"), st.just("--function"), function, st.just("--verify-bound"), bound,
+                             cap),
+        "selftest": st.tuples(st.just("selftest")),
+        "no-command": st.tuples(st.sampled_from(["nope", "", "--json", "--help"])),
+    }
+    # two letters or one are too few for the synthesis commands
+    flag = either([["--unicode"], ["--seed", "3"], ["--seed", "-1"], ["--alphabet", "abcd"], ["--alphabet", "cab"],
+                   ["--alphabet", "ab•"]],
+                  [["--seed", "x"], ["--alphabet", "ab"], ["--alphabet", "a"], ["--alphabet", ""],
+                   ["--alphabet", "aa"], ["--alphabet", "abx"], ["--alphabet", "a*"], ["--bogus"], ["extra"]])
+
+    def argv(command, flags, cut):
+        words = []
+        for part in (*command, *flags):
+            words.extend(part if isinstance(part, list) else [part])
+        return words[:cut]
+
+    # one argv in four loses its tail, and with it a required argument or its value
+    cut = st.sampled_from([None] * 9 + [1, 2, 3])
+    return {name: st.builds(argv, command, st.lists(flag, max_size=2), cut) for name, command in commands.items()}
+
+
+FUZZ_ARGVS = _fuzz_argvs()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """The fuzzed files, with ``selftest``'s suite replaced by a failing stand-in:
+    the suite itself is the acceptance tests' business, and only its exit path runs here."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    for name, content in FUZZ_FILES.items():
+        (folder / name).write_text(content, encoding="utf-8")
+    (folder / "binary.txt").write_bytes(b"a \xff\xfe\n")
+    suite = [selftest.CriterionResult(1, "figure-fixture", True, "stand-in"),
+             selftest.CriterionResult(2, "product-laws", False, "stand-in")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selftest, "run_all", lambda seed=0: suite)
+        yield folder
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", FUZZ_ARGVS)
+@seed(1009)
+@settings(max_examples=35, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_argv_ends_in_a_documented_exit(fuzz_dir, command, as_json, data):
+    argv = [arg.replace("{dir}", str(fuzz_dir)) for arg in data.draw(FUZZ_ARGVS[command], label="argv")]
+    if as_json:
+        argv.insert(1, "--json")
+    code, out, err = invoke(*argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, argv
+    if as_json and code in (1, 3):
+        # a domain error or a failed property: the one payload on stdout
+        assert out.count("\n") == 1 and isinstance(json.loads(out), dict), (argv, out)
+    elif code == 2:
+        # a usage error: argparse's or the CLI's message on the error stream, none on stdout
+        assert out == "" and err, (argv, err)
