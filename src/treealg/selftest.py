@@ -103,7 +103,7 @@ class _Context:
             roundtrip_witness = None
             parser_witness = None
             alphabet = self.alphabet
-            for t in iter_universe(8, alphabet):
+            for t in iter_universe(8, alphabet, cap=None):
                 total += 1
                 enc = encode(t)
                 leaves = erase_shapes(enc)

@@ -17,7 +17,11 @@ All values are immutable; every function here is pure, apart from the
 file readers at the end.  :func:`parse_tree` and :func:`rebuild` remember
 each small word the scanner has accepted and build the next tree of that
 shape by one compiled call, which pays only when small shapes repeat;
-the memo changes no result.
+the memo changes no result.  Results may share subtrees: such a call
+takes each maximal subtree of at most four leaves from a table of those
+built before, so two results, or two places in one, may hold one subtree
+object, as :func:`graft`'s results hold the subtrees it leaves unchanged.
+Trees are immutable, so this changes no value.
 """
 
 from __future__ import annotations
@@ -329,6 +333,34 @@ def _scan(text: str, letters, leaves: Iterator[str]) -> Tree:
         pos += 1
 
 
+@lru_cache(maxsize=None)
+def _shapes(n: int) -> tuple:
+    """All tree shapes with ``n`` leaves, in shape-word order.
+
+    A shape is a tree whose leaves are the empty string, so its
+    :func:`encode` is its shape word.
+    """
+    if n == 1:
+        return ("",)
+    out = []
+    for i in range(1, n):
+        for left in _shapes(i):
+            for right in _shapes(n - i):
+                out.append((left, right))
+    out.sort(key=_shape_key)
+    return tuple(out)
+
+
+def _shape_key(shape) -> str:
+    # '<' < '*' < '>' ordering, realized by translating to digits.
+    return encode(shape).translate(_XI_ORDER)
+
+
+def _slotted(s: str) -> str:
+    """The dotted word of a skeleton: a ``.`` in each leaf slot."""
+    return s.replace("<*", "<.*").replace("*>", "*.>") or "."
+
+
 # Builders for small trees, one per accepted word, compiled from the word:
 # ``<*>`` become ``(,)`` and each leaf slot ``.`` becomes ``L[i]``, where i
 # counts the leaves for rebuild and is the slot's index in the word for
@@ -341,20 +373,86 @@ def _scan(text: str, letters, leaves: Iterator[str]) -> Tree:
 # error; they hold only shapes with at most _MEMO_LEAVES leaves, 626
 # entries each; and under the GIL two threads racing on one word can at
 # worst compile the same builder twice.
+#
+# A memo builder does not build the maximal subtrees of at most
+# _SHARED_LEAVES leaves: it reads each from the intern table of its shape
+# and kind (8 shapes x 2 kinds), keyed by the subtree's slice of the text
+# (parse_tree) or of the foliage (rebuild), so equal small subtrees are one
+# object and a table hit builds no tuple.  A builder runs only on a word the
+# scanner accepted, so every key is the text or the foliage of a tree, which
+# it determines; a miss builds the subtree by the shape's plain builder,
+# and the table keeps it only while it holds fewer than _SHARED_ENTRIES
+# (threads missing at once may each store one past it).
 _MEMO_LEAVES = 8
 _MEMO_TEXT = 4 * _MEMO_LEAVES - 3  # the longest word of such a tree
+_SHARED_LEAVES = 4
+_SHARED_ENTRIES = 1024  # per table; 625 are the 4-leaf trees over four letters and x
 _TO_TUPLE = str.maketrans(SHAPE_CHARS, "(,)")
 _PARSED: Dict[str, Callable[[str], Tree]] = {}  # dotted word -> builder from the text
 _REBUILT: Dict[str, Callable[[str], Tree]] = {}  # skeleton -> builder from the foliage
 
 
-def _compile(dotted: str, by_position: bool = False) -> Callable[[str], Tree]:
+def _compile_plain(dotted: str, by_position: bool = False) -> Callable[[str], Tree]:
     """Builder of a dotted word's tree, taking its leaves in order, or with
-    ``by_position`` a word of the same shape whose leaf slots hold the leaves."""
+    ``by_position`` a word of the same shape whose leaf slots hold the leaves;
+    every call builds the whole tree."""
     parts = dotted.translate(_TO_TUPLE).split(".")
     slots = itertools.accumulate(map(len, parts), lambda i, n: i + n + 1) if by_position else itertools.count()
     body = "".join(f"{part}L[{i}]" for i, part in zip(slots, parts[:-1])) + parts[-1]
     return eval(f"lambda L: {body}")  # noqa: S307
+
+
+class _Interned(dict):
+    """Intern table of one small shape: each key, the text or foliage of a tree
+    of that shape, to the tree, built on a miss by the shape's plain builder."""
+
+    __slots__ = ("shape", "build")
+
+    def __init__(self, dotted: str, by_position: bool):
+        super().__init__()
+        self.shape, self.build = (dotted, by_position), None
+
+    def __missing__(self, key: str) -> Tree:
+        if self.build is None:  # compiled on the first miss, so that an import compiles no builder
+            self.build = _compile_plain(*self.shape)
+        tree = self.build(key)
+        if len(self) < _SHARED_ENTRIES:
+            self[key] = tree
+        return tree
+
+
+_SHARED = {  # (dotted word, by_position) -> the shape's intern table
+    (dotted, by_position): _Interned(dotted, by_position)
+    for n in range(2, _SHARED_LEAVES + 1)
+    for dotted in map(_slotted, map(encode, _shapes(n)))
+    for by_position in (False, True)
+}
+_SHARED_NAMES = {key: f"S{i}" for i, key in enumerate(_SHARED)}  # the builders' names of the tables
+_SHARED_SCOPE = {_SHARED_NAMES[key]: table for key, table in _SHARED.items()}
+
+
+def _compile(dotted: str, by_position: bool = False) -> Callable[[str], Tree]:
+    """:func:`_compile_plain`, reading each maximal subtree of at most
+    ``_SHARED_LEAVES`` leaves from its intern table by its slice of ``L``."""
+    pos = leaf = 0
+
+    def node() -> str:  # the expression of the subtree at pos, which it passes
+        nonlocal pos, leaf
+        start, first = pos, leaf
+        if dotted[pos] == ".":
+            pos, leaf = pos + 1, leaf + 1
+            return f"L[{start if by_position else first}]"
+        pos += 1
+        left = node()
+        pos += 1
+        right = node()
+        pos += 1
+        name = _SHARED_NAMES.get((dotted[start:pos], by_position))
+        if name is None:
+            return f"({left},{right})"
+        return f"{name}[L[{start}:{pos}]]" if by_position else f"{name}[L[{first}:{leaf}]]"
+
+    return eval(f"lambda L: {node()}", _SHARED_SCOPE)  # noqa: S307
 
 
 def parse_tree(text: str, alphabet: Alphabet = DEFAULT_ALPHABET, *, variable: bool = False) -> Tree:
@@ -416,11 +514,6 @@ def rebuild(u: str, s: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Tree:
     return tree
 
 
-def _slotted(s: str) -> str:
-    """The dotted word of a skeleton: a ``.`` in each leaf slot."""
-    return s.replace("<*", "<.*").replace("*>", "*.>") or "."
-
-
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
@@ -430,46 +523,35 @@ def universe_size(max_leaves: int, num_letters: int) -> int:
     return sum(catalan(n - 1) * num_letters**n for n in range(1, max_leaves + 1))
 
 
-@lru_cache(maxsize=None)
-def _shapes(n: int) -> tuple:
-    """All tree shapes with ``n`` leaves, in shape-word order.
-
-    A shape is a tree whose leaves are the empty string, so its
-    :func:`encode` is its shape word.
-    """
-    if n == 1:
-        return ("",)
-    out = []
-    for i in range(1, n):
-        for left in _shapes(i):
-            for right in _shapes(n - i):
-                out.append((left, right))
-    out.sort(key=_shape_key)
-    return tuple(out)
-
-
-def _shape_key(shape) -> str:
-    # '<' < '*' < '>' ordering, realized by translating to digits.
-    return encode(shape).translate(_XI_ORDER)
-
-
-def iter_universe(max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Iterator[Tree]:
+def iter_universe(
+    max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET, *, cap: Optional[int] = DEFAULT_UNIVERSE_CAP
+) -> Iterator[Tree]:
     """Stream every tree with at most ``max_leaves`` leaves, in canonical order.
 
     Order: leaf count, then skeleton (with ``<`` before ``*`` before ``>``),
-    then foliage in alphabet order.  The uncapped :meth:`Universe.stream`:
-    it holds ``Universe(max_leaves - 1).trees`` and yields its first tree
-    only after that list is built.
+    then foliage in alphabet order.  The :meth:`Universe.stream` of
+    ``Universe(max_leaves, cap=None)``: it holds ``Universe(max_leaves - 1).trees``
+    and yields its first tree only after that list is built.  ``cap`` bounds
+    that list as :class:`Universe`'s bounds its trees (``None`` for no
+    bound): past it, :class:`UniverseTooLarge` is raised before anything is built.
     """
-    return Universe(max_leaves, alphabet, cap=None).stream()
+    return _stream(max_leaves, alphabet, cap, variable=False)
 
 
-def iter_polynomials(max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Iterator[Tree]:
+def iter_polynomials(
+    max_leaves: int, alphabet: Alphabet = DEFAULT_ALPHABET, *, cap: Optional[int] = DEFAULT_UNIVERSE_CAP
+) -> Iterator[Tree]:
     """:func:`iter_universe` over the alphabet plus the variable ``x``: it holds
-    ``Universe(max_leaves - 1, variable=True).trees`` and yields its first
-    tree only after that list is built.
+    ``Universe(max_leaves - 1, variable=True).trees``, bounded by ``cap``, and
+    yields its first tree only after that list is built.
     """
-    return Universe(max_leaves, alphabet, cap=None, variable=True).stream()
+    return _stream(max_leaves, alphabet, cap, variable=True)
+
+
+def _stream(max_leaves: int, alphabet: Alphabet, cap: Optional[int], variable: bool) -> Iterator[Tree]:
+    if max_leaves > 1:  # the constructor counts before it builds, so a list past the cap costs nothing
+        Universe(max_leaves - 1, alphabet, cap, variable=variable)
+    return Universe(max_leaves, alphabet, cap=None, variable=variable).stream()
 
 
 @contextmanager

@@ -4,7 +4,7 @@ import itertools
 from functools import lru_cache
 
 from treealg import Universe, foliage, table_function
-from treealg.trees import _compile, _shapes, _slotted, encode
+from treealg.trees import _compile_plain, _shapes, _slotted, encode
 
 
 def comb(leaves, left=True, bottom="a", letters="abc"):
@@ -35,7 +35,7 @@ def recursive_universe(max_leaves, symbols):
     """
     for n in range(1, max_leaves + 1):
         for shape in _shapes(n):
-            build = _compile(_slotted(encode(shape)))
+            build = _compile_plain(_slotted(encode(shape)))
             for labels in itertools.product(symbols, repeat=n):
                 yield build(labels)
 

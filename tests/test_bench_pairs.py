@@ -14,11 +14,12 @@ import bench_pairs  # noqa: E402
 
 CHECKOUTS = {side: ROOT / side for side in bench_pairs.SIDES}
 SECTIONS = {"traced": "traced", "sweep": "selftest_sweep", "check-cp": "check_cp", "to-poly": "to_poly",
-            "to-poly-deep": "to_poly_deep", "closure-scale": "closure_scale", "criteria": "selftest_criteria"}
+            "to-poly-deep": "to_poly_deep", "closure-scale": "closure_scale", "criteria": "selftest_criteria",
+            "parse-keep": "parse_keep"}
 # criteria 2 and 3 share the universe sweep that `sweep` times
 ARGS = {"sweep": ("all",), "check-cp": ("identity", "mirror"), "to-poly": ("identity", "poly:<<c*<x*a>>*x>"),
         "to-poly-deep": ("const:abc", "poly:xa"), "closure-scale": ("8", "9"),
-        "criteria": ("1", "4", "5", "6", "7", "8", "9", "10", "11", "12")}
+        "criteria": ("1", "4", "5", "6", "7", "8", "9", "10", "11", "12"), "parse-keep": ("parse", "rebuild")}
 
 
 def fake_result(work_per_s, setup_s):

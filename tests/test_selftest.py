@@ -32,7 +32,7 @@ def plant(monkeypatch, name, wrong_on, value):
 
 @pytest.fixture
 def small_sweep(monkeypatch):
-    monkeypatch.setattr(selftest, "iter_universe", lambda max_leaves, alphabet: iter_universe(3, alphabet))
+    monkeypatch.setattr(selftest, "iter_universe", lambda max_leaves, alphabet, cap: iter_universe(3, alphabet))
 
 
 def polynomials(*texts):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import sys
+import tracemalloc
 from random import Random
 
 import pytest
@@ -36,7 +37,7 @@ from treealg import (
     universe_size,
 )
 from treealg import morphisms, polynomials, trees as trees_module
-from treealg.trees import UNICODE_SHAPES, _encode_deep, _fold_deep, _mirror, _shapes
+from treealg.trees import UNICODE_SHAPES, VARIABLE, _encode_deep, _fold_deep, _mirror, _shapes
 
 from helpers import (
     child_positions,
@@ -561,6 +562,70 @@ class TestShapeMemo:
         assert memos == ({}, {})
 
 
+@pytest.fixture
+def shared():
+    """The intern tables of small subtrees, emptied for one test and refilled after it."""
+    saved = {key: dict(table) for key, table in trees_module._SHARED.items()}
+    for table in trees_module._SHARED.values():
+        table.clear()
+    yield trees_module._SHARED
+    for key, table in trees_module._SHARED.items():
+        table.clear()
+        table.update(saved[key])
+
+
+def subtree(t, path):
+    """The subtree of ``t`` down the sides in ``path``, 0 for left and 1 for right."""
+    for side in path:
+        t = t[side]
+    return t
+
+
+class TestSharedSubtrees:
+    # a memo builder reads each maximal subtree of at most 4 leaves from an intern table
+    def test_sixteen_tables(self):
+        shapes = {dotted for dotted, _ in trees_module._SHARED}
+        assert len(trees_module._SHARED) == 16 and len(shapes) == 8
+        assert all(2 <= dotted.count(".") <= trees_module._SHARED_LEAVES for dotted in shapes)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("<<<a*b>*c>*<<a*b>*<c*a>>>", (0,)), ("<<<a*b>*c>*<b*<b*<b*<b*b>>>>>", (0,))),  # 3 leaves
+            (("<<a*b>*<c*<<a*<b*c>>*a>>>", (1, 1)), ("<<<<a*<b*c>>*a>*c>*<c*c>>", (0, 0))),  # 4 leaves, two places
+            (("<c*<a*b>>", ()), ("<c*<a*b>>", ())),  # a whole tree
+        ],
+    )
+    def test_equal_small_subtrees_are_one_object(self, memos, shared, first, second):
+        paths = (first[1], second[1])
+        scanned = [parse_tree(word) for word, _ in (first, second)]  # the scanner's trees; they compile the builders
+        for t in scanned:
+            rebuild(foliage(t), skeleton(t))
+        equal = [subtree(t, path) for t, path in zip(scanned, paths)]
+        assert equal[0] == equal[1] and equal[0] is not equal[1] and leaf_count(equal[0]) <= 4
+        parsed = [parse_tree(encode(t)) for t in scanned]
+        rebuilt = [rebuild(foliage(t), skeleton(t)) for t in scanned]
+        assert parsed == rebuilt == scanned
+        for made in (parsed, rebuilt):
+            assert subtree(made[0], paths[0]) is subtree(made[1], paths[1])
+
+    def test_full_table_stops_growing(self, memos, shared, monkeypatch):
+        monkeypatch.setattr(trees_module, "_SHARED_ENTRIES", 3)
+        ab = Alphabet.from_string("ab")
+        for t in iter_polynomials(5, ab):
+            word, u, s = encode(t), foliage(t), skeleton(t)
+            for _ in range(2):  # the first call fills the memos, the second reads them
+                assert outcome(parse_tree, word, ab, variable=True) == scan_only(parse_tree, word, ab, variable=True) == t
+                if VARIABLE not in u:
+                    assert outcome(rebuild, u, s, ab) == scan_only(rebuild, u, s, ab) == t
+        # every table met more keys than it keeps: over ab, the 2-leaf trees alone have 4 foliages
+        assert [len(table) for table in shared.values()] == [3] * 16
+
+    def test_oracle_reads_no_table(self, shared):
+        assert list(recursive_universe(5, "abc")) == Universe(5).trees
+        assert not any(shared.values())
+
+
 class TestEnumeration:
     def test_one_leaf(self):
         assert Universe(1).trees == ["a", "b", "c"]
@@ -604,6 +669,32 @@ class TestEnumeration:
             Universe(3, cap=10)
         with pytest.raises(UniverseTooLarge):
             Universe(8)  # default cap
+
+    @pytest.mark.parametrize("stream", [iter_universe, iter_polynomials])
+    def test_stream_cap_raises_before_allocating(self, stream):
+        # at bound 9 the held list would be the 3.1M trees of U_8, 231 MB over three letters
+        tracemalloc.start()
+        try:
+            with pytest.raises(UniverseTooLarge) as caught:
+                stream(9)
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert allocated < 64 * 1024
+        symbols = 4 if stream is iter_polynomials else 3
+        assert caught.value.witness == {"required": universe_size(8, symbols), "cap": 200_000}
+
+    def test_stream_cap_bounds_the_list_it_holds(self):
+        # iter_universe(N) holds U_{N-1}: U_2 is 12 trees, U_7 is past the default cap but U_6 is not
+        assert len(list(iter_universe(3, cap=12))) == universe_size(3, 3)
+        with pytest.raises(UniverseTooLarge):
+            iter_universe(3, cap=11)
+        with pytest.raises(UniverseTooLarge):
+            iter_universe(8)
+        assert next(iter_universe(7)) == next(iter_universe(8, cap=None)) == "a"
+        assert len(list(iter_polynomials(3, cap=20))) == universe_size(3, 4)
+        with pytest.raises(UniverseTooLarge):
+            iter_polynomials(3, cap=19)
 
     @pytest.mark.parametrize("k, bound", [(1, 36), (3, 20), (3, 21), (3, 22), (3, 10_000), (1, 100_000), (4, 4100)])
     def test_too_large_count_stops_past_the_ceiling(self, k, bound):

@@ -54,6 +54,12 @@ TIMED = {  # command: (BENCH section, imports, timed call of ARG, ARGs)
     # 2 and 3 share the universe sweep that `sweep` times
     "criteria": ("selftest_criteria", "from treealg.selftest import CRITERIA, _Context",
                  "assert CRITERIA[int(ARG) - 1](_Context(0)).passed", ("1", *map(str, range(4, 13)))),
+    # every tree of U_7 kept at once: ARG parse parses each word, ARG rebuild rebuilds each word's two projections
+    "parse-keep": ("parse_keep", "from treealg import Universe, erase_letters, erase_shapes, parse_tree, rebuild; "
+                   "words = Universe(7, cap=None).words(); "
+                   "foliages, skeletons = list(map(erase_shapes, words)), list(map(erase_letters, words))",
+                   "kept = list(map(parse_tree, words)) if ARG == 'parse' else list(map(rebuild, foliages, skeletons))",
+                   ("parse", "rebuild")),
 }
 
 
