@@ -42,8 +42,9 @@ class WordSubstitution:
 def graft(g: Grafting, t: Tree) -> Tree:
     """Image of ``t`` under ``g``; unchanged subtrees are shared, not copied.
 
-    A recursive fold, like the tree views; a tree deeper than the recursion
-    limit goes through the iterative fold instead.
+    A recursive fold of two pair levels per frame, like the tree views; a
+    tree that nests more frames than the recursion limit leaves, one per two
+    pair levels, goes through the iterative fold instead.
     """
     try:
         return _graft(g.source, g.replacement, t)
@@ -56,18 +57,25 @@ def graft(g: Grafting, t: Tree) -> Tree:
 
 
 def _graft(source: str, replacement: Tree, t: Tree) -> Tree:
-    # a letter child is read here, as in the tree views; the leaf branch serves a lone letter and the iterative fold
+    # folds two pair levels per frame, as the tree views do, so a tree makes one call per
+    # pair at even depth; the leaf branch serves a lone letter and the iterative fold
     if isinstance(t, str):
         return replacement if t == source else t
     left, right = t
     if isinstance(left, str):
         new_left = replacement if left == source else left
     else:
-        new_left = _graft(source, replacement, left)
+        a, b = left
+        new_a = (replacement if a == source else a) if isinstance(a, str) else _graft(source, replacement, a)
+        new_b = (replacement if b == source else b) if isinstance(b, str) else _graft(source, replacement, b)
+        new_left = left if new_a is a and new_b is b else (new_a, new_b)
     if isinstance(right, str):
         new_right = replacement if right == source else right
     else:
-        new_right = _graft(source, replacement, right)
+        a, b = right
+        new_a = (replacement if a == source else a) if isinstance(a, str) else _graft(source, replacement, a)
+        new_b = (replacement if b == source else b) if isinstance(b, str) else _graft(source, replacement, b)
+        new_right = right if new_a is a and new_b is b else (new_a, new_b)
     if new_left is left and new_right is right:
         return t
     return (new_left, new_right)

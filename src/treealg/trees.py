@@ -29,6 +29,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -148,36 +149,73 @@ def leaf_count(t: Tree) -> int:
 
 
 # The three views fold a pair recursively, building each word from its
-# children's words.  A letter child is read in its parent's frame, so a
-# tree with n leaves costs n - 1 calls, not 2n - 1; the public view answers
-# a lone letter itself.  The leaf test is isinstance, so a str subclass is a
-# letter too.  A plain Python-to-Python call uses no C stack on CPython
-# 3.11, so a tree deeper than the recursion limit raises RecursionError,
-# and the view falls back to the iterative walker.
+# children's words.  A frame folds its node's children and grandchildren:
+# a letter child is read in place, and a pair child's two halves are folded
+# inline, so only a pair two levels down gets a call of its own.  A tree
+# with n leaves therefore makes one call per pair at even depth (the
+# root's is 0): about n/2 on a comb, and at most (2n - 1)/3.  The public
+# view answers a lone letter itself.  The leaf test is isinstance, so a str
+# subclass is a letter too.  A plain Python-to-Python call uses no C stack
+# on CPython 3.11, and a tree d pairs deep nests about d/2 frames, so one
+# deeper than about twice the frames left below the recursion limit (a comb
+# of about 2,000 levels at the default limit of 1,000) raises
+# RecursionError, and the view falls back to the iterative walker.
 
 
 def _encode(t: Tree) -> str:
     left, right = t
     if not isinstance(left, str):
-        left = _encode(left)
+        a, b = left
+        if not isinstance(a, str):
+            a = _encode(a)
+        if not isinstance(b, str):
+            b = _encode(b)
+        left = f"<{a}*{b}>"
     if not isinstance(right, str):
-        right = _encode(right)
+        a, b = right
+        if not isinstance(a, str):
+            a = _encode(a)
+        if not isinstance(b, str):
+            b = _encode(b)
+        right = f"<{a}*{b}>"
     return f"<{left}*{right}>"
 
 
 def _skeleton(t: Tree) -> str:
     left, right = t
-    left = "" if isinstance(left, str) else _skeleton(left)
-    right = "" if isinstance(right, str) else _skeleton(right)
+    if isinstance(left, str):
+        left = ""
+    else:
+        a, b = left
+        a = "" if isinstance(a, str) else _skeleton(a)
+        b = "" if isinstance(b, str) else _skeleton(b)
+        left = f"<{a}*{b}>"
+    if isinstance(right, str):
+        right = ""
+    else:
+        a, b = right
+        a = "" if isinstance(a, str) else _skeleton(a)
+        b = "" if isinstance(b, str) else _skeleton(b)
+        right = f"<{a}*{b}>"
     return f"<{left}*{right}>"
 
 
 def _foliage(t: Tree) -> str:
     left, right = t
     if not isinstance(left, str):
-        left = _foliage(left)
+        a, b = left
+        if not isinstance(a, str):
+            a = _foliage(a)
+        if not isinstance(b, str):
+            b = _foliage(b)
+        left = a + b
     if not isinstance(right, str):
-        right = _foliage(right)
+        a, b = right
+        if not isinstance(a, str):
+            a = _foliage(a)
+        if not isinstance(b, str):
+            b = _foliage(b)
+        right = a + b
     return left + right
 
 
@@ -192,16 +230,32 @@ def encode(t: Tree) -> str:
 
 
 def _encode_deep(t: Tree) -> str:
-    """:func:`encode` with an explicit stack, for trees of any depth."""
+    """:func:`encode` with an explicit stack, for trees of any depth.
+
+    The stack holds subtrees and the text between and after them.  A pair
+    opens in place and its walk goes on into one half: the left, deferring
+    ``*right>`` as one text when the right half is a letter; the right, after
+    ``<left*`` in place, when only the left half is a letter.
+    """
     parts = []
     stack = [t]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        else:
+        while not isinstance(item, str):
             left, right = item
-            stack.extend((SHAPE_CLOSE, right, SHAPE_SEP, left, SHAPE_OPEN))
+            if isinstance(right, str):
+                parts.append(SHAPE_OPEN)
+                stack.append(f"*{right}>")
+                item = left
+            elif isinstance(left, str):
+                parts.append(f"<{left}*")
+                stack.append(SHAPE_CLOSE)
+                item = right
+            else:
+                parts.append(SHAPE_OPEN)
+                stack += (SHAPE_CLOSE, right, SHAPE_SEP)
+                item = left
+        parts.append(item)
     return "".join(parts)
 
 
@@ -240,9 +294,19 @@ def _mirror(t: Tree) -> Tree:
         return t
     left, right = t
     if not isinstance(left, str):
-        left = _mirror(left)
+        a, b = left
+        if not isinstance(a, str):
+            a = _mirror(a)
+        if not isinstance(b, str):
+            b = _mirror(b)
+        left = (b, a)
     if not isinstance(right, str):
-        right = _mirror(right)
+        a, b = right
+        if not isinstance(a, str):
+            a = _mirror(a)
+        if not isinstance(b, str):
+            b = _mirror(b)
+        right = (b, a)
     return (right, left)
 
 
@@ -554,20 +618,35 @@ def _stream(max_leaves: int, alphabet: Alphabet, cap: Optional[int], variable: b
     return Universe(max_leaves, alphabet, cap=None, variable=variable).stream()
 
 
+_gc_lock = threading.Lock()
+_gc_pauses = 0  # _gc_paused bodies running, in any thread
+_gc_was_enabled = False  # the collector's state when the first of them entered
+
+
 @contextmanager
 def _gc_paused():
-    """Run the body with the cyclic collector off, then restore the caller's state.
+    """Run the body with the cyclic collector off; the last body to leave, in
+    any thread, restores the state that the first to enter found.
 
     Universe tables are acyclic tuples, lists and dicts, which reference
-    counting frees alone; collections over them find nothing to free.
+    counting frees alone; collections over them find nothing to free.  The
+    bodies share one count under a lock: a flag per body would let a body
+    entered while another thread's pause holds the collector off read it as
+    off and so never turn it back on.
     """
-    enabled = gc.isenabled()
-    gc.disable()
+    global _gc_pauses, _gc_was_enabled
+    with _gc_lock:
+        if not _gc_pauses:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_pauses += 1
     try:
         yield
     finally:
-        if enabled:
-            gc.enable()
+        with _gc_lock:
+            _gc_pauses -= 1
+            if not _gc_pauses and _gc_was_enabled:
+                gc.enable()
 
 
 class Universe:

@@ -1,10 +1,11 @@
 """Tree builders and oracles shared by the test modules."""
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from treealg import Universe, foliage, table_function
-from treealg.trees import _compile_plain, _shapes, _slotted, encode
+from treealg.morphisms import _graft
+from treealg.trees import _compile_plain, _fold_deep, _shapes, _slotted, encode
 
 
 def comb(leaves, left=True, bottom="a", letters="abc"):
@@ -18,6 +19,15 @@ def comb(leaves, left=True, bottom="a", letters="abc"):
         leaf = letters[i % len(letters)]
         t = (t, leaf) if left else (leaf, t)
     return t
+
+
+def graft_deep(g, t):
+    """:func:`graft` through the iterative fold it falls back to on deep trees."""
+    return _fold_deep(
+        t,
+        partial(_graft, g.source, g.replacement),
+        lambda node, left, right: node if left is node[0] and right is node[1] else (left, right),
+    )
 
 
 def positions(universe):

@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +305,28 @@ class TestGcState:
                 call()
                 assert gc.isenabled() is enabled
         finally:
+            gc.enable() if was else gc.disable()
+
+    def test_threads_leave_the_collector_on(self):
+        # with a per-call flag, a thread entering while the other's pause held the
+        # collector off read it as off, and the last to leave left it off
+        def closures():
+            for _ in range(3_000):
+                bounded_closure([("a", "b")], 3).classes()
+
+        was, interval = gc.isenabled(), sys.getswitchinterval()
+        try:
+            gc.enable()
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=closures) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert gc.isenabled()
+        finally:
+            sys.setswitchinterval(interval)
             gc.enable() if was else gc.disable()
 
 

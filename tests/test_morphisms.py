@@ -2,7 +2,6 @@
 
 import itertools
 import re
-from functools import partial
 from random import Random
 
 import pytest
@@ -26,9 +25,9 @@ from treealg import (
     substitute,
 )
 from treealg.morphisms import _graft
-from treealg.trees import _KEEP_SHAPES, _fold_deep
+from treealg.trees import _KEEP_SHAPES
 
-from helpers import comb, positions
+from helpers import comb, graft_deep, positions
 
 letters = st.sampled_from("abc")
 trees = st.recursive(letters, lambda ch: st.tuples(ch, ch), max_leaves=15)
@@ -82,13 +81,18 @@ def graft_reference(g, t):
     return (new_left, new_right)
 
 
-def graft_deep(g, t):
-    """:func:`graft` through the iterative fold it falls back to on deep trees."""
-    return _fold_deep(
-        t,
-        partial(_graft, g.source, g.replacement),
-        lambda node, left, right: node if left is node[0] and right is node[1] else (left, right),
-    )
+def unshared(t, expected, image):
+    """The subtrees of ``t`` that ``expected`` keeps as they are, as the same object, but ``image`` does not."""
+    out = []
+    stack = [(t, expected, image)]
+    while stack:
+        t, expected, image = stack.pop()
+        if expected is t:
+            if image is not t:
+                out.append(t)
+        elif not isinstance(t, str):
+            stack += zip(t, expected, image)
+    return out
 
 
 class TestGraftWalkers:
@@ -101,6 +105,7 @@ class TestGraftWalkers:
                 expected = graft_reference(g, t)
                 for image in (graft(g, t), _graft(source, g.replacement, t), graft_deep(g, t)):
                     assert image == expected and (image is t) == (expected is t)
+                    assert not unshared(t, expected, image)  # at every level, not only the root
 
     @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
     def test_combs_past_the_recursion_limit(self, left):

@@ -44,6 +44,7 @@ from helpers import (
     comb,
     crossing_tables,
     dense_kernel,
+    graft_deep,
     oracle_grafting,
     positions,
     recursive_universe,
@@ -148,6 +149,36 @@ def iterative_views(t):
 def mirror_deep(t):
     """:func:`mirror` through the iterative fold it falls back to on deep trees."""
     return _fold_deep(t, lambda a: a, lambda node, left, right: (right, left))
+
+
+class Letter(str):
+    """A str subclass: the folds test a leaf by isinstance, and `type(t) is str` would unpack it as a pair."""
+
+
+def lettered_at(t, k):
+    """``t`` with its ``k``-th leaf, left to right, a :class:`Letter`."""
+    leaves = iter([Letter(a) if i == k else a for i, a in enumerate(foliage(t))])
+    return _fold_deep(t, lambda a: next(leaves), lambda node, left, right: (left, right))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The fallback walkers' calls, as ``(walker, tree)``, with every walker still doing its work."""
+    calls = []
+
+    def spy(module, name):
+        walker = getattr(module, name)
+
+        def wrapped(t, *args):
+            calls.append((f"{module.__name__}.{name}", t))
+            return walker(t, *args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(trees_module, "_encode_deep")
+    spy(trees_module, "_fold_deep")  # mirror's
+    spy(morphisms, "_fold_deep")  # graft's
+    return calls
 
 
 def near_recursion_limit(fn, spare=20):
@@ -310,10 +341,6 @@ class TestFastPath:
 
     @pytest.mark.parametrize("sample", ["small", "left-comb", "right-comb"])
     def test_str_subclass_letter_is_a_letter(self, sample):
-        # the folds test a leaf by isinstance; `type(t) is str` would unpack a Letter as a pair
-        class Letter(str):
-            pass
-
         samples = list(iter_universe(4)) if sample == "small" else [comb(100_000, sample == "left-comb")]
         g = Grafting("a", ("b", "c"))
         for t in samples:
@@ -322,22 +349,20 @@ class TestFastPath:
             assert encode(mirror(lettered)) == encode(mirror(t))
             assert encode(graft(g, lettered)) == encode(graft(g, t))
 
-    def test_fallback_near_the_recursion_limit(self, monkeypatch):
+    def test_str_subclass_letter_at_every_position(self):
+        # one Letter at each leaf of every pair of U_5: a frame reads its children and
+        # grandchildren in place, and a pair two levels down in a call of its own
+        g, keep = Grafting("a", ("b", "c")), Grafting("d", "a")
+        for t in Universe(5).trees[3:]:
+            for k in range(leaf_count(t)):
+                lettered = lettered_at(t, k)
+                assert (encode(lettered), skeleton(lettered), foliage(lettered)) == iterative_views(t)
+                assert mirror(lettered) == mirror_deep(t)
+                assert graft(g, lettered) == graft_deep(g, t)
+                assert graft(keep, lettered) is lettered
+
+    def test_fallback_near_the_recursion_limit(self, fallbacks):
         # with 20 frames to spare the folds overflow on 60-leaf combs and fall back
-        fallbacks = []
-
-        def spy(module, name):
-            walker = getattr(module, name)
-
-            def wrapped(*args):
-                fallbacks.append(f"{module.__name__}.{name}")
-                return walker(*args)
-
-            monkeypatch.setattr(module, name, wrapped)
-
-        spy(trees_module, "_encode_deep")
-        spy(trees_module, "_fold_deep")  # mirror's
-        spy(morphisms, "_fold_deep")  # graft's
         samples = [comb(60, True), comb(60, False), *iter_universe(2)]
         g = Grafting("a", ("b", "c"))
 
@@ -347,11 +372,30 @@ class TestFastPath:
         limit = sys.getrecursionlimit()
         near_limit = near_recursion_limit(views)
         assert sys.getrecursionlimit() == limit
-        assert sorted(fallbacks) == (
+        assert sorted(name for name, _ in fallbacks) == (
             ["treealg.morphisms._fold_deep"] * 2 + ["treealg.trees._encode_deep"] * 6 + ["treealg.trees._fold_deep"] * 2
         )
         fallbacks.clear()
         assert near_limit == views() and not fallbacks
+
+    def test_combs_straddling_the_fallback_depth(self, fallbacks):
+        # a frame folds two pair levels, so with 20 frames to spare the combs of a few
+        # dozen pairs fold recursively and the deeper ones fall back; both agree
+        samples = [comb(leaves, left) for leaves in range(2, 81) for left in (True, False)]
+        g = Grafting("a", ("b", "c"))
+
+        def folds():
+            return [(encode(t), skeleton(t), foliage(t), mirror(t), graft(g, t)) for t in samples]
+
+        near_limit = near_recursion_limit(folds)
+        # encode, skeleton and foliage each fall back to the encoder; a size is a left and a right comb
+        for walker, calls in ("trees._encode_deep", 6), ("trees._fold_deep", 2), ("morphisms._fold_deep", 2):
+            fell = sorted(leaf_count(t) for name, t in fallbacks if name == f"treealg.{walker}")
+            assert fell, walker
+            # every comb as deep as the first that fell back falls back too, and the first sits about
+            # two pair levels per spare frame down (36 leaves; a frame per pair level fell back at 19)
+            assert fell == [n for n in range(fell[0], 81) for _ in range(calls)] and fell[0] > 30
+        assert near_limit == [(*iterative_views(t), mirror_deep(t), graft_deep(g, t)) for t in samples]
 
 
 class TestProjections:
