@@ -22,7 +22,6 @@ restriction to it of the congruence the seeds generate on the whole
 
 from __future__ import annotations
 
-import operator
 import reprlib
 import time
 from array import array
@@ -234,11 +233,14 @@ def bounded_closure(
         if len(keys) == settled:  # the largest seed has max_leaves leaves, and no block reads rows again
             keys = _settle(keys, {}, dag_classes)[0]
     n = len(keys)
+    signature_size = sum(map(len, rows.values()))
+    # the roots: each letter outside the DAG, each DAG class's first tree and each tree of a new signature
+    roots = len(alphabet) - sum(key < 0 for key in letter_keys.values()) + dag_classes + signature_size - len(rules)
     stats = {
         "universe_size": n,
         "registrations": n - len(alphabet),
-        "merges": n - sum(map(operator.eq, keys, range(n))),
-        "signature_size": sum(map(len, rows.values())),
+        "merges": n - roots,
+        "signature_size": signature_size,
         "universe_s": built - start,
         "sweep_s": time.perf_counter() - built,
     }

@@ -105,13 +105,16 @@ class Alphabet:
                 raise ValueError(f"duplicate letter {sym!r}")
             seen.add(sym)
         object.__setattr__(self, "letter_set", frozenset(seen))
-        # indexed by parse_tree's `variable`: the leaves, and the tables that
-        # write each leaf as '.' and a '.' that is no leaf as _NOT_A_LEAF, so a
-        # text's dotted word is all '<*>.' exactly when every other character is a leaf
+        # indexed by parse_tree's `variable`: the leaves, and the 256-byte tables
+        # that write each Latin-1 leaf as '.' and a '.' that is no leaf as
+        # _NOT_A_LEAF, so the dotted word of a text's Latin-1 bytes is all '<*>.'
+        # exactly when every other character is a leaf
         leaf_sets = (self.letter_set, self.letter_set | {VARIABLE})
         object.__setattr__(self, "leaf_sets", leaf_sets)
+        dot, not_a_leaf = ord("."), ord(_NOT_A_LEAF)
         object.__setattr__(self, "dots", tuple(
-            str.maketrans({".": _NOT_A_LEAF, **dict.fromkeys(leaves, ".")}) for leaves in leaf_sets
+            bytes(dot if chr(b) in leaves else not_a_leaf if b == dot else b for b in range(256))
+            for leaves in leaf_sets
         ))
 
     @classmethod
@@ -429,8 +432,8 @@ def _slotted(s: str) -> str:
 # ``<*>`` become ``(,)`` and each leaf slot ``.`` becomes ``L[i]``, where i
 # counts the leaves for rebuild and is the slot's index in the word for
 # parse_tree, which passes its text.  So a known shape costs one dict read
-# and one call, after one translate in parse_tree and one subset test in
-# rebuild.  The first tree of a shape pays the scan plus one
+# and one call, after one encode and one bytes.translate in parse_tree and
+# one subset test in rebuild.  The first tree of a shape pays the scan plus one
 # compilation, so the memos pay back only where small shapes repeat, as in
 # a universe sweep.  The memos are safe to share: an entry is stored only
 # after _scan has accepted its word, so it can change no result and no
@@ -452,7 +455,7 @@ _MEMO_TEXT = 4 * _MEMO_LEAVES - 3  # the longest word of such a tree
 _SHARED_LEAVES = 4
 _SHARED_ENTRIES = 1024  # per table; 625 are the 4-leaf trees over four letters and x
 _TO_TUPLE = str.maketrans(SHAPE_CHARS, "(,)")
-_PARSED: Dict[str, Callable[[str], Tree]] = {}  # dotted word -> builder from the text
+_PARSED: Dict[bytes, Callable[[str], Tree]] = {}  # dotted word -> builder from the text
 _REBUILT: Dict[str, Callable[[str], Tree]] = {}  # skeleton -> builder from the foliage
 
 
@@ -523,24 +526,30 @@ def parse_tree(text: str, alphabet: Alphabet = DEFAULT_ALPHABET, *, variable: bo
     """Parse the ``<left*right>`` grammar; inverse of :func:`encode`.
 
     With ``variable=True`` the reserved symbol ``x`` is accepted as a leaf
-    (polynomial contexts); plain-tree contexts reject it.  The dotted word
-    writes every leaf as ``.``, and is all shape characters and dots only
-    when every other character is a leaf; whether such a text parses
-    depends only on its dotted word, so a dotted word the scanner accepted
-    once is built from the memo.
+    (polynomial contexts); plain-tree contexts reject it.  The dotted word,
+    the text's Latin-1 bytes through one 256-byte table, writes every leaf
+    as ``.``, and is all shape characters and dots only when every other
+    character is a leaf; whether such a text parses depends only on its
+    dotted word, so a dotted word the scanner accepted once is built from
+    the memo.  A text with a character past U+00FF has no dotted word and
+    is read by the scanner.
     """
     dotted = None
     if len(text) <= _MEMO_TEXT:
-        dotted = text.translate(alphabet.dots[variable])
-        build = _PARSED.get(dotted)
-        if build is not None:
-            return build(text)
+        try:
+            dotted = str.encode(text, "latin-1").translate(alphabet.dots[variable])
+        except UnicodeEncodeError:
+            pass
+        else:
+            build = _PARSED.get(dotted)
+            if build is not None:
+                return build(text)
     try:
         tree = _scan(text, alphabet.leaf_sets[variable], iter(()))
     except _ScanError as exc:
         raise MalformedTree(text, *exc.args) from None
     if dotted is not None:
-        _PARSED[dotted] = _compile(dotted, by_position=True)
+        _PARSED[dotted] = _compile(dotted.decode("latin-1"), by_position=True)
     return tree
 
 

@@ -55,6 +55,15 @@ def test_pairs_alternate_and_summarize(monkeypatch):
     assert section["metrics"]["setup_s"]["change_better_in_pairs"] == 2
 
 
+def test_pairs_start_at_the_first_seed(monkeypatch):
+    seeds = []
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda checkout, workload, seed, trace: seeds.append(seed)
+                        or fake_result(100, 1.0))
+    monkeypatch.setattr(bench_pairs, "end_to_end_metrics", lambda _: {"work_per_s": "higher"})
+    section = bench_pairs.pairs_section(CHECKOUTS, "views", 3, first_seed=21)
+    assert seeds == [21, 21, 22, 22, 23, 23] and section["seeds"] == [21, 22, 23]
+
+
 def test_runs_last_the_declared_run_seconds(monkeypatch, tmp_path):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 2, "end_to_end": []}))
     argvs = []
@@ -221,8 +230,30 @@ def test_child_program_compiles(command):
 @pytest.mark.parametrize("command, arg", [("criteria", "1"), ("closure-scale", "3")])
 def test_timed_run_in_a_fresh_interpreter(command, arg):
     run = bench_pairs.timed_run(ROOT, command, arg)
-    assert set(run) == {"seconds", "ref_seconds", "peak_rss_mb"}
-    assert run["seconds"] >= 0 and run["ref_seconds"] >= 0 and run["peak_rss_mb"] > 0
+    assert set(run) == {"seconds", "ref_seconds", "peak_rss_mb", "calls"}
+    assert run["seconds"] >= 0 and run["ref_seconds"] >= 0 and run["peak_rss_mb"] > 0 and run["calls"] >= 1
+
+
+def test_sub_millisecond_criteria_repeat_until_the_reference_clock_has_run():
+    # criterion 1 takes well under a millisecond, so one run makes many calls, each with a fresh context
+    assert "_Context(0)" in bench_pairs.TIMED["criteria"][2]
+    run = bench_pairs.timed_run(ROOT, "criteria", "1")
+    assert run["calls"] > 10
+    # per-call figures keep nine digits, so that their product with the call count still reads the whole run
+    assert run["ref_seconds"] * run["calls"] >= bench_pairs.MIN_REF_S["criteria"] - 1e-9 * run["calls"]
+    assert run["seconds"] < 0.05
+    # a row outside MIN_REF_S makes one call however short it is
+    assert bench_pairs.timed_run(ROOT, "closure-scale", "1")["calls"] == 1
+
+
+def test_repeated_rows_say_so_and_keep_the_call_counts(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "timed_run", lambda *args: {"seconds": 0.001, "calls": 200})
+    monkeypatch.setitem(bench_pairs.TIMED, "criteria", bench_pairs.TIMED["criteria"][:3] + (("1",),))
+    section = bench_pairs.timed_section(CHECKOUTS, "criteria", 2)
+    assert "repeats the call until 0.2 s have passed on the reference clock" in section["note"]
+    assert "per call" in section["note"]
+    assert section["1"]["change"]["calls"] == {"median": 200, "q1": 200, "q3": 200}
+    assert "repeats" not in bench_pairs.timed_section(CHECKOUTS, "closure-scale", 1)["note"]
 
 
 def test_timed_call_runs_on_the_checkouts_reference_clock(monkeypatch):

@@ -205,6 +205,17 @@ class TestErrorsAndExitCodes:
         assert code == 1 and out == ""
         assert "MalformedTree" in err
 
+    def test_lone_surrogate_is_a_malformed_tree(self):
+        # argv decodes an undecodable byte to a lone surrogate, which has no Latin-1 byte
+        code, out, err = invoke("parse", "<a*\udcff>", "--json")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["error"] == "MalformedTree"
+        assert payload["witness"] == {"text": "<a*\udcff>", "position": 3}
+
+    def test_latin1_letter_parses(self):
+        assert invoke("parse", "<é*a>", "--alphabet", "éab") == (0, "<é*a>\n", "")
+
     def test_domain_error_json_payload(self):
         code, out, _ = invoke("rebuild", "--foliage", "ab", "--skeleton", "", "--json")
         assert code == 1

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import operator
 import sys
 import threading
 
@@ -267,6 +268,19 @@ class TestStats:
         assert stats["merges"] == partition.universe_size - len(partition.classes())
         for phase in ("universe_s", "sweep_s"):
             assert isinstance(stats[phase], float) and stats[phase] >= 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_merges_match_a_pass_over_the_roots(self, data):
+        # merges is counted from the class roots the closure makes; the oracle
+        # counts the positions that are not their own root
+        alphabet = Alphabet.from_string(data.draw(st.sampled_from(["ab", "abc", "abcd"])))
+        bound = data.draw(st.integers(1, 5))
+        tree = st.integers(1, bound).flatmap(lambda n: st.sampled_from(list(iter_universe(n, alphabet))))
+        pairs = data.draw(st.lists(st.tuples(tree, tree), max_size=3))
+        partition = bounded_closure(pairs, bound, alphabet)
+        n = partition.universe_size
+        assert partition.stats["merges"] == n - sum(map(operator.eq, partition._roots, range(n)))
 
 
 class TestKernelTables:

@@ -524,7 +524,7 @@ class TestShapeMemo:
         alphabet = Alphabet.from_string(letters)
         for t in iter_universe(2, alphabet):
             parse_tree(encode(t), alphabet)
-        assert sorted(memos[0]) == [".", "<.*.>"]
+        assert sorted(memos[0]) == [b".", b"<.*.>"]
         for length in range(7):
             for word in map("".join, itertools.product("<*>ab.x", repeat=length)):
                 expected = scan_only(parse_tree, word, alphabet, variable=variable)
@@ -553,7 +553,7 @@ class TestShapeMemo:
 
     def test_dotted_word_is_not_a_skeleton(self, memos):
         assert parse_tree("<<a*b>*a>") == (("a", "b"), "a")
-        assert "<<.*.>*.>" in memos[0]
+        assert b"<<.*.>*.>" in memos[0]
         with pytest.raises(MalformedSkeleton, match="unexpected '.'"):
             rebuild("abab", "<<.*.>*.>")
 
@@ -572,7 +572,7 @@ class TestShapeMemo:
     def test_variable_word_is_not_a_plain_memo_hit(self, memos):
         ab = Alphabet.from_string("ab")
         assert parse_tree("<x*a>", ab, variable=True) == ("x", "a")
-        assert "<.*.>" in memos[0]
+        assert b"<.*.>" in memos[0]
         assert outcome(parse_tree, "<x*a>", ab) == scan_only(parse_tree, "<x*a>", ab)
         with pytest.raises(MalformedTree, match=r"index 1: unexpected 'x'"):
             parse_tree("<x*a>", ab)
@@ -597,7 +597,41 @@ class TestShapeMemo:
             assert parse_tree(f"<{letter}*b>", alphabet) == (letter, "b")
         for word in ("<.*b>", f"<{trees_module._NOT_A_LEAF}*b>"):
             assert outcome(parse_tree, word, alphabet) == scan_only(parse_tree, word, alphabet), word
-        assert list(memos[0]) == ["<.*.>"]
+        assert list(memos[0]) == [b"<.*.>"]
+
+    def test_lone_surrogate_is_the_scanners_error(self, memos):
+        # a character past U+00FF has no Latin-1 byte, so the scanner reads the text
+        word = "<a*\udcff>"
+        expected = scan_only(parse_tree, word)
+        assert expected[0] is MalformedTree
+        assert outcome(parse_tree, word) == expected
+        assert memos[0] == {}
+
+    def test_latin1_letter_parses_from_the_memo(self, memos, monkeypatch):
+        alphabet = Alphabet.from_string("éab")
+        assert parse_tree("<a*b>", alphabet) == ("a", "b")
+        with monkeypatch.context() as patch:
+            patch.setattr(trees_module, "_scan", None)  # a memo miss would call it
+            assert parse_tree("<é*b>", alphabet) == ("é", "b")
+        assert list(memos[0]) == [b"<.*.>"]
+
+    def test_letters_past_latin1_are_read_by_the_scanner(self, memos):
+        alphabet = Alphabet.from_string("αβγ")
+        for t in iter_universe(3, alphabet):
+            word = encode(t)
+            assert outcome(parse_tree, word, alphabet) == scan_only(parse_tree, word, alphabet) == t
+        assert memos[0] == {}
+
+    def test_memo_hit_over_one_alphabet_is_no_hit_over_another(self, memos):
+        assert parse_tree("<é*a>", Alphabet.from_string("éab")) == ("é", "a")
+        expected = scan_only(parse_tree, "<é*a>", ABC)
+        assert expected[0] is MalformedTree
+        assert outcome(parse_tree, "<é*a>", ABC) == expected
+
+    def test_bytes_text_is_a_type_error(self, memos):
+        with pytest.raises(TypeError):
+            parse_tree(b"<a*b>")
+        assert memos[0] == {}
 
     @pytest.mark.parametrize("leaves", [9, 256])
     def test_large_trees_skip_the_memo(self, memos, leaves):

@@ -7,7 +7,7 @@
 PARENT and CHANGE are directories holding a checkout each (``src/`` and
 ``perfbench/``).  Every command makes ``--pairs`` runs per side, run k
 starting with the parent when k is odd.  ``pairs`` runs ``perfbench/run.py
---trace 0`` with seed k and records medians, quartiles,
+--trace 0`` with seed ``--seed`` + k - 1 and records medians, quartiles,
 ``change_vs_parent`` and ``change_better_in_pairs`` of every end-to-end
 metric; ``traced`` runs ``perfbench/run.py --trace 1`` and records each
 per-layer metric's median over a side's runs.  Both last the
@@ -17,9 +17,12 @@ its address space capped at ``MEMORY_GB``, runs the row's call inside the
 checkout's ``perfbench/speed.Speedometer`` and reports its wall seconds
 (``perf_counter``), its seconds on the reference clock (``ref_seconds``,
 which host speed drift mostly leaves alone) and its peak RSS
-(``ru_maxrss``).  The row's section keeps every run, failed ones as their
-last stderr line, and the quartiles of the others.  Each command merges its section into
-``--out`` and leaves the other sections as they are.  Stdlib only.
+(``ru_maxrss``), per call over its number of calls (``calls``): a row of
+``MIN_REF_S`` repeats its call until that many seconds have passed on the
+reference clock, and every other row makes one call.  The row's section
+keeps every run, failed ones as their last stderr line, and the quartiles
+of the others.  Each command merges its section into ``--out`` and leaves
+the other sections as they are.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ TIMED = {  # command: (BENCH section, imports, timed call of ARG, ARGs)
                    "kept = list(map(parse_tree, words)) if ARG == 'parse' else list(map(rebuild, foliages, skeletons))",
                    ("parse", "rebuild")),
 }
+# rows whose call is repeated, each time with fresh arguments, until this many seconds have
+# passed on the reference clock: criteria 1, 7 and 9 take well under a millisecond each
+MIN_REF_S = {"criteria": 0.2}
 
 
 def machine() -> str:
@@ -102,7 +108,7 @@ def quartiles(values: list) -> dict:
     if len(values) == 1:  # statistics.quantiles needs two values
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+    return {"median": round(median, 9), "q1": round(q1, 9), "q3": round(q3, 9)}
 
 
 def alternate(checkouts: dict, count: int, run: Callable[[Path, int], dict], label: str) -> dict:
@@ -115,8 +121,9 @@ def alternate(checkouts: dict, count: int, run: Callable[[Path, int], dict], lab
     return runs
 
 
-def pairs_section(checkouts: dict, workload: str, count: int) -> dict:
-    results = alternate(checkouts, count, lambda checkout, k: run_bench(checkout, workload, k, 0), workload)
+def pairs_section(checkouts: dict, workload: str, count: int, first_seed: int = 1) -> dict:
+    seeds = list(range(first_seed, first_seed + count))
+    results = alternate(checkouts, count, lambda checkout, k: run_bench(checkout, workload, seeds[k - 1], 0), workload)
     metrics = {}
     for name, better in end_to_end_metrics(checkouts["change"]).items():
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
@@ -132,7 +139,7 @@ def pairs_section(checkouts: dict, workload: str, count: int) -> dict:
         }
     return {
         "pairs": count,
-        "seeds": list(range(1, count + 1)),
+        "seeds": seeds,
         "attempted": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
         "failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
         "all_correct": all(r["correct"] for side in SIDES for r in results[side]),
@@ -160,16 +167,18 @@ def traced_section(checkouts: dict, seed: int, count: int) -> dict:
 
 def child(command: str) -> str:
     """The program a timed run of ``command`` runs in a checkout: it times the call for
-    ``ARG = sys.argv[1]`` on the wall clock and on the checkout's reference clock."""
+    ``ARG = sys.argv[1]`` on the wall clock and on the checkout's reference clock, repeating
+    it until ``MIN_REF_S`` of the row have passed on the reference clock."""
     _, imports, call, _ = TIMED[command]
     return (
         f"import json, resource, sys, time\nsys.path.insert(0, 'perfbench')\nfrom speed import Speedometer, clock\n"
         f"{imports}\nARG = sys.argv[1]\nwith Speedometer():\n"
-        f"    start, ref = time.perf_counter(), clock()\n    {call}\n"
-        "    seconds, ref_seconds = time.perf_counter() - start, clock() - ref\n"
+        "    start, ref, calls = time.perf_counter(), clock(), 0\n"
+        f"    while not calls or clock() - ref < {MIN_REF_S.get(command, 0)}:\n        {call}\n        calls += 1\n"
+        "    seconds, ref_seconds = (time.perf_counter() - start) / calls, (clock() - ref) / calls\n"
         "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(json.dumps({'seconds': round(seconds, 6), 'ref_seconds': round(ref_seconds, 6), "
-        "'peak_rss_mb': round(peak / 1024, 1)}))"
+        "print(json.dumps({'seconds': round(seconds, 9), 'ref_seconds': round(ref_seconds, 9), "
+        "'peak_rss_mb': round(peak / 1024, 1), 'calls': calls}))"
     )
 
 
@@ -198,6 +207,9 @@ def timed_section(checkouts: dict, command: str, count: int) -> dict:
         "odd; quartiles leave failed runs out, and change_vs_parent and ref_change_vs_parent compare the "
         "median seconds and ref_seconds"
     }
+    if command in MIN_REF_S:
+        section["note"] += (f"; each run repeats the call until {MIN_REF_S[command]} s have passed on the reference "
+                            "clock, and its seconds and ref_seconds are per call over its calls")
     for arg in args:
         runs = alternate(checkouts, count, lambda checkout, k: timed_run(checkout, command, arg), f"{command} {arg}")
         entry = section[arg] = {}
@@ -221,7 +233,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="views", help="workload for pairs (default views)")
     parser.add_argument("--pairs", type=int, default=10,
                         help="pair count of pairs, or runs per side of traced and the TIMED commands (default 10)")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the traced round (default 1)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed of the traced round, and of the first pair of pairs (default 1)")
     parser.add_argument("--parent-name", help="how the file names the parent, such as its commit")
     parser.add_argument("--change-name", help="how the file names the change")
     args = parser.parse_args(argv)
@@ -236,9 +249,9 @@ def main(argv=None) -> int:
         bench["command"] = (
             f"python3 perfbench/run.py --workload W --seed S --seconds {run_seconds(checkouts['change'])} --trace 0, "
             "run from a fresh copy of each commit; pairs alternate which side runs first, pair k uses "
-            "seed k; quartiles are statistics.quantiles(n=4, method='inclusive')"
+            "the k-th seed of the section's seeds; quartiles are statistics.quantiles(n=4, method='inclusive')"
         )
-        section = pairs_section(checkouts, args.workload, args.pairs)
+        section = pairs_section(checkouts, args.workload, args.pairs, args.seed)
         bench.setdefault("workloads", {})[args.workload] = section
     elif args.command == "traced":
         bench["traced"] = traced_section(checkouts, args.seed, args.pairs)
