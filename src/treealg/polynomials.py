@@ -29,7 +29,7 @@ from functools import partial
 from itertools import compress, count, repeat, tee
 from operator import contains, ne, not_
 from random import Random
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import (
     AlphabetTooSmall,
@@ -261,13 +261,13 @@ class EvidenceReport:
         }
 
 
-def _first_with_key(keys: Iterable[str]) -> Dict[int, int]:
+def _first_with_key(keys: Iterable[Hashable]) -> Dict[int, int]:
     """The sparse kernel of a key per tree: each later position to the first with its key."""
-    first_of: Dict[str, int] = {}
+    first_of: Dict[Hashable, int] = {}
     return {i: first for i, key in enumerate(keys) if (first := first_of.setdefault(key, i)) != i}
 
 
-def _factors(tree_keys: Iterable[str], image_keys: Iterable[str], size: int) -> Optional[int]:
+def _factors(tree_keys: Iterable[Hashable], image_keys: Iterable[str], size: int) -> Optional[int]:
     """The dense kernel test: whether each tree's image key depends only on its own key.
 
     One C-level pass keeps the first image key of each tree key and compares
@@ -275,7 +275,7 @@ def _factors(tree_keys: Iterable[str], image_keys: Iterable[str], size: int) -> 
     ``size`` trees that are not first in their class, which is the check
     count of the sparse kernel of the same keys when it passes.
     """
-    seen: Dict[str, str] = {}
+    seen: Dict[Hashable, str] = {}
     firsts, image_keys = tee(image_keys)
     if any(map(ne, map(seen.setdefault, tree_keys, firsts), image_keys)):
         return None
@@ -316,22 +316,30 @@ def cp_evidence(
     evidence only; any failure is a disproof with a concrete witness.
     A universe larger than ``cap`` raises :class:`UniverseTooLarge`.
 
-    Every kernel is the kernel of a *view*, a map of encodings computed
-    once: skeleton and foliage erase the letters or the shapes, and
-    ``a -> r`` replaces the letter ``a`` by the encoding of ``r``.  A kernel
-    that groups most of the universe (skeleton, foliage, and a grafting of
-    one letter by another) is one dense pass asking whether a tree's image
-    key depends only on the tree's key (:func:`_factors`); on a mismatch it
-    reads the sparse kernel of the same keys (:func:`_first_with_key`).  A
-    grafting by a pair or of a letter by itself moves few trees (none when
-    the letter occurs in the replacement), so it reads only the trees its
-    sparse kernel (:meth:`Universe.kernel`) moves.  A sparse kernel is
-    checked class by class, so the witness and count are those of the first
-    failing pair.  ``stats`` holds the universe size, the sampled graftings,
-    the trees their kernels moved, the kernels a dense pass decided
-    (``dense``), the dense passes that fell back to the sparse kernel
-    (``fallbacks``), and the seconds spent on the images (``images_s``), the
-    sparse kernels (``kernels_s``) and the checks (``checks_s``).
+    Every kernel is the kernel of a *view*, a map of encodings applied to
+    the images, computed once: skeleton and foliage erase the letters or the
+    shapes, and ``a -> r`` replaces the letter ``a`` by the encoding of
+    ``r``.  A kernel that groups most of the universe (skeleton, foliage,
+    and a grafting of one letter by another) is one dense pass asking
+    whether a tree's image key depends only on the tree's key
+    (:func:`_factors`); on a mismatch it reads the sparse kernel of the same
+    keys (:func:`_first_with_key`).  The trees' keys are ints read off the
+    block table (:meth:`Universe.leaf_keys`), never off their words: the
+    shape block for the skeleton, the leaf count and foliage for the
+    foliage, and the shape block and foliage with ``a`` read as ``b`` for
+    ``a -> b``.  ``a -> b`` and ``b -> a`` identify the same two letters, so
+    they have one kernel and one image test: each letter pair is decided at
+    its first grafting in the sample, and its later graftings reuse the
+    outcome, trees moved included.  A grafting by a pair or of a letter by
+    itself moves few trees (none when the letter occurs in the replacement),
+    so it reads only the trees its sparse kernel (:meth:`Universe.kernel`)
+    moves.  A sparse kernel is checked class by class, so the witness and
+    count are those of the first failing pair.  ``stats`` holds the universe
+    size, the sampled graftings, the trees their kernels moved, the kernels
+    a dense pass that ran decided (``dense``), the dense passes that ran and
+    fell back to the sparse kernel (``fallbacks``), and the seconds spent on
+    the images (``images_s``), the sparse kernels (``kernels_s``) and the
+    checks (``checks_s``).
     """
     universe = Universe(bound, alphabet, cap)
     start = time.perf_counter()
@@ -342,29 +350,33 @@ def cp_evidence(
     image_at = images.__getitem__
 
     def decide(
-        view: Callable[[Iterable[str]], Iterator[str]], grafting: Optional[Tuple[str, Tree]] = None
+        view: Callable[[Iterable[str]], Iterator[str]],
+        keys: Optional[Callable[[], Iterator[int]]] = None,
+        grafting: Optional[Tuple[str, Tree]] = None,
     ) -> Tuple[bool, int, Optional[dict], int]:
-        """(passed, checked, witness, trees moved) of the kernel of ``view`` (keys of encodings):
-        the sparse kernel of ``grafting`` ``(a, r)`` when given, else the dense pass over
-        the words' keys and, on its mismatch, the sparse kernel of those keys."""
+        """(passed, checked, witness, trees moved) of a kernel, with ``view`` the keys of the
+        images' encodings: the sparse kernel of ``grafting`` ``(a, r)`` when given, else the
+        dense pass over the trees' ``keys()`` and, on its mismatch, the sparse kernel of those keys."""
         if grafting is None:
-            checked = _factors(view(words), view(images), len(words))
+            checked = _factors(keys(), view(images), len(words))
             if checked is not None:
                 stats["dense"] += 1
                 return True, checked, None, checked
             stats["fallbacks"] += 1
         start = time.perf_counter()
-        moved = _first_with_key(view(words)) if grafting is None else universe.kernel(*grafting)
+        moved = _first_with_key(keys()) if grafting is None else universe.kernel(*grafting)
         stats["kernels_s"] += time.perf_counter() - start
         return (*_kernel_test(moved, lambda ps: view(map(image_at, ps)), words), len(moved))
 
     start = time.perf_counter()
     tests: List[EvidenceTest] = []
+    digit = {a: i for i, a in enumerate(alphabet)}
 
     # (a) skeleton kernel and (b) foliage kernel: the kernels of erasing the letters or the shapes
-    for name, view in (("skeleton-kernel", partial(map, erase_letters)),
-                       ("foliage-kernel", partial(map, erase_shapes))):
-        tests.append(EvidenceTest(name, *decide(view)[:3]))
+    tests.append(EvidenceTest("skeleton-kernel", *decide(
+        partial(map, erase_letters), partial(universe.leaf_keys, (0,) * len(digit)))[:3]))
+    tests.append(EvidenceTest("foliage-kernel", *decide(
+        partial(map, erase_shapes), partial(universe.leaf_keys, tuple(digit.values()), by_shape=False))[:3]))
 
     # (c) grafting kernels over a fixed-plus-seeded sample of graftings
     rng = Random(seed)
@@ -374,12 +386,20 @@ def cp_evidence(
     sample += [(rng.choice(alphabet.symbols), rng.choice(larger)) for _ in range(100)]
 
     ok_all, checked_all, witness_all, moved_all = True, 0, None, 0
+    by_letters: Dict[frozenset, Tuple[bool, int, Optional[dict], int]] = {}  # a letter pair's dense outcome
     for a, replacement in sample:
         word = encode(replacement)
         view = lambda strings, a=a, word=word: map(str.replace, strings, repeat(a), repeat(word))  # noqa: E731
-        # a letter by another letter groups most trees; a pair moves only the trees holding a copy of it
-        dense = isinstance(replacement, str) and replacement != a
-        ok, checked, witness, moved = decide(view, None if dense else (a, replacement))
+        if isinstance(replacement, str) and replacement != a:
+            # a letter by another groups most trees; a -> b and b -> a identify the same two letters,
+            # so they have one kernel and one image test, decided at the first of them
+            letters = frozenset((a, replacement))
+            if letters not in by_letters:
+                by_letters[letters] = decide(
+                    view, partial(universe.leaf_keys, [digit[replacement if c == a else c] for c in alphabet]))
+            ok, checked, witness, moved = by_letters[letters]
+        else:  # a pair moves only the trees holding a copy of it
+            ok, checked, witness, moved = decide(view, grafting=(a, replacement))
         moved_all += moved
         checked_all += checked
         if not ok and ok_all:

@@ -34,8 +34,9 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add
 from random import Random
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     LengthMismatch,
@@ -671,7 +672,8 @@ class Universe:
     start, size, subshapes and leaf count, and the shape of each pair of
     subshapes: O(shapes), 626 at bound 8, and no tree.  The whole-universe
     passes read it: :meth:`pair_blocks` for the closure, :meth:`kernel` by
-    that formula.  A universe answers no per-tree query.  ``trees``, built
+    that formula, and :meth:`leaf_keys` by the offsets.  A universe answers
+    no per-tree query.  ``trees``, built
     on first use, is the one materialized universe, and the constructor's
     ``cap`` is its size check.  :meth:`stream` yields the same trees for one
     linear pass; it holds ``Universe(max_leaves - 1).trees`` and yields its
@@ -763,6 +765,31 @@ class Universe:
                 f"<{lw}*{rw}>" for lw, rw in itertools.product(words[left.start:left.stop], words[right.start:right.stop])
             )
         return words
+
+    def leaf_keys(self, letter_map: Sequence[int], by_shape: bool = True) -> Iterator[int]:
+        """Per tree in position order, an int key of its foliage under a letter map.
+
+        ``letter_map`` sends the i-th leaf symbol to a digit below their
+        count k.  The offsets of a block of n leaves run through the
+        foliages in lexicographic order, so a tree's offset is its foliage
+        read as a base-k numeral, and its key is that numeral read after the
+        map, plus its block's start (``by_shape``) or the start of the first
+        block of n leaves.  Two trees share a key exactly when they share the
+        leaf count, the shape too if ``by_shape``, and the foliage after the
+        map.  The numerals are one list of k^n ints per leaf count, and the
+        keys are yielded block by block, each block one ``map`` over its
+        numerals; nothing is stored on the universe.
+        """
+        k = len(self._symbols)
+        numerals = [[], list(letter_map)]  # per leaf count n, in offset order
+        blocks = []
+        base = 0
+        for start, n in zip(self._start, self._leaves):
+            if n == len(numerals):
+                numerals.append([p * k + d for p in numerals[-1] for d in numerals[1]])
+                base = start
+            blocks.append(map(add, numerals[n], itertools.repeat(start if by_shape else base)))
+        return itertools.chain.from_iterable(blocks)
 
     def _locate(self, t: Tree, depth: int) -> Optional[Tuple[int, int]]:
         """``(shape, offset)`` of ``t``, looked for at most ``depth`` pair levels

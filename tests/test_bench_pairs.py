@@ -64,6 +64,35 @@ def test_pairs_start_at_the_first_seed(monkeypatch):
     assert seeds == [21, 21, 22, 22, 23, 23] and section["seeds"] == [21, 22, 23]
 
 
+def test_a_batch_on_other_seeds_goes_beside_the_first(monkeypatch, tmp_path):
+    runs = []
+
+    def run_bench(checkout, workload, seed, trace):
+        runs.append(seed)
+        return fake_result(100 + len(runs), 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "end_to_end_metrics", lambda _: {"work_per_s": "higher"})
+    monkeypatch.setattr(bench_pairs, "run_seconds", lambda _: 5)
+    out = tmp_path / "BENCH.json"
+
+    def pairs(workload, seed, count):
+        bench_pairs.main(["pairs", "parent", "change", "--workload", workload, "--seed", str(seed),
+                          "--pairs", str(count), "--out", str(out)])
+        return {name: section["seeds"] for name, section in json.loads(out.read_text())["workloads"].items()}
+
+    assert pairs("evidence", 1, 3) == {"evidence": [1, 2, 3]}
+    assert pairs("evidence", 11, 2) == {"evidence": [1, 2, 3], "evidence seeds 11-12": [11, 12]}
+    assert pairs("views", 1, 2) == {"evidence": [1, 2, 3], "evidence seeds 11-12": [11, 12], "views": [1, 2]}
+    # a rerun on the same seeds replaces its batch, whichever it is
+    figures = json.loads(out.read_text())["workloads"]["evidence seeds 11-12"]["metrics"]["work_per_s"]
+    assert pairs("evidence", 11, 2) == {"evidence": [1, 2, 3], "evidence seeds 11-12": [11, 12], "views": [1, 2]}
+    rerun = json.loads(out.read_text())["workloads"]["evidence seeds 11-12"]["metrics"]["work_per_s"]
+    assert rerun["parent"]["median"] > figures["parent"]["median"]
+    assert pairs("evidence", 1, 3) == {"evidence": [1, 2, 3], "evidence seeds 11-12": [11, 12], "views": [1, 2]}
+    assert len(runs) == 2 * (3 + 2 + 2 + 2 + 3)
+
+
 def test_runs_last_the_declared_run_seconds(monkeypatch, tmp_path):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 2, "end_to_end": []}))
     argvs = []

@@ -28,6 +28,7 @@ from treealg import (
     UniverseTooLarge,
     check_hypotheses,
     compile_poly,
+    congruent,
     constant_function,
     cp_evidence,
     cp_to_polynomial,
@@ -517,6 +518,90 @@ class TestEvidenceAgainstOrderedLoops:
         assert crossings >= len(seeds) and letter_crossings > 0
 
 
+def word_keyed_cp_evidence(func, bound, alphabet, seed):
+    """The report's JSON and the moved trees of cp_evidence as it keyed the trees by their
+    words, through the view of the images, and decided every sampled grafting on its own."""
+    universe = Universe(bound, alphabet)
+    words = universe.words()
+    images = list(map(encode, map(func.fn, universe.trees)))
+    image_at = images.__getitem__
+
+    def decide(view, grafting=None):
+        if grafting is None:
+            checked = polynomials._factors(view(words), view(images), len(words))
+            if checked is not None:
+                return True, checked, None, checked
+        moved = polynomials._first_with_key(view(words)) if grafting is None else universe.kernel(*grafting)
+        return (*polynomials._kernel_test(moved, lambda ps: view(map(image_at, ps)), words), len(moved))
+
+    tests = [EvidenceTest(name, *decide(view)[:3]) for name, view in (
+        ("skeleton-kernel", partial(map, erase_letters)), ("foliage-kernel", partial(map, erase_shapes)))]
+    rng = Random(seed)
+    small = Universe(2, alphabet, cap=None).trees
+    larger = Universe(4, alphabet, cap=None).trees
+    sample = [(a, t) for a in alphabet for t in small]
+    sample += [(rng.choice(alphabet.symbols), rng.choice(larger)) for _ in range(100)]
+    ok_all, checked_all, witness_all, moved_all = True, 0, None, 0
+    for a, replacement in sample:
+        word = encode(replacement)
+        view = lambda strings, a=a, word=word: map(str.replace, strings, itertools.repeat(a), itertools.repeat(word))
+        dense = isinstance(replacement, str) and replacement != a
+        ok, checked, witness, moved = decide(view, None if dense else (a, replacement))
+        moved_all += moved
+        checked_all += checked
+        if not ok and ok_all:
+            ok_all, witness_all = False, dict(witness, grafting=f"{a}->{word}")
+    tests.append(EvidenceTest("grafting-kernels", ok_all, checked_all, witness_all))
+    ok_d, checked_d, witness_d = True, 0, None
+    for leaf_image, a in zip(images, alphabet):
+        grafted = [word for word in words if a not in word]
+        actual = [image for word, image in zip(words, images) if a not in word]
+        at = next((i for i, (w, image) in enumerate(zip(grafted, actual))
+                   if leaf_image.replace(a, w) != image.replace(a, w)), None)
+        if at is not None:
+            ok_d, checked_d = False, checked_d + at + 1
+            witness_d = {"pair": [a, grafted[at]], "grafting": f"{a}->{grafted[at]}"}
+            break
+        checked_d += len(grafted)
+    tests.append(EvidenceTest("idempotent-grafting", ok_d, checked_d, witness_d))
+    verdict = "evidence-of-cp" if all(t.passed for t in tests) else "not-cp"
+    return EvidenceReport(func.name, bound, seed, verdict, tuple(tests)).as_json(), moved_all
+
+
+def changed_at(func, tree, image):
+    """``func`` with its value on the one tree ``tree`` replaced by ``image``."""
+    return CandidateFunction(f"{func.name}@{encode(tree)}", lambda t: image if t == tree else func(t))
+
+
+class TestEvidenceAgainstWordKeys:
+    """cp_evidence, keying the trees by the block table and deciding each letter pair once,
+    against its word-keyed form that decided every grafting on its own."""
+
+    @pytest.mark.parametrize("bound", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_reports_and_moved_trees_agree(self, bound, seed):
+        rng = Random(seed)
+        universe = Universe(bound)
+        trees = universe.trees
+        polys = [poly_function(random_tree(rng, ("a", "b", "c", VARIABLE), 4)) for _ in range(2)]
+        funcs = [
+            identity_function(),
+            mirror_function(),
+            recolor_function("b"),
+            CandidateFunction("swap:ab", swap_ab),
+            constant_function(random_tree(rng, ("a", "b", "c"), 3)),
+            *polys,
+        ]
+        # one tree sent elsewhere: its letters swapped, its image mirrored, or a leaf added
+        for func, change in ((identity_function(), swap_ab), (polys[0], mirror), (polys[1], lambda t: (t, "c"))):
+            tree = rng.choice(trees)
+            funcs.append(changed_at(func, tree, change(func(tree))))
+        for func in funcs:
+            report = cp_evidence(func, bound, seed=seed)
+            expected = word_keyed_cp_evidence(func, bound, universe.alphabet, seed)
+            assert (report.as_json(), report.stats["moved"]) == expected, func.name
+
+
 class TestCpEvidence:
     def test_identity_passes(self):
         report = cp_evidence(identity_function(), 4)
@@ -572,8 +657,8 @@ class TestCpEvidence:
         by_name = {t.name: t for t in report.tests}
         assert report.stats["moved"] == by_name["grafting-kernels"].checked > 0
         assert report.stats["universe_size"] == 471 and report.stats["graftings"] == 3 * 12 + 100
-        # both projections and the 6 graftings of a letter by another, each one dense pass
-        assert (report.stats["dense"], report.stats["fallbacks"]) == (2 + 6, 0)
+        # both projections and the 3 letter pairs, one dense pass each for a -> b and b -> a
+        assert (report.stats["dense"], report.stats["fallbacks"]) == (2 + 3, 0)
         assert all(report.stats[key] >= 0 for key in ("images_s", "kernels_s", "checks_s"))
         assert "stats" not in report.as_json()
 
@@ -587,7 +672,7 @@ class TestCpEvidence:
         # swapping a and b keeps the projections' kernels and those of a -> b and b -> a,
         # and breaks those of a -> c, b -> c, c -> a and c -> b
         report = cp_evidence(CandidateFunction("swap:ab", swap_ab), 4)
-        assert (report.stats["dense"], report.stats["fallbacks"]) == (2 + 2, 4)
+        assert (report.stats["dense"], report.stats["fallbacks"]) == (2 + 1, 2)
         assert report.tests[2].witness == {"pair": ["a", "c"], "grafting": "a->c"}
 
     def test_no_grafting_of_trees(self, monkeypatch):
@@ -610,6 +695,22 @@ class TestCpEvidence:
         report = cp_evidence(function_from_spec(spec), bound, seed=seed)
         line = json.dumps(report.as_json(), separators=(",", ":"))
         assert line == PINNED_REPORTS[spec, bound, seed]
+
+
+class TestWitnessesAreCertificates:
+    def test_every_failing_witness_is_a_certificate(self):
+        # each family is the kernel of a map, a congruence holding the pair of its witness,
+        # so that congruence holds the principal congruence of the pair, which f then breaks
+        certificates = 0
+        for line in PINNED_LINES:
+            report = json.loads(line)
+            func = function_from_spec(report["function"])
+            for test in report["tests"]:
+                if not test["passed"]:
+                    u, v = map(parse_tree, test["witness"]["pair"])
+                    assert not congruent([(u, v)], func(u), func(v)), (report["function"], test)
+                    certificates += 1
+        assert certificates == 16
 
 
 def swap_ab(t):

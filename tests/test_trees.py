@@ -1014,6 +1014,36 @@ class TestSparseKernel:
         assert sorted(moved) == [i for i, t in enumerate(u.trees) if "<b*c>" in encode(t)]
 
 
+def first_positions(keys):
+    """Per tree, the first position with its key."""
+    first = {}
+    return [first.setdefault(key, i) for i, key in enumerate(keys)]
+
+
+class TestLeafKeys:
+    # the block table's int keys against the word views that cp_evidence keyed the trees by
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd", "éab"])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6])
+    def test_keys_group_the_trees_as_the_word_views(self, letters, bound):
+        u = Universe(bound, Alphabet.from_string(letters), cap=None)
+        words = u.words()
+        digit = {a: i for i, a in enumerate(letters)}
+        views = [
+            ((0,) * len(letters), True, map(erase_letters, words)),
+            (tuple(digit.values()), False, map(erase_shapes, words)),
+        ]
+        views += [(tuple(digit[b if c == a else c] for c in letters), True, map(str.replace, words,
+                   itertools.repeat(a), itertools.repeat(b))) for a, b in itertools.permutations(letters, 2)]
+        for letter_map, by_shape, view in views:
+            assert first_positions(u.leaf_keys(letter_map, by_shape)) == first_positions(view), letter_map
+
+    @pytest.mark.parametrize("letters", ["a", "abc", "éab"])
+    def test_identity_keys_by_shape_are_the_positions(self, letters):
+        u = Universe(5, Alphabet.from_string(letters))
+        assert list(u.leaf_keys(range(len(letters)))) == list(range(len(u)))
+        assert vars(u) == vars(Universe(5, Alphabet.from_string(letters)))  # nothing stored
+
+
 class TestAlphabet:
     @pytest.mark.parametrize("bad", ["", "aa", "a<", "x", "a*", "ab>"])
     def test_invalid(self, bad):

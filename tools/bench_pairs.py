@@ -22,7 +22,11 @@ which host speed drift mostly leaves alone) and its peak RSS
 reference clock, and every other row makes one call.  The row's section
 keeps every run, failed ones as their last stderr line, and the quartiles
 of the others.  Each command merges its section into ``--out`` and leaves
-the other sections as they are.  Stdlib only.
+the other sections as they are.  A ``pairs`` batch goes under its
+workload's name in ``workloads``, unless a batch on other seeds is there;
+then it goes beside it, under the name and its seeds, such as ``evidence
+seeds 11-15``.  A batch on the same seeds replaces the one there.  Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -147,6 +151,14 @@ def pairs_section(checkouts: dict, workload: str, count: int, first_seed: int = 
     }
 
 
+def batch_key(workloads: dict, workload: str, seeds: list) -> str:
+    """The key of a ``pairs`` batch on ``seeds`` in a BENCH file's ``workloads``."""
+    first = workloads.get(workload)
+    if first is None or first["seeds"] == seeds:
+        return workload
+    return f"{workload} seeds {seeds[0]}-{seeds[-1]}"
+
+
 def traced_section(checkouts: dict, seed: int, count: int) -> dict:
     runs = alternate(checkouts, count, lambda checkout, k: run_bench(checkout, "views", seed, 1)["metrics"],
                      "traced")
@@ -252,7 +264,8 @@ def main(argv=None) -> int:
             "the k-th seed of the section's seeds; quartiles are statistics.quantiles(n=4, method='inclusive')"
         )
         section = pairs_section(checkouts, args.workload, args.pairs, args.seed)
-        bench.setdefault("workloads", {})[args.workload] = section
+        workloads = bench.setdefault("workloads", {})
+        workloads[batch_key(workloads, args.workload, section["seeds"])] = section
     elif args.command == "traced":
         bench["traced"] = traced_section(checkouts, args.seed, args.pairs)
     else:
