@@ -314,7 +314,9 @@ def cp_evidence(
     random ones with at most four), and the idempotent-grafting identity
     ``graft(a->t)(f(a)) == graft(a->t)(f(t))``.  All passes constitute
     evidence only; any failure is a disproof with a concrete witness.
-    A universe larger than ``cap`` raises :class:`UniverseTooLarge`.
+    A universe larger than ``cap`` raises :class:`UniverseTooLarge`: first
+    the universe itself, then the grafting sample's ``U_4``, which counts
+    against ``cap`` too, whatever the bound.
 
     Every kernel is the kernel of a *view*, a map of encodings applied to
     the images, computed once: skeleton and foliage erase the letters or the
@@ -342,6 +344,8 @@ def cp_evidence(
     checks (``checks_s``).
     """
     universe = Universe(bound, alphabet, cap)
+    larger = Universe(4, alphabet, cap).trees
+    small = Universe(2, alphabet, cap).trees
     start = time.perf_counter()
     words = universe.words()
     images = list(map(encode, map(func.fn, universe.trees)))
@@ -380,8 +384,6 @@ def cp_evidence(
 
     # (c) grafting kernels over a fixed-plus-seeded sample of graftings
     rng = Random(seed)
-    small = Universe(2, alphabet, cap=None).trees
-    larger = Universe(4, alphabet, cap=None).trees
     sample = [(a, t) for a in alphabet for t in small]
     sample += [(rng.choice(alphabet.symbols), rng.choice(larger)) for _ in range(100)]
 

@@ -17,11 +17,7 @@ All values are immutable; every function here is pure, apart from the
 file readers at the end.  :func:`parse_tree` and :func:`rebuild` remember
 each small word the scanner has accepted and build the next tree of that
 shape by one compiled call, which pays only when small shapes repeat;
-the memo changes no result.  Results may share subtrees: such a call
-takes each maximal subtree of at most four leaves from a table of those
-built before, so two results, or two places in one, may hold one subtree
-object, as :func:`graft`'s results hold the subtrees it leaves unchanged.
-Trees are immutable, so this changes no value.
+the memo changes no result.
 """
 
 from __future__ import annotations
@@ -441,86 +437,20 @@ def _slotted(s: str) -> str:
 # error; they hold only shapes with at most _MEMO_LEAVES leaves, 626
 # entries each; and under the GIL two threads racing on one word can at
 # worst compile the same builder twice.
-#
-# A memo builder does not build the maximal subtrees of at most
-# _SHARED_LEAVES leaves: it reads each from the intern table of its shape
-# and kind (8 shapes x 2 kinds), keyed by the subtree's slice of the text
-# (parse_tree) or of the foliage (rebuild), so equal small subtrees are one
-# object and a table hit builds no tuple.  A builder runs only on a word the
-# scanner accepted, so every key is the text or the foliage of a tree, which
-# it determines; a miss builds the subtree by the shape's plain builder,
-# and the table keeps it only while it holds fewer than _SHARED_ENTRIES
-# (threads missing at once may each store one past it).
 _MEMO_LEAVES = 8
 _MEMO_TEXT = 4 * _MEMO_LEAVES - 3  # the longest word of such a tree
-_SHARED_LEAVES = 4
-_SHARED_ENTRIES = 1024  # per table; 625 are the 4-leaf trees over four letters and x
 _TO_TUPLE = str.maketrans(SHAPE_CHARS, "(,)")
 _PARSED: Dict[bytes, Callable[[str], Tree]] = {}  # dotted word -> builder from the text
 _REBUILT: Dict[str, Callable[[str], Tree]] = {}  # skeleton -> builder from the foliage
 
 
-def _compile_plain(dotted: str, by_position: bool = False) -> Callable[[str], Tree]:
+def _compile(dotted: str, by_position: bool = False) -> Callable[[str], Tree]:
     """Builder of a dotted word's tree, taking its leaves in order, or with
-    ``by_position`` a word of the same shape whose leaf slots hold the leaves;
-    every call builds the whole tree."""
+    ``by_position`` a word of the same shape whose leaf slots hold the leaves."""
     parts = dotted.translate(_TO_TUPLE).split(".")
     slots = itertools.accumulate(map(len, parts), lambda i, n: i + n + 1) if by_position else itertools.count()
     body = "".join(f"{part}L[{i}]" for i, part in zip(slots, parts[:-1])) + parts[-1]
     return eval(f"lambda L: {body}")  # noqa: S307
-
-
-class _Interned(dict):
-    """Intern table of one small shape: each key, the text or foliage of a tree
-    of that shape, to the tree, built on a miss by the shape's plain builder."""
-
-    __slots__ = ("shape", "build")
-
-    def __init__(self, dotted: str, by_position: bool):
-        super().__init__()
-        self.shape, self.build = (dotted, by_position), None
-
-    def __missing__(self, key: str) -> Tree:
-        if self.build is None:  # compiled on the first miss, so that an import compiles no builder
-            self.build = _compile_plain(*self.shape)
-        tree = self.build(key)
-        if len(self) < _SHARED_ENTRIES:
-            self[key] = tree
-        return tree
-
-
-_SHARED = {  # (dotted word, by_position) -> the shape's intern table
-    (dotted, by_position): _Interned(dotted, by_position)
-    for n in range(2, _SHARED_LEAVES + 1)
-    for dotted in map(_slotted, map(encode, _shapes(n)))
-    for by_position in (False, True)
-}
-_SHARED_NAMES = {key: f"S{i}" for i, key in enumerate(_SHARED)}  # the builders' names of the tables
-_SHARED_SCOPE = {_SHARED_NAMES[key]: table for key, table in _SHARED.items()}
-
-
-def _compile(dotted: str, by_position: bool = False) -> Callable[[str], Tree]:
-    """:func:`_compile_plain`, reading each maximal subtree of at most
-    ``_SHARED_LEAVES`` leaves from its intern table by its slice of ``L``."""
-    pos = leaf = 0
-
-    def node() -> str:  # the expression of the subtree at pos, which it passes
-        nonlocal pos, leaf
-        start, first = pos, leaf
-        if dotted[pos] == ".":
-            pos, leaf = pos + 1, leaf + 1
-            return f"L[{start if by_position else first}]"
-        pos += 1
-        left = node()
-        pos += 1
-        right = node()
-        pos += 1
-        name = _SHARED_NAMES.get((dotted[start:pos], by_position))
-        if name is None:
-            return f"({left},{right})"
-        return f"{name}[L[{start}:{pos}]]" if by_position else f"{name}[L[{first}:{leaf}]]"
-
-    return eval(f"lambda L: {node()}", _SHARED_SCOPE)  # noqa: S307
 
 
 def parse_tree(text: str, alphabet: Alphabet = DEFAULT_ALPHABET, *, variable: bool = False) -> Tree:

@@ -5,7 +5,7 @@ from functools import lru_cache, partial
 
 from treealg import Universe, foliage, table_function
 from treealg.morphisms import _graft
-from treealg.trees import _compile_plain, _fold_deep, _shapes, _slotted, encode
+from treealg.trees import _compile, _fold_deep, _shapes, _slotted, encode
 
 
 def comb(leaves, left=True, bottom="a", letters="abc"):
@@ -45,7 +45,7 @@ def recursive_universe(max_leaves, symbols):
     """
     for n in range(1, max_leaves + 1):
         for shape in _shapes(n):
-            build = _compile_plain(_slotted(encode(shape)))
+            build = _compile(_slotted(encode(shape)))
             for labels in itertools.product(symbols, repeat=n):
                 yield build(labels)
 

@@ -371,7 +371,11 @@ class TestCpCommands:
         second = invoke("check-cp", "--function", "poly:<x*c>", "--bound", "3")
         assert first == second
 
-    @pytest.mark.parametrize("args", [["--bound", "9"], ["--bound", "3", "--cap", "10"]])
+    @pytest.mark.parametrize("args", [
+        ["--bound", "9"],
+        ["--bound", "3", "--cap", "10"],
+        ["--bound", "1", "--cap", "20", "--alphabet", "abcdefghijklmnop"],  # the grafting sample's U_4
+    ])
     def test_check_cp_universe_cap(self, args):
         code, out, err = invoke("check-cp", "--function", "identity", *args)
         assert code == 1 and out == "" and "UniverseTooLarge" in err

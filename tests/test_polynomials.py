@@ -633,6 +633,15 @@ class TestCpEvidence:
         assert encode(graft(g, mirror(replacement))) == "<<c*b>*b>"
         assert graft(g, mirror(replacement)) != replacement
 
+    def test_grafting_sample_counts_against_the_cap(self):
+        # the sample draws replacements from U_4, so a bound below 4 over many letters still needs U_4 under cap
+        with pytest.raises(UniverseTooLarge) as raised:
+            cp_evidence(identity_function(), 1, Alphabet.from_string("abcdefghijklmnop"), cap=20)
+        assert raised.value.witness == {"required": 336_144, "cap": 20}
+        with pytest.raises(UniverseTooLarge):
+            cp_evidence(identity_function(), 1, cap=470)
+        assert cp_evidence(identity_function(), 1, cap=471).passed  # |U_4| over abc
+
     def test_seed_recorded(self):
         report = cp_evidence(identity_function(), 3, seed=42)
         assert report.seed == 42

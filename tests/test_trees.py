@@ -639,56 +639,7 @@ class TestShapeMemo:
         assert parse_tree(encode(t)) == rebuild(foliage(t), skeleton(t)) == t
         assert memos == ({}, {})
 
-
-@pytest.fixture
-def shared():
-    """The intern tables of small subtrees, emptied for one test and refilled after it."""
-    saved = {key: dict(table) for key, table in trees_module._SHARED.items()}
-    for table in trees_module._SHARED.values():
-        table.clear()
-    yield trees_module._SHARED
-    for key, table in trees_module._SHARED.items():
-        table.clear()
-        table.update(saved[key])
-
-
-def subtree(t, path):
-    """The subtree of ``t`` down the sides in ``path``, 0 for left and 1 for right."""
-    for side in path:
-        t = t[side]
-    return t
-
-
-class TestSharedSubtrees:
-    # a memo builder reads each maximal subtree of at most 4 leaves from an intern table
-    def test_sixteen_tables(self):
-        shapes = {dotted for dotted, _ in trees_module._SHARED}
-        assert len(trees_module._SHARED) == 16 and len(shapes) == 8
-        assert all(2 <= dotted.count(".") <= trees_module._SHARED_LEAVES for dotted in shapes)
-
-    @pytest.mark.parametrize(
-        "first, second",
-        [
-            (("<<<a*b>*c>*<<a*b>*<c*a>>>", (0,)), ("<<<a*b>*c>*<b*<b*<b*<b*b>>>>>", (0,))),  # 3 leaves
-            (("<<a*b>*<c*<<a*<b*c>>*a>>>", (1, 1)), ("<<<<a*<b*c>>*a>*c>*<c*c>>", (0, 0))),  # 4 leaves, two places
-            (("<c*<a*b>>", ()), ("<c*<a*b>>", ())),  # a whole tree
-        ],
-    )
-    def test_equal_small_subtrees_are_one_object(self, memos, shared, first, second):
-        paths = (first[1], second[1])
-        scanned = [parse_tree(word) for word, _ in (first, second)]  # the scanner's trees; they compile the builders
-        for t in scanned:
-            rebuild(foliage(t), skeleton(t))
-        equal = [subtree(t, path) for t, path in zip(scanned, paths)]
-        assert equal[0] == equal[1] and equal[0] is not equal[1] and leaf_count(equal[0]) <= 4
-        parsed = [parse_tree(encode(t)) for t in scanned]
-        rebuilt = [rebuild(foliage(t), skeleton(t)) for t in scanned]
-        assert parsed == rebuilt == scanned
-        for made in (parsed, rebuilt):
-            assert subtree(made[0], paths[0]) is subtree(made[1], paths[1])
-
-    def test_full_table_stops_growing(self, memos, shared, monkeypatch):
-        monkeypatch.setattr(trees_module, "_SHARED_ENTRIES", 3)
+    def test_polynomials_up_to_five_leaves_match_the_scanner(self, memos):
         ab = Alphabet.from_string("ab")
         for t in iter_polynomials(5, ab):
             word, u, s = encode(t), foliage(t), skeleton(t)
@@ -696,12 +647,6 @@ class TestSharedSubtrees:
                 assert outcome(parse_tree, word, ab, variable=True) == scan_only(parse_tree, word, ab, variable=True) == t
                 if VARIABLE not in u:
                     assert outcome(rebuild, u, s, ab) == scan_only(rebuild, u, s, ab) == t
-        # every table met more keys than it keeps: over ab, the 2-leaf trees alone have 4 foliages
-        assert [len(table) for table in shared.values()] == [3] * 16
-
-    def test_oracle_reads_no_table(self, shared):
-        assert list(recursive_universe(5, "abc")) == Universe(5).trees
-        assert not any(shared.values())
 
 
 class TestEnumeration:
