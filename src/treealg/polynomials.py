@@ -154,45 +154,79 @@ def synthesize(table: Mapping[str, Tree], alphabet: Alphabet = DEFAULT_ALPHABET)
 
 @dataclass(frozen=True)
 class CandidateFunction:
-    """Named total function on trees, evaluable wherever the checks need it."""
+    """Named total function on trees, evaluable wherever the checks need it.
+
+    ``word_fn``, when given, is the same function on encodings: its contract
+    is ``word_fn(encode(t)) == encode(fn(t))`` for every tree ``t`` over the
+    alphabet.  :func:`cp_evidence` then maps the universe's words through it
+    and builds no tree.  Every built-in candidate sets it; without it the
+    checks encode ``fn`` of every tree.
+    """
 
     name: str
     fn: Callable[[Tree], Tree]
+    word_fn: Optional[Callable[[str], str]] = field(default=None, compare=False, repr=False)
 
     def __call__(self, t: Tree) -> Tree:
         return self.fn(t)
 
 
+_SWAP_ENDS = str.maketrans("<>", "><")
+
+
 def identity_function() -> CandidateFunction:
-    return CandidateFunction("identity", lambda t: t)
+    return CandidateFunction("identity", lambda t: t, lambda w: w)
 
 
 def mirror_function() -> CandidateFunction:
-    return CandidateFunction("mirror", mirror)
+    # a reversed word reads every pair right half first, with its ends turned round
+    return CandidateFunction("mirror", mirror, lambda w: w[::-1].translate(_SWAP_ENDS))
 
 
 def recolor_function(color: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> CandidateFunction:
     if color not in alphabet:
         raise UnknownLetter(color, "recolor target")
-    return CandidateFunction(f"recolor:{color}", lambda t: recolor(t, color, alphabet))
+    to_color = str.maketrans(dict.fromkeys(alphabet, color))
+    return CandidateFunction(f"recolor:{color}", lambda t: recolor(t, color, alphabet),
+                             lambda w: w.translate(to_color))
 
 
 def constant_function(value: Tree) -> CandidateFunction:
-    return CandidateFunction(f"const:{encode(value)}", lambda t: value)
+    word = encode(value)
+    return CandidateFunction(f"const:{word}", lambda t: value, lambda w: word)
 
 
 def poly_function(poly: Tree) -> CandidateFunction:
-    return CandidateFunction(f"poly:{encode(poly)}", compile_poly(poly))
+    word = encode(poly)
+    return CandidateFunction(f"poly:{word}", compile_poly(poly), partial(eval_word_poly, word))
+
+
+def _word_table_function(images: Mapping[str, Tree], name: str) -> CandidateFunction:
+    """The candidate of a table keyed by the words of its trees.
+
+    Hashing a tree recurses in C once per level, with no depth guard, so
+    no tree is ever a key: ``fn`` looks up the word of its argument.
+    """
+    image_words = {word: encode(image) for word, image in images.items()}
+
+    def fn(t: Tree) -> Tree:
+        word = encode(t)
+        try:
+            return images[word]
+        except KeyError:
+            raise EvaluationFailure(word) from None
+
+    def word_fn(word: str) -> str:
+        try:
+            return image_words[word]
+        except KeyError:
+            raise EvaluationFailure(word) from None
+
+    return CandidateFunction(name, fn, word_fn)
 
 
 def table_function(mapping: Mapping[Tree, Tree], name: str = "table") -> CandidateFunction:
-    def fn(t: Tree) -> Tree:
-        try:
-            return mapping[t]
-        except KeyError:
-            raise EvaluationFailure(encode(t)) from None
-
-    return CandidateFunction(name, fn)
+    return _word_table_function({encode(t): image for t, image in mapping.items()}, name)
 
 
 def function_from_spec(spec: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> CandidateFunction:
@@ -214,8 +248,11 @@ def function_from_spec(spec: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Cand
     if kind == "poly" and arg:
         return poly_function(parse_tree(arg, alphabet, variable=True))
     if kind == "table" and arg:
-        tree = partial(parse_tree, alphabet=alphabet)
-        return table_function(read_table(arg, tree, tree, "TREE TREE"), name=spec)
+        def word(text: str) -> str:
+            parse_tree(text, alphabet)  # a tree has one spelling, so a key that parses is its word
+            return text
+
+        return _word_table_function(read_table(arg, word, partial(parse_tree, alphabet=alphabet), "TREE TREE"), spec)
     raise ValueError(f"unknown function spec {spec!r}")
 
 
@@ -321,7 +358,10 @@ def cp_evidence(
     Every kernel is the kernel of a *view*, a map of encodings applied to
     the images, computed once: skeleton and foliage erase the letters or the
     shapes, and ``a -> r`` replaces the letter ``a`` by the encoding of
-    ``r``.  A kernel that groups most of the universe (skeleton, foliage,
+    ``r``.  The images are the candidate's ``word_fn`` of the universe's
+    words when it has one, as every built-in candidate does, so no tree of
+    the universe is built; otherwise the encodings of ``fn`` of its trees.
+    A kernel that groups most of the universe (skeleton, foliage,
     and a grafting of one letter by another) is one dense pass asking
     whether a tree's image key depends only on the tree's key
     (:func:`_factors`); on a mismatch it reads the sparse kernel of the same
@@ -340,15 +380,15 @@ def cp_evidence(
     size, the sampled graftings, the trees their kernels moved, the kernels
     a dense pass that ran decided (``dense``), the dense passes that ran and
     fell back to the sparse kernel (``fallbacks``), and the seconds spent on
-    the images (``images_s``), the sparse kernels (``kernels_s``) and the
-    checks (``checks_s``).
+    the universe's words and the images (``images_s``), the sparse kernels
+    (``kernels_s``) and the checks (``checks_s``).
     """
     universe = Universe(bound, alphabet, cap)
     larger = Universe(4, alphabet, cap).trees
     small = Universe(2, alphabet, cap).trees
     start = time.perf_counter()
     words = universe.words()
-    images = list(map(encode, map(func.fn, universe.trees)))
+    images = list(map(func.word_fn, words) if func.word_fn else map(encode, map(func.fn, universe.trees)))
     stats = {"universe_size": len(words), "images_s": time.perf_counter() - start, "kernels_s": 0.0,
              "dense": 0, "fallbacks": 0}
     image_at = images.__getitem__

@@ -17,7 +17,8 @@ SECTIONS = {"traced": "traced", "sweep": "selftest_sweep", "check-cp": "check_cp
             "to-poly-deep": "to_poly_deep", "closure-scale": "closure_scale", "criteria": "selftest_criteria",
             "parse-keep": "parse_keep"}
 # criteria 2 and 3 share the universe sweep that `sweep` times
-ARGS = {"sweep": ("all",), "check-cp": ("identity", "mirror"), "to-poly": ("identity", "poly:<<c*<x*a>>*x>"),
+ARGS = {"sweep": ("all",), "check-cp": ("identity", "mirror", "recolor:b", "poly:<<c*<x*a>>*x>"),
+        "to-poly": ("identity", "poly:<<c*<x*a>>*x>"),
         "to-poly-deep": ("const:abc", "poly:xa"), "closure-scale": ("8", "9"),
         "criteria": ("1", "4", "5", "6", "7", "8", "9", "10", "11", "12"), "parse-keep": ("parse", "rebuild")}
 
@@ -141,7 +142,7 @@ def test_check_cp_alternates_and_takes_medians(monkeypatch):
     assert calls[:6] == [("parent", "check-cp", "identity"), ("change", "check-cp", "identity"),
                          ("change", "check-cp", "identity"), ("parent", "check-cp", "identity"),
                          ("parent", "check-cp", "identity"), ("change", "check-cp", "identity")]
-    assert len(calls) == 12 and {c[2] for c in calls[6:]} == {"mirror"}
+    assert len(calls) == 6 * len(ARGS["check-cp"]) and {c[2] for c in calls[6:12]} == {"mirror"}
     assert "cp_evidence(function_from_spec(ARG), 6)" in section["note"]
     assert section["identity"]["parent"]["seconds"] == {"median": 5.0, "q1": 4.5, "q3": 5.5}
     assert section["mirror"]["change"]["seconds"]["median"] == 1.0

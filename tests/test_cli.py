@@ -190,6 +190,22 @@ class TestDeepTrees:
         assert (code, err) == (1, "")
         assert json.loads(out) == {"error": "MalformedTable", "detail": f"{table}:3: duplicate entry for {word!r}"}
 
+    @pytest.mark.parametrize("argv, stdout", [
+        (["check-cp", "--bound", "1"], None),
+        (["to-poly", "--verify-bound", "1"], "x\n"),
+    ], ids=["check-cp", "to-poly"])
+    def test_very_deep_table_key(self, tmp_path, argv, stdout):
+        # hashing a tree recurses in C with no depth guard, so a table keyed by trees
+        # crashed the interpreter on this key; a subprocess keeps such a crash out of pytest
+        (tmp_path / "fn.txt").write_text(f"{encode(comb(300_000))} a\na a\nb b\nc c\n")
+        src = str(Path(treealg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "treealg.cli", argv[0], "--function", "table:fn.txt", *argv[1:]],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if stdout is not None:
+            assert proc.stdout == stdout
+
     def test_check_cp_of_a_deep_constant(self):
         # the evidence checks compare encodings, so no step recurses once per level
         spec = f"const:{encode(comb(1_200))}"

@@ -6,6 +6,7 @@ import json
 import re
 import sys
 from collections.abc import Iterator
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from random import Random
@@ -17,6 +18,7 @@ from treealg import (
     Alphabet,
     AlphabetTooSmall,
     CandidateFunction,
+    DEFAULT_ALPHABET,
     EvaluationFailure,
     Grafting,
     HypothesesViolated,
@@ -602,6 +604,66 @@ class TestEvidenceAgainstWordKeys:
             assert (report.as_json(), report.stats["moved"]) == expected, func.name
 
 
+def builtin_candidates(alphabet, trees):
+    """One candidate of each built-in kind over ``alphabet``; the table's keys are ``trees``."""
+    s = alphabet.symbols
+    return [
+        identity_function(),
+        mirror_function(),
+        recolor_function(s[1], alphabet),
+        constant_function(parse_tree(f"<{s[0]}*<{s[2]}*{s[0]}>>", alphabet)),
+        poly_function(parse_tree(f"<<x*{s[0]}>*<{s[2]}*x>>", alphabet, variable=True)),
+        table_function({t: mirror(t) for t in trees}, "table:mirror"),
+    ]
+
+
+class TestWordMaps:
+    """Each built-in candidate's map of words against the encodings of its map of trees,
+    and cp_evidence through it against cp_evidence through the trees."""
+
+    @pytest.mark.parametrize("letters", ["abc", "abcd", "éab"])
+    def test_word_fn_encodes_fn(self, letters):
+        alphabet = Alphabet.from_string(letters)
+        universe = Universe(5, alphabet, cap=None)
+        for func in builtin_candidates(alphabet, universe.trees):
+            assert list(map(func.word_fn, universe.words())) == [encode(func.fn(t)) for t in universe.trees], func.name
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
+    def test_word_fn_of_a_comb(self, left):
+        t = comb(3_000, left)
+        for func in builtin_candidates(DEFAULT_ALPHABET, [t]):
+            assert func.word_fn(encode(t)) == encode(func.fn(t)), func.name
+
+    @pytest.mark.parametrize("bound", [2, 3, 4, 5])
+    def test_reports_agree_with_the_tree_path(self, bound):
+        for seed in range(4):
+            for func in builtin_candidates(DEFAULT_ALPHABET, Universe(bound).trees):
+                by_words = cp_evidence(func, bound, seed=seed)
+                by_trees = cp_evidence(replace(func, word_fn=None), bound, seed=seed)
+                assert by_words.as_json() == by_trees.as_json(), (func.name, seed)
+                assert [by_words.stats[k] for k in ("moved", "dense", "fallbacks")] == [
+                    by_trees.stats[k] for k in ("moved", "dense", "fallbacks")], (func.name, seed)
+
+    def test_no_tree_of_the_universe_is_built(self, monkeypatch):
+        made = []
+
+        class Recorded(Universe):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(polynomials, "Universe", Recorded)
+        for func in builtin_candidates(DEFAULT_ALPHABET, Universe(5).trees):
+            made.clear()
+            cp_evidence(func, 5)
+            # the universe, then the grafting sample's U_4 and U_2, whose trees are the replacements
+            assert [u.max_leaves for u in made] == [5, 4, 2]
+            assert "trees" not in vars(made[0]), func.name
+        made.clear()
+        cp_evidence(CandidateFunction("swap:ab", swap_ab), 5)
+        assert "trees" in vars(made[0])
+
+
 class TestCpEvidence:
     def test_identity_passes(self):
         report = cp_evidence(identity_function(), 4)
@@ -942,6 +1004,18 @@ class TestFunctionFromSpec:
         assert func("a") == "b"
         with pytest.raises(EvaluationFailure):
             func(parse_tree("<a*b>"))
+
+    def test_table_file_words(self, tmp_path):
+        # keyed by the words, so both maps raise on the same word
+        path = tmp_path / "table.txt"
+        path.write_text("a <b*c>\n<a*b> c\n")
+        func = function_from_spec(f"table:{path}")
+        assert (func.word_fn("a"), func.word_fn("<a*b>")) == ("<b*c>", "c")
+        assert func(parse_tree("<a*b>")) == "c"
+        for call, arg in ((func.word_fn, "<b*a>"), (func, parse_tree("<b*a>"))):
+            with pytest.raises(EvaluationFailure) as raised:
+                call(arg)
+            assert raised.value.witness == {"tree": "<b*a>"}
 
     def test_table_file_bad_line(self, tmp_path):
         path = tmp_path / "table.txt"

@@ -48,7 +48,8 @@ MEMORY_GB = 2  # address space per timed run, so that a universe too large for t
 TIMED = {  # command: (BENCH section, imports, timed call of ARG, ARGs)
     "sweep": ("selftest_sweep", "from treealg.selftest import _Context", "_Context(0).sweep()", ("all",)),
     "check-cp": ("check_cp", "from treealg import cp_evidence, function_from_spec",
-                 "cp_evidence(function_from_spec(ARG), 6)", ("identity", "mirror")),
+                 "cp_evidence(function_from_spec(ARG), 6)",
+                 ("identity", "mirror", "recolor:b", "poly:<<c*<x*a>>*x>")),
     "to-poly": ("to_poly", "from treealg import cp_to_polynomial, function_from_spec",
                 "cp_to_polynomial(function_from_spec(ARG), 7, cap=None)", ("identity", "poly:<<c*<x*a>>*x>")),
     # ARG is KIND:LETTERS, for a left comb of 1,200 leaves with LETTERS cycling up from its bottom leaf
