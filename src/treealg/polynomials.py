@@ -46,7 +46,6 @@ from .trees import (
     Tree,
     Universe,
     VARIABLE,
-    _encode_deep,
     _fold_deep,
     encode,
     erase_letters,
@@ -154,18 +153,25 @@ def synthesize(table: Mapping[str, Tree], alphabet: Alphabet = DEFAULT_ALPHABET)
 
 @dataclass(frozen=True)
 class CandidateFunction:
-    """Named total function on trees, evaluable wherever the checks need it.
+    """Named total function on trees, with the same function on their encodings.
 
-    ``word_fn``, when given, is the same function on encodings: its contract
-    is ``word_fn(encode(t)) == encode(fn(t))`` for every tree ``t`` over the
-    alphabet.  :func:`cp_evidence` then maps the universe's words through it
-    and builds no tree.  Every built-in candidate sets it; without it the
-    checks encode ``fn`` of every tree.
+    ``word_fn`` is the function on encodings: its contract is
+    ``word_fn(encode(t)) == encode(fn(t))`` for every tree ``t`` over the
+    alphabet.  Every built-in candidate gives one that builds no tree; when
+    none is given, it reads the word's tree, applies ``fn`` and encodes the
+    image.  :func:`dataclasses.replace` copies it, so a copy with a new
+    ``fn`` passes ``word_fn=None`` to read it off that ``fn``.
     """
 
     name: str
     fn: Callable[[Tree], Tree]
     word_fn: Optional[Callable[[str], str]] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.word_fn is None:  # the word's tree by rebuild's scan, which needs no alphabet
+            fn = self.fn
+            object.__setattr__(
+                self, "word_fn", lambda w: encode(fn(_scan(erase_letters(w), (), iter(erase_shapes(w))))))
 
     def __call__(self, t: Tree) -> Tree:
         return self.fn(t)
@@ -359,8 +365,7 @@ def cp_evidence(
     the images, computed once: skeleton and foliage erase the letters or the
     shapes, and ``a -> r`` replaces the letter ``a`` by the encoding of
     ``r``.  The images are the candidate's ``word_fn`` of the universe's
-    words when it has one, as every built-in candidate does, so no tree of
-    the universe is built; otherwise the encodings of ``fn`` of its trees.
+    words, so the universe's trees are never built.
     A kernel that groups most of the universe (skeleton, foliage,
     and a grafting of one letter by another) is one dense pass asking
     whether a tree's image key depends only on the tree's key
@@ -388,7 +393,7 @@ def cp_evidence(
     small = Universe(2, alphabet, cap).trees
     start = time.perf_counter()
     words = universe.words()
-    images = list(map(func.word_fn, words) if func.word_fn else map(encode, map(func.fn, universe.trees)))
+    images = list(map(func.word_fn, words))
     stats = {"universe_size": len(words), "images_s": time.perf_counter() - start, "kernels_s": 0.0,
              "dense": 0, "fallbacks": 0}
     image_at = images.__getitem__
@@ -470,8 +475,8 @@ def cp_evidence(
     return EvidenceReport(func.name, bound, seed, verdict, tuple(tests), stats)
 
 
-def _first_mismatch(trees: Iterator[Tree], f: Callable[[Tree], Tree], g: Callable[[Tree], Tree]) -> Optional[Tree]:
-    """First of ``trees`` where ``f`` and ``g`` disagree, or None, in one C-level pass.
+def _first_mismatch(trees: Iterable[Tree], f: Callable[[Tree], Tree], g: Callable[[Tree], Tree]) -> Optional[Tree]:
+    """First of ``trees`` (or words) where ``f`` and ``g`` disagree, or None, in one C-level pass.
 
     A function of its own, so that the traceback of an error raised about the
     tree it returns does not hold the stream, and with it the smaller universe.
@@ -490,12 +495,15 @@ def cp_to_polynomial(
 
     Reads the function's values on the letter leaves, synthesizes the
     unique polynomial agreeing there, then verifies agreement on every
-    tree with at most ``verify_bound`` leaves.  The polynomial is compiled
-    only where its function is used: to verify a polynomial of at most 200
-    leaves, and for the witness of a refusal.  Any failure along the way
-    shows the function preserves no congruence structure of the required
-    kind, i.e. it is not congruence preserving.  A universe larger than
-    ``cap`` raises :class:`UniverseTooLarge` before any tree is built.
+    tree with at most ``verify_bound`` leaves.  A polynomial of at most 200
+    leaves is compiled and compared with ``fn`` on the universe's trees.
+    Tuple ``==`` recurses once per level, so a larger one is compared on
+    the universe's words, :func:`eval_word_poly` of its word against
+    ``word_fn``, and is compiled only for the witness of a refusal.  Any
+    failure along the way shows the function preserves no congruence
+    structure of the required kind, i.e. it is not congruence preserving.
+    A universe larger than ``cap`` raises :class:`UniverseTooLarge` before
+    any tree is built.
     """
     if len(alphabet) < 3:
         raise AlphabetTooSmall(3, len(alphabet))
@@ -506,14 +514,11 @@ def cp_to_polynomial(
     except HypothesesViolated as exc:
         a, b = exc.check.pair
         raise NotCP(f"generator-hypotheses:{exc.check.failure}", (table[a], table[b])) from None
-    # tuple == recurses per level, so past 200 leaves compare words; a constant's one image is poly
     if leaf_count(poly) > 200:
-        word = encode(poly)
-        expected = lambda t: eval_word_poly(word, encode(t))  # noqa: E731
-        actual = lambda t: word if (image := func.fn(t)) is poly else _encode_deep(image)  # noqa: E731
+        word = _first_mismatch(universe.words(), partial(eval_word_poly, encode(poly)), func.word_fn)
+        bad = None if word is None else parse_tree(word, alphabet)
     else:
-        expected, actual = compile_poly(poly), func.fn
-    bad = _first_mismatch(universe.stream(), expected, actual)
+        bad = _first_mismatch(universe.stream(), compile_poly(poly), func.fn)
     if bad is not None:
         raise NotCP("verification", (compile_poly(poly)(bad), func(bad)), at_input=bad)
     return poly

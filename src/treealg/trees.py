@@ -127,9 +127,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def index(self, sym: str) -> int:
-        return self.symbols.index(sym)
-
 
 DEFAULT_ALPHABET = Alphabet.from_string("abc")
 
@@ -289,33 +286,9 @@ def foliage(t: Tree) -> str:
         return erase_shapes(_encode_deep(t))
 
 
-def _mirror(t: Tree) -> Tree:
-    if isinstance(t, str):
-        return t
-    left, right = t
-    if not isinstance(left, str):
-        a, b = left
-        if not isinstance(a, str):
-            a = _mirror(a)
-        if not isinstance(b, str):
-            b = _mirror(b)
-        left = (b, a)
-    if not isinstance(right, str):
-        a, b = right
-        if not isinstance(a, str):
-            a = _mirror(a)
-        if not isinstance(b, str):
-            b = _mirror(b)
-        right = (b, a)
-    return (right, left)
-
-
 def mirror(t: Tree) -> Tree:
     """Swap left and right children at every node."""
-    try:
-        return _mirror(t)
-    except RecursionError:
-        return _tree_or_raise(_fold_deep(t, lambda a: a, lambda node, left, right: (right, left)))
+    return _tree_or_raise(_fold_deep(t, lambda a: a, lambda node, left, right: (right, left)))
 
 
 _JOIN = object()  # on a fold's stack, above a pair: its two halves were folded last

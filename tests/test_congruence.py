@@ -85,6 +85,24 @@ class TestBoundedClosure:
 
         assert len(expected) == sum(catalan(n - 1) * 2**n for n in range(1, 5))
 
+    @pytest.mark.parametrize("letters", ["ab", "abc"])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_grafting_kernel_is_the_principal_congruence(self, letters, bound):
+        # the kernel of a grafting a -> r with a not in r is the congruence generated by a ~ r:
+        # each tree that is not first in its class moves to its class's first position,
+        # and nothing moves when r lies outside the universe
+        alphabet = Alphabet.from_string(letters)
+        universe = Universe(bound, alphabet, cap=None)
+        for a in letters:
+            for r in iter_universe(3, alphabet):
+                if a in foliage(r):
+                    continue
+                expected = {}
+                if len(foliage(r)) <= bound:
+                    for cls in bounded_closure([(a, r)], bound, alphabet).classes(range(len(universe))):
+                        expected.update(dict.fromkeys(cls[1:], cls[0]))
+                assert universe.kernel(a, r) == expected, (a, encode(r))
+
     def test_compatibility_holds_within_bound(self):
         partition = bounded_closure([("a", "b")], 3)
         position = positions(partition.universe)

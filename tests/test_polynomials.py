@@ -653,15 +653,13 @@ class TestWordMaps:
                 made.append(self)
 
         monkeypatch.setattr(polynomials, "Universe", Recorded)
-        for func in builtin_candidates(DEFAULT_ALPHABET, Universe(5).trees):
+        # a candidate built by hand reads each word's tree through its derived word map
+        for func in [*builtin_candidates(DEFAULT_ALPHABET, Universe(5).trees), CandidateFunction("swap:ab", swap_ab)]:
             made.clear()
             cp_evidence(func, 5)
             # the universe, then the grafting sample's U_4 and U_2, whose trees are the replacements
             assert [u.max_leaves for u in made] == [5, 4, 2]
             assert "trees" not in vars(made[0]), func.name
-        made.clear()
-        cp_evidence(CandidateFunction("swap:ab", swap_ab), 5)
-        assert "trees" in vars(made[0])
 
 
 class TestCpEvidence:
@@ -944,9 +942,33 @@ class TestCpToPolynomial:
         assert encode(cp_to_polynomial(CandidateFunction("spy", candidate), 3)) == encode(poly)
         assert compiled == [] and calls == list("abc") + list(iter_universe(3))
 
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_deep_polynomial_evaluates_fn_on_the_letters_alone(self, bound):
+        # past 200 leaves the universe's words go through word_fn, so fn is called on
+        # the 3 letters of synthesis alone, not on the 3 or 66 trees verified
+        poly = comb(1_200, bottom="x")
+        func, calls = poly_function(poly), []
+
+        def spy(t):
+            calls.append(t)
+            return func.fn(t)
+
+        assert encode(cp_to_polynomial(replace(func, fn=spy), bound)) == encode(poly)
+        assert calls == list("abc")
+
+    def test_deep_refusal_reads_back_the_failing_tree(self):
+        # a candidate wrong at one tree of U_3 fails at that tree's word, which is parsed back
+        # as the input; the witness pairs the polynomial's image of it with the candidate's
+        evaluate, wrong = compile_poly(comb(1_200, bottom="x")), parse_tree("<<a*b>*c>")
+        func = CandidateFunction("wrong-once", lambda t: evaluate("a") if t == wrong else evaluate(t))
+        with pytest.raises(NotCP) as info:
+            cp_to_polynomial(func, 3)
+        assert info.value.stage == "verification" and info.value.at_input == wrong
+        assert list(map(encode, info.value.witness)) == [encode(evaluate(wrong)), encode(evaluate("a"))]
+
     def test_deep_constant_encodes_only_the_letters_images(self, monkeypatch):
-        # a constant's every image is the polynomial itself, whose word is at hand, so the
-        # deep encodings are those of synthesis and of the polynomial, whatever the bound
+        # a constant's word map returns its word, so the deep encodings are those of
+        # synthesis and of the polynomial, whatever the bound
         calls = []
         encode_deep = trees._encode_deep
 
@@ -955,7 +977,6 @@ class TestCpToPolynomial:
             return encode_deep(t)
 
         monkeypatch.setattr(trees, "_encode_deep", spy)
-        monkeypatch.setattr(polynomials, "_encode_deep", spy)
         func = constant_function(comb(1_200))
 
         def deep_encodings(bound):

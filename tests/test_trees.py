@@ -37,7 +37,7 @@ from treealg import (
     universe_size,
 )
 from treealg import morphisms, polynomials, trees as trees_module
-from treealg.trees import UNICODE_SHAPES, VARIABLE, _encode_deep, _fold_deep, _mirror, _shapes
+from treealg.trees import UNICODE_SHAPES, VARIABLE, _encode_deep, _fold_deep, _shapes
 
 from helpers import (
     child_positions,
@@ -146,11 +146,6 @@ def iterative_views(t):
     return word, erase_letters(word), erase_shapes(word)
 
 
-def mirror_deep(t):
-    """:func:`mirror` through the iterative fold it falls back to on deep trees."""
-    return _fold_deep(t, lambda a: a, lambda node, left, right: (right, left))
-
-
 class Letter(str):
     """A str subclass: the folds test a leaf by isinstance, and `type(t) is str` would unpack it as a pair."""
 
@@ -176,7 +171,6 @@ def fallbacks(monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     spy(trees_module, "_encode_deep")
-    spy(trees_module, "_fold_deep")  # mirror's
     spy(morphisms, "_fold_deep")  # graft's
     return calls
 
@@ -295,7 +289,7 @@ class TestDeepTrees:
         t = comb(100_000, left)
         word = comb_word(100_000, left)
         mirrored = word[::-1].translate(str.maketrans("<>", "><"))
-        assert encode(mirror(t)) == encode(mirror_deep(t)) == mirrored
+        assert encode(mirror(t)) == mirrored
         assert encode(mirror(mirror(t))) == word
 
     @pytest.mark.parametrize("left", [True, False], ids=["left-comb", "right-comb"])
@@ -335,10 +329,6 @@ class TestFastPath:
         for t in iter_universe(bound, alphabet):
             assert (encode(t), skeleton(t), foliage(t)) == iterative_views(t)
 
-    def test_fold_matches_recursive_mirror(self):
-        for t in iter_universe(6, ABC):
-            assert mirror_deep(t) == _mirror(t)
-
     @pytest.mark.parametrize("sample", ["small", "left-comb", "right-comb"])
     def test_str_subclass_letter_is_a_letter(self, sample):
         samples = list(iter_universe(4)) if sample == "small" else [comb(100_000, sample == "left-comb")]
@@ -357,7 +347,7 @@ class TestFastPath:
             for k in range(leaf_count(t)):
                 lettered = lettered_at(t, k)
                 assert (encode(lettered), skeleton(lettered), foliage(lettered)) == iterative_views(t)
-                assert mirror(lettered) == mirror_deep(t)
+                assert mirror(lettered) == mirror(t)
                 assert graft(g, lettered) == graft_deep(g, t)
                 assert graft(keep, lettered) is lettered
 
@@ -367,13 +357,13 @@ class TestFastPath:
         g = Grafting("a", ("b", "c"))
 
         def views():
-            return [(encode(t), skeleton(t), foliage(t), graft(g, t), mirror(t)) for t in samples]
+            return [(encode(t), skeleton(t), foliage(t), graft(g, t)) for t in samples]
 
         limit = sys.getrecursionlimit()
         near_limit = near_recursion_limit(views)
         assert sys.getrecursionlimit() == limit
         assert sorted(name for name, _ in fallbacks) == (
-            ["treealg.morphisms._fold_deep"] * 2 + ["treealg.trees._encode_deep"] * 6 + ["treealg.trees._fold_deep"] * 2
+            ["treealg.morphisms._fold_deep"] * 2 + ["treealg.trees._encode_deep"] * 6
         )
         fallbacks.clear()
         assert near_limit == views() and not fallbacks
@@ -385,17 +375,17 @@ class TestFastPath:
         g = Grafting("a", ("b", "c"))
 
         def folds():
-            return [(encode(t), skeleton(t), foliage(t), mirror(t), graft(g, t)) for t in samples]
+            return [(encode(t), skeleton(t), foliage(t), graft(g, t)) for t in samples]
 
         near_limit = near_recursion_limit(folds)
         # encode, skeleton and foliage each fall back to the encoder; a size is a left and a right comb
-        for walker, calls in ("trees._encode_deep", 6), ("trees._fold_deep", 2), ("morphisms._fold_deep", 2):
+        for walker, calls in ("trees._encode_deep", 6), ("morphisms._fold_deep", 2):
             fell = sorted(leaf_count(t) for name, t in fallbacks if name == f"treealg.{walker}")
             assert fell, walker
             # every comb as deep as the first that fell back falls back too, and the first sits about
             # two pair levels per spare frame down (36 leaves; a frame per pair level fell back at 19)
             assert fell == [n for n in range(fell[0], 81) for _ in range(calls)] and fell[0] > 30
-        assert near_limit == [(*iterative_views(t), mirror_deep(t), graft_deep(g, t)) for t in samples]
+        assert near_limit == [(*iterative_views(t), graft_deep(g, t)) for t in samples]
 
 
 class TestProjections:
@@ -743,7 +733,7 @@ class TestEnumeration:
             return (
                 leaf_count(t),
                 [order[c] for c in skeleton(t)],
-                [ABC.index(c) for c in foliage(t)],
+                [ABC.symbols.index(c) for c in foliage(t)],
             )
 
         u3 = list(iter_universe(3))
@@ -998,7 +988,7 @@ class TestAlphabet:
     def test_membership_and_order(self):
         ab = Alphabet.from_string("ba")
         assert "b" in ab and "c" not in ab
-        assert ab.index("a") == 1
+        assert list(ab) == ["b", "a"]
 
     def test_equal_and_hashed_by_its_letters_alone(self):
         # the precomputed leaf sets and dotted-word tables are no dataclass
